@@ -316,6 +316,12 @@ impl<F: Field> QuackConsumer<F> {
         }
     }
 
+    /// The sidecar parameters this consumer decodes with (what its session's
+    /// `Hello` offers).
+    pub fn config(&self) -> &SidecarConfig {
+        &self.cfg
+    }
+
     /// The current epoch.
     pub fn epoch(&self) -> u32 {
         self.epoch

@@ -446,6 +446,12 @@ impl<S> FlowTable<S> {
         self.probe(flow).is_ok()
     }
 
+    /// Read-only lookup of `flow`'s session (no LRU refresh).
+    pub fn peek(&self, flow: FlowId) -> Option<&S> {
+        let (_, slot) = self.probe(flow).ok()?;
+        self.slots[slot as usize].session.as_ref()
+    }
+
     /// Looks up `flow` *without* refreshing its LRU/idle clock — for
     /// housekeeping paths (timer callbacks) that must not keep an otherwise
     /// idle session alive.

@@ -11,17 +11,13 @@
 //! The client "does not need to participate in the sidecar protocol at
 //! all" — it is a completely unmodified receiver.
 
-use crate::auth::ChannelAuth;
 use crate::config::{AuthConfig, QuackFrequency, SidecarConfig, SupervisionConfig};
-use crate::endpoint::{ProcessError, QuackConsumer, QuackProducer};
+use crate::endpoint::QuackReport;
 use crate::flows::{FlowTable, FlowTableConfig, SlotId};
 use crate::messages::SidecarMessage;
-use crate::negotiate::{accept_hello, offer, Capabilities};
-use crate::protocols::{
-    obs, open_ctrl, restart_epoch, send_sidecar, FaultScript, GuardedTimer, ScenarioReport,
-};
-use crate::supervise::Supervisor;
-use sidecar_galois::Fp32;
+use crate::protocols::server::{SidecarServer, WindowPolicy};
+use crate::protocols::session::{restart_epoch, CtrlChannel, Peer, ProducerHalf};
+use crate::protocols::{obs, FaultScript, Harness, ScenarioReport};
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::node::{Context, IfaceId, Node};
 use sidecar_netsim::packet::{FlowId, Packet, PacketKind, Payload};
@@ -29,23 +25,15 @@ use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_netsim::transport::{
     CcAlgorithm, ReceiverConfig, ReceiverNode, SenderConfig, SenderCore, SenderNode,
 };
-use sidecar_netsim::world::World;
 use sidecar_netsim::Forwarder;
 use std::any::Any;
 
-const TOKEN_RTO: u64 = 1;
-const TOKEN_GRACE: u64 = 2;
-const TOKEN_SUPERVISE: u64 = 3;
+/// The server (every session's consumer) is out interface 0.
+const SERVER: IfaceId = IfaceId(0);
+
 /// Periodic proxy housekeeping: reap idle flow sessions even when no
 /// traffic arrives to piggyback the sweep on.
 const TOKEN_SWEEP: u64 = 4;
-
-/// One flow's producer state inside the proxy's flow table.
-struct ProducerSession {
-    producer: QuackProducer<Fp32>,
-    /// Lifetime quACKs emitted for this flow (reported at eviction).
-    quacks: u64,
-}
 
 /// The ACK-reduction proxy: a regular router whose sidecar quACKs every
 /// `n` data packets toward the server (paper: "every other packet such as
@@ -54,7 +42,7 @@ struct ProducerSession {
 /// [`FlowTable`].
 pub struct AckRedProxy {
     cfg: SidecarConfig,
-    table: FlowTable<ProducerSession>,
+    table: FlowTable<ProducerHalf>,
     /// Epoch to announce when a session is (re)created after a restart:
     /// the sketches died with the node, so each flow's first post-restart
     /// packet triggers a `Reset` that stops the server interpreting quACKs
@@ -62,12 +50,7 @@ pub struct AckRedProxy {
     restart_announce: Option<u32>,
     /// Data packets observed (drives the periodic idle sweep).
     observed_packets: u64,
-    /// Authenticated control channel; `None` speaks the legacy plain wire.
-    auth: Option<ChannelAuth>,
-    /// QuACK datagrams emitted.
-    pub quacks_sent: u64,
-    /// QuACK bytes emitted.
-    pub quack_bytes: u64,
+    ctrl: CtrlChannel,
 }
 
 impl AckRedProxy {
@@ -84,15 +67,13 @@ impl AckRedProxy {
             table: FlowTable::new(table),
             restart_announce: None,
             observed_packets: 0,
-            auth: None,
-            quacks_sent: 0,
-            quack_bytes: 0,
+            ctrl: CtrlChannel::default(),
         }
     }
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
     pub fn with_auth(mut self, cfg: AuthConfig) -> Self {
-        self.auth = Some(ChannelAuth::new(cfg));
+        self.ctrl = CtrlChannel::authenticated(cfg);
         self
     }
 
@@ -101,44 +82,31 @@ impl AckRedProxy {
         self.table.len()
     }
 
+    /// QuACKs emitted so far, as `(datagrams, bytes)`.
+    pub fn quacks_sent(&self) -> (u64, u64) {
+        (self.ctrl.quacks_sent, self.ctrl.quack_bytes)
+    }
+
     /// Looks up (or lazily creates) `flow`'s producer session, returning a
     /// generation-checked slot handle so the hot path re-enters the slab
     /// without a second index probe. A session created by a data packet
     /// after a restart announces the fresh epoch.
     fn session_slot(&mut self, flow: FlowId, announce: bool, ctx: &mut Context) -> SlotId {
-        let cfg = self.cfg;
-        let epoch = self.restart_announce;
         let (created, slot) = self.table.ensure_slot(flow, ctx.now(), || {
-            let mut producer = QuackProducer::new(cfg);
-            if let Some(e) = epoch {
-                producer.reset(e);
-            }
-            ProducerSession {
-                producer,
-                quacks: 0,
-            }
+            ProducerHalf::new(self.cfg, Peer::new(flow, SERVER), self.restart_announce)
         });
-        if created && announce {
-            if let Some(e) = epoch {
-                let _ = send_sidecar(
-                    SidecarMessage::Reset { epoch: e },
-                    flow,
-                    IfaceId(0),
-                    &mut self.auth,
-                    ctx,
-                );
+        if created && announce && self.restart_announce.is_some() {
+            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                session.announce(&mut self.ctrl, ctx);
             }
         }
         slot
     }
 
-    /// Control-path convenience: ensure and borrow the session directly.
-    fn session(&mut self, flow: FlowId, announce: bool, ctx: &mut Context) -> &mut ProducerSession {
-        let slot = self.session_slot(flow, announce, ctx);
-        self.table
-            .slot_entry_mut(slot)
-            .expect("slot just ensured")
-            .1
+    fn sweep_idle(&mut self, ctx: &mut Context) {
+        for (f, s) in self.table.sweep_idle(ctx.now()) {
+            obs::flow_evicted(ctx, f.0, s.quacks);
+        }
     }
 }
 
@@ -164,52 +132,26 @@ impl Node for AckRedProxy {
                     {
                         emit = Some(slot);
                     }
-                    obs::observed(ctx);
-                    obs::quack_fold(ctx, packet.flow.0, packet.seq);
+                    obs::observed(ctx, packet.flow.0, packet.seq);
                     self.observed_packets += 1;
                     if self.observed_packets.is_multiple_of(64) {
-                        for (f, s) in self.table.sweep_idle(ctx.now()) {
-                            obs::flow_evicted(ctx, f.0, s.quacks);
-                        }
+                        self.sweep_idle(ctx);
                     }
                 }
                 if let Payload::Sidecar { proto, ref bytes } = packet.payload {
-                    match open_ctrl(&mut self.auth, proto, bytes, ctx) {
-                        Ok((mflow, SidecarMessage::Reset { epoch })) => {
-                            let flow = FlowId(mflow);
-                            self.session(flow, false, ctx).producer.reset(epoch);
-                            obs::flow_table(ctx, &mut self.table);
-                            return;
-                        }
-                        Ok((mflow, hello @ SidecarMessage::Hello { .. })) => {
-                            // Server handshake; Reset reply doubles as the
-                            // ack. Recovery Hellos (non-empty sketch) get a
-                            // fresh epoch, startup Hellos keep the pristine
-                            // one.
-                            let flow = FlowId(mflow);
-                            let accepted = accept_hello(&Capabilities::default(), &hello).is_ok();
-                            obs::handshake(ctx, accepted);
-                            if accepted {
-                                let producer = &mut self.session(flow, false, ctx).producer;
-                                let epoch = if producer.count() == 0 {
-                                    producer.epoch()
-                                } else {
-                                    let e = producer.epoch().wrapping_add(1);
-                                    producer.reset(e);
-                                    e
-                                };
-                                let _ = send_sidecar(
-                                    SidecarMessage::Reset { epoch },
-                                    flow,
-                                    IfaceId(0),
-                                    &mut self.auth,
-                                    ctx,
-                                );
+                    // The server's handshake and resyncs are consumed here;
+                    // anything else is forwarded like data.
+                    use SidecarMessage::{Hello, Reset};
+                    let opened = self.ctrl.open(proto, bytes, ctx);
+                    if let Ok((flow, msg @ (Reset { .. } | Hello { .. }))) = opened {
+                        if ProducerHalf::accepts(&msg, ctx) {
+                            let slot = self.session_slot(flow, false, ctx);
+                            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                                session.on_control(msg, &mut self.ctrl, ctx);
                             }
-                            obs::flow_table(ctx, &mut self.table);
-                            return;
                         }
-                        _ => {}
+                        obs::flow_table(ctx, &mut self.table);
+                        return;
                     }
                 }
                 ctx.send(IfaceId(1), packet);
@@ -218,15 +160,7 @@ impl Node for AckRedProxy {
                         .table
                         .slot_entry_mut(slot)
                         .expect("session touched above; the idle sweep cannot evict it");
-                    let fill = session.producer.burst_fill();
-                    let msg = session.producer.emit();
-                    let epoch = session.producer.epoch();
-                    let count = session.producer.count();
-                    session.quacks += 1;
-                    self.quacks_sent += 1;
-                    let bytes = send_sidecar(msg, flow, IfaceId(0), &mut self.auth, ctx);
-                    self.quack_bytes += bytes as u64;
-                    obs::quack_emitted(ctx, epoch, count, fill, bytes);
+                    session.emit(&mut self.ctrl, ctx);
                 }
                 obs::flow_table(ctx, &mut self.table);
             }
@@ -242,9 +176,7 @@ impl Node for AckRedProxy {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context) {
         if token == TOKEN_SWEEP {
-            for (f, s) in self.table.sweep_idle(ctx.now()) {
-                obs::flow_evicted(ctx, f.0, s.quacks);
-            }
+            self.sweep_idle(ctx);
             obs::flow_table(ctx, &mut self.table);
             ctx.set_timer_after(self.table.config().idle_timeout, TOKEN_SWEEP);
         }
@@ -273,32 +205,36 @@ impl Node for AckRedProxy {
     }
 }
 
-/// The server end host: unchanged transport sender plus a sidecar library
-/// that releases the congestion window on quACK confirmations.
-pub struct AckRedServer {
-    transport: SenderCore,
-    sidecar: QuackConsumer<Fp32>,
-    cfg: SidecarConfig,
-    /// The transport's flow id: all sidecar messages are tagged with it,
-    /// and inbound sidecar traffic for other flows is ignored.
-    flow: FlowId,
-    /// Authenticated control channel; `None` speaks the legacy plain wire.
-    auth: Option<ChannelAuth>,
-    /// Session supervision: hello handshake, liveness, degraded fallback.
-    pub supervisor: Supervisor,
-    /// The shared `TOKEN_RTO` chain. `pump` runs on every packet and ACK;
-    /// unguarded arming would queue one immortal timer chain per call (the
-    /// accumulating-timer footgun), so the guard keeps exactly one.
-    rto: GuardedTimer,
-    /// The shared `TOKEN_GRACE` chain (same guard).
-    grace: GuardedTimer,
-    /// The shared `TOKEN_SUPERVISE` chain (same guard).
-    sup: GuardedTimer,
+/// §2.2's window policy: "enable the server to move its sending window
+/// ahead more quickly". Confirmed-at-proxy packets stop occupying cwnd, and
+/// the confirmations drive window growth in place of the thinned end-to-end
+/// ACKs (which still own retransmission). Degraded mode needs no swap: with
+/// mirroring stopped the transport is a plain sender driven by end-to-end
+/// ACKs, and `mark_window_released` bookkeeping is owned by the transport
+/// and stays consistent.
+#[derive(Debug, Default)]
+pub struct ReleaseWindow {
     /// Packets released from window accounting by quACKs.
     pub window_releases: u64,
 }
 
-impl AckRedServer {
+impl WindowPolicy for ReleaseWindow {
+    const NAME: &'static str = "ackred-server";
+
+    fn on_report(&mut self, report: &QuackReport, transport: &mut SenderCore, now: SimTime) {
+        for &(_, pn) in &report.received {
+            transport.mark_window_released(pn);
+            self.window_releases += 1;
+        }
+        transport.sidecar_ack_credit(report.received.len() as u64, now);
+    }
+}
+
+/// The server end host: unchanged transport sender plus a sidecar library
+/// that releases the congestion window on quACK confirmations.
+pub type AckRedServer = SidecarServer<ReleaseWindow>;
+
+impl SidecarServer<ReleaseWindow> {
     /// Creates the server.
     pub fn new(
         transport: SenderConfig,
@@ -306,222 +242,13 @@ impl AckRedServer {
         segment_rtt: SimDuration,
         supervision: SupervisionConfig,
     ) -> Self {
-        let flow = transport.flow;
-        AckRedServer {
-            transport: SenderCore::new(transport),
-            sidecar: QuackConsumer::new(sidecar, segment_rtt),
-            cfg: sidecar,
-            flow,
-            auth: None,
-            supervisor: Supervisor::new(supervision),
-            rto: GuardedTimer::default(),
-            grace: GuardedTimer::default(),
-            sup: GuardedTimer::default(),
-            window_releases: 0,
-        }
-    }
-
-    /// Seals and verifies all control traffic with `cfg`'s session keys.
-    pub fn with_auth(mut self, cfg: AuthConfig) -> Self {
-        self.auth = Some(ChannelAuth::new(cfg));
-        self
-    }
-
-    /// Transport statistics.
-    pub fn stats(&self) -> &sidecar_netsim::transport::SenderStats {
-        self.transport.stats()
-    }
-
-    /// The transport core.
-    pub fn core(&self) -> &SenderCore {
-        &self.transport
-    }
-
-    fn pump(&mut self, ctx: &mut Context) {
-        let enabled = self.supervisor.enabled();
-        for pkt in self.transport.poll_send(ctx.now()) {
-            // Degraded mode stops mirroring: the transport then behaves
-            // exactly like a plain sender driven by end-to-end ACKs.
-            if enabled {
-                self.sidecar.record_sent(pkt.id, pkt.seq, ctx.now());
-                self.supervisor.note_send(ctx.now());
-            }
-            ctx.send(IfaceId(0), pkt);
-        }
-        obs::transport_lifecycle(ctx, &mut self.transport);
-        if let Some(deadline) = self.transport.next_timeout() {
-            self.rto.arm(deadline, TOKEN_RTO, ctx);
-        }
-    }
-
-    fn handle_quack(&mut self, epoch: u32, bytes: &[u8], ctx: &mut Context) {
-        let result = self.sidecar.process_quack(ctx.now(), epoch, bytes);
-        obs::quack_outcome(ctx, self.flow.0, &result);
-        match result {
-            Ok(report) => {
-                self.supervisor.on_feedback_ok(ctx.now());
-                // Flight recorder: mirror tags are packet numbers, so a
-                // newly-missing tag IS the pn lost on the proxied segment.
-                for &(_, pn) in &report.newly_missing {
-                    obs::decode_missing(ctx, self.flow.0, pn);
-                }
-                // "Enable the server to move its sending window ahead more
-                // quickly": confirmed-at-proxy packets stop occupying cwnd,
-                // and the confirmations drive window growth in place of the
-                // thinned end-to-end ACKs (which still own retransmission).
-                for &(_, pn) in &report.received {
-                    self.transport.mark_window_released(pn);
-                    self.window_releases += 1;
-                }
-                self.transport
-                    .sidecar_ack_credit(report.received.len() as u64, ctx.now());
-                if let Some(deadline) = self.sidecar.next_grace_deadline() {
-                    self.grace.arm(deadline, TOKEN_GRACE, ctx);
-                }
-            }
-            Err(
-                err @ (ProcessError::ThresholdExceeded { .. } | ProcessError::CountInconsistent),
-            ) => {
-                let epoch = self.sidecar.epoch().wrapping_add(1);
-                let _ = self.sidecar.reset(epoch);
-                let _ = send_sidecar(
-                    SidecarMessage::Reset { epoch },
-                    self.flow,
-                    IfaceId(0),
-                    &mut self.auth,
-                    ctx,
-                );
-                if self.supervisor.on_quack_error(&err, ctx.now()) {
-                    self.enter_degraded();
-                }
-                self.supervise(ctx);
-            }
-            Err(err) => {
-                if self.supervisor.on_quack_error(&err, ctx.now()) {
-                    self.enter_degraded();
-                }
-                self.supervise(ctx);
-            }
-        }
-        obs::sup_flush(ctx, &mut self.supervisor);
-    }
-
-    /// Baseline fallback: drop the mirror log. No released-but-undelivered
-    /// window state survives (`mark_window_released` bookkeeping is owned
-    /// by the transport and remains consistent); the sender continues on
-    /// end-to-end ACKs alone.
-    fn enter_degraded(&mut self) {
-        let epoch = self.sidecar.epoch().wrapping_add(1);
-        let _ = self.sidecar.reset(epoch);
-    }
-
-    fn supervise(&mut self, ctx: &mut Context) {
-        let expecting = !self.transport.is_complete();
-        let outcome = self.supervisor.poll(ctx.now(), expecting);
-        if outcome.degraded_now {
-            self.enter_degraded();
-        }
-        if outcome.send_hello {
-            let cfg = self.cfg;
-            let _ = send_sidecar(offer(&cfg), self.flow, IfaceId(0), &mut self.auth, ctx);
-        }
-        if let Some(deadline) = outcome.next_deadline {
-            self.sup.arm(deadline, TOKEN_SUPERVISE, ctx);
-        }
-        obs::sup_flush(ctx, &mut self.supervisor);
-    }
-}
-
-impl Node for AckRedServer {
-    fn on_start(&mut self, ctx: &mut Context) {
-        // Hello first so it precedes the first data burst on the wire.
-        self.supervise(ctx);
-        self.pump(ctx);
-    }
-
-    fn on_packet(&mut self, _iface: IfaceId, packet: Packet, ctx: &mut Context) {
-        match packet.payload {
-            Payload::Ack(ref info) => {
-                self.transport.on_ack(info, ctx.now());
-                self.pump(ctx);
-            }
-            Payload::Sidecar { proto, ref bytes } => {
-                match open_ctrl(&mut self.auth, proto, bytes, ctx) {
-                    Ok((mflow, _)) if mflow != self.flow.0 => {
-                        // A datagram for some other session (misrouted, or
-                        // the proxy muxing another flow): not ours.
-                        #[cfg(feature = "obs")]
-                        ctx.obs_inc("sidecar.flow_mismatch");
-                    }
-                    Ok((_, SidecarMessage::Quack { epoch, bytes })) => {
-                        if self.supervisor.enabled() {
-                            self.handle_quack(epoch, &bytes, ctx);
-                            self.pump(ctx);
-                        }
-                    }
-                    Ok((_, SidecarMessage::Reset { epoch })) => {
-                        // Handshake ack / proxy-restart announcement.
-                        if epoch != self.sidecar.epoch() {
-                            let _ = self.sidecar.reset(epoch);
-                        }
-                        self.supervisor.on_handshake_ack(ctx.now());
-                        self.supervise(ctx);
-                    }
-                    Ok(_) => {}
-                    Err(_) => {
-                        if self.supervisor.note_error(ctx.now()) {
-                            self.enter_degraded();
-                        }
-                        self.supervise(ctx);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Context) {
-        match token {
-            TOKEN_SUPERVISE if self.sup.fire(ctx) => {
-                self.supervise(ctx);
-            }
-            TOKEN_RTO => {
-                if !self.rto.fire(ctx) {
-                    return;
-                }
-                if let Some(deadline) = self.transport.next_timeout() {
-                    if ctx.now() >= deadline {
-                        self.transport.on_rto(ctx.now());
-                    }
-                }
-                self.pump(ctx);
-            }
-            TOKEN_GRACE => {
-                if !self.grace.fire(ctx) {
-                    return;
-                }
-                // Packets the proxy never saw: leave them to e2e loss
-                // detection (§2.2: "use the less frequent end-to-end ACKs
-                // when retransmission is necessary").
-                let _ = self.sidecar.poll_expired(ctx.now());
-                if let Some(deadline) = self.sidecar.next_grace_deadline() {
-                    self.grace.arm(deadline, TOKEN_GRACE, ctx);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn name(&self) -> &str {
-        "ackred-server"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+        Self::with_policy(
+            SenderCore::new(transport),
+            sidecar,
+            segment_rtt,
+            supervision,
+            ReleaseWindow::default(),
+        )
     }
 }
 
@@ -608,11 +335,7 @@ impl AckReductionScenario {
     }
 
     fn run_sidecar_inner(&self, seed: u64, faults: Option<&FaultScript>) -> ScenarioReport {
-        let mut w = World::new(seed);
-        #[cfg(feature = "obs")]
-        if let Some(cap) = self.trace_capacity {
-            w.obs_mut().trace = sidecar_obs::EventTrace::with_capacity(cap);
-        }
+        let mut h = Harness::new(seed, self.trace_capacity);
         let mut server_node = AckRedServer::new(
             SenderConfig {
                 total_packets: Some(self.total_packets),
@@ -634,9 +357,9 @@ impl AckReductionScenario {
             server_node = server_node.with_auth(auth.with_nonce(1));
             proxy_node = proxy_node.with_auth(auth.with_nonce(2));
         }
-        let server = w.add_node(Box::new(server_node));
-        let proxy = w.add_node(Box::new(proxy_node));
-        let client = w.add_node(ReceiverNode::boxed(ReceiverConfig {
+        let server = h.w.add_node(Box::new(server_node));
+        let proxy = h.w.add_node(Box::new(proxy_node));
+        let client = h.w.add_node(ReceiverNode::boxed(ReceiverConfig {
             ack_every: self.reduced_ack_every,
             max_ack_delay: self.reduced_max_ack_delay,
             // The QUIC ACK-frequency extension's "Ignore Order" flag:
@@ -644,64 +367,21 @@ impl AckReductionScenario {
             immediate_on_gap: false,
             ..ReceiverConfig::default()
         }));
-        w.connect(server, proxy, self.upstream.clone(), self.upstream.clone());
-        w.connect(
-            proxy,
-            client,
-            self.downstream.clone(),
-            self.downstream.clone(),
-        );
-        if let Some(script) = faults {
-            let plan = script.lower(proxy, (proxy, client));
-            if !plan.is_empty() {
-                w.install_faults(plan);
-            }
-        }
-        // Periodic sidecar timers never let the event queue drain; run to a
-        // generous deadline instead.
-        w.run_until(SimTime::ZERO + SimDuration::from_secs(120));
+        let links = [&self.upstream, &self.downstream];
+        h.run_line(&[server, proxy, client], &links, faults);
 
-        // Snapshot the world registry before borrowing nodes; mirror it
-        // into the process-global registry for bench `--metrics-out` dumps.
-        #[cfg(feature = "obs")]
-        let metrics = {
-            let snap = w.obs().metrics.snapshot();
-            sidecar_obs::global().absorb(&snap);
-            snap
+        let srv = h.w.node_as::<AckRedServer>(server);
+        let px = h.w.node_as::<AckRedProxy>(proxy);
+        let client_acks = h.w.node_as::<ReceiverNode>(client).stats().acks_sent;
+        let mut report = ScenarioReport {
+            sidecar_messages: px.quacks_sent().0,
+            sidecar_bytes: px.quacks_sent().1,
+            degradations: srv.supervisor().stats.degradations,
+            recoveries: srv.supervisor().stats.recoveries,
+            ..Harness::report(srv.core(), client_acks)
         };
-        #[cfg(feature = "obs")]
-        let trace = {
-            let trace = w.obs().trace.clone();
-            sidecar_obs::global_trace_absorb(&trace);
-            trace
-        };
-        #[cfg(feature = "obs")]
-        let scoreboard = w.obs().scoreboard.snapshot(super::SCOREBOARD_TOP_K);
-        let srv = w.node_as::<AckRedServer>(server);
-        let stats = srv.stats().clone();
-        let mtu = srv.core().config().mtu;
-        let px = w.node_as::<AckRedProxy>(proxy);
-        let cl = w.node_as::<ReceiverNode>(client);
-        ScenarioReport {
-            completion: stats.completed_at,
-            goodput_bps: stats.goodput_bps(mtu),
-            server_sent: stats.sent_packets,
-            server_retransmissions: stats.retransmissions,
-            client_acks: cl.stats().acks_sent,
-            sidecar_messages: px.quacks_sent,
-            sidecar_bytes: px.quack_bytes,
-            proxy_retransmissions: 0,
-            degradations: srv.supervisor.stats.degradations,
-            recoveries: srv.supervisor.stats.recoveries,
-            #[cfg(feature = "obs")]
-            metrics,
-            #[cfg(feature = "obs")]
-            trace,
-            #[cfg(feature = "obs")]
-            timeseries: sidecar_obs::TimeSeries::default(),
-            #[cfg(feature = "obs")]
-            scoreboard,
-        }
+        h.export_obs(&mut report);
+        report
     }
 
     /// A baseline run with a plain forwarder and the given client ACK
@@ -726,56 +406,33 @@ impl AckReductionScenario {
         ack_every: u32,
         faults: Option<&FaultScript>,
     ) -> ScenarioReport {
-        let mut w = World::new(seed);
+        let mut h = Harness::new(seed, None);
         let reduced = ack_every >= self.reduced_ack_every;
         let max_ack_delay = if reduced {
             self.reduced_max_ack_delay
         } else {
             ReceiverConfig::default().max_ack_delay
         };
-        let server = w.add_node(SenderNode::boxed(SenderConfig {
+        let server = h.w.add_node(SenderNode::boxed(SenderConfig {
             total_packets: Some(self.total_packets),
             cc: self.cc,
             id_seed: seed ^ 0xAC4ED,
             peer_max_ack_delay: max_ack_delay + SimDuration::from_millis(50),
             ..SenderConfig::default()
         }));
-        let proxy = w.add_node(Forwarder::boxed());
-        let client = w.add_node(ReceiverNode::boxed(ReceiverConfig {
+        let proxy = h.w.add_node(Forwarder::boxed());
+        let client = h.w.add_node(ReceiverNode::boxed(ReceiverConfig {
             ack_every,
             max_ack_delay,
             immediate_on_gap: !reduced,
             ..ReceiverConfig::default()
         }));
-        w.connect(server, proxy, self.upstream.clone(), self.upstream.clone());
-        w.connect(
-            proxy,
-            client,
-            self.downstream.clone(),
-            self.downstream.clone(),
-        );
-        if let Some(script) = faults {
-            let plan = script.lower(proxy, (proxy, client));
-            if !plan.is_empty() {
-                w.install_faults(plan);
-            }
-        }
-        // Periodic sidecar timers never let the event queue drain; run to a
-        // generous deadline instead.
-        w.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-
-        let srv = w.node_as::<SenderNode>(server);
-        let stats = srv.stats().clone();
-        let mtu = srv.core().config().mtu;
-        let cl = w.node_as::<ReceiverNode>(client);
-        ScenarioReport {
-            completion: stats.completed_at,
-            goodput_bps: stats.goodput_bps(mtu),
-            server_sent: stats.sent_packets,
-            server_retransmissions: stats.retransmissions,
-            client_acks: cl.stats().acks_sent,
-            ..ScenarioReport::default()
-        }
+        let links = [&self.upstream, &self.downstream];
+        h.run_line(&[server, proxy, client], &links, faults);
+        Harness::report(
+            h.w.node_as::<SenderNode>(server).core(),
+            h.w.node_as::<ReceiverNode>(client).stats().acks_sent,
+        )
     }
 
     /// Baseline with normal (frequent) client ACKs.
@@ -792,6 +449,7 @@ impl AckReductionScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sidecar_netsim::world::World;
 
     #[test]
     fn sidecar_run_completes() {
@@ -884,7 +542,7 @@ mod tests {
         // generous deadline instead.
         w.run_until(SimTime::ZERO + SimDuration::from_secs(120));
         let srv = w.node_as::<AckRedServer>(server);
-        assert!(srv.window_releases > 0);
+        assert!(srv.window_policy().window_releases > 0);
         assert!(srv.core().is_complete());
     }
 

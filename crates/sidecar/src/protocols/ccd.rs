@@ -17,17 +17,15 @@
 //! End hosts change only by "installing a library" — here, composing the
 //!   unchanged transport cores with a sidecar.
 
-use crate::auth::ChannelAuth;
 use crate::config::{AuthConfig, SidecarConfig, SupervisionConfig};
-use crate::endpoint::{ProcessError, QuackConsumer, QuackProducer};
+use crate::endpoint::QuackReport;
 use crate::flows::{FlowTable, FlowTableConfig, FoldBuffer, SlotId};
 use crate::messages::SidecarMessage;
-use crate::negotiate::{accept_hello, offer, Capabilities};
-use crate::protocols::{
-    obs, open_ctrl, restart_epoch, send_sidecar, FaultScript, GuardedTimer, ScenarioReport,
+use crate::protocols::server::{SidecarServer, WindowPolicy};
+use crate::protocols::session::{
+    restart_epoch, ConsumerHalf, CtrlChannel, Peer, ProducerHalf, QuackVerdict, SupTally,
 };
-use crate::supervise::Supervisor;
-use sidecar_galois::Fp32;
+use crate::protocols::{obs, FaultScript, GuardedTimer, Harness, ScenarioReport};
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::node::{Context, IfaceId, Node};
 use sidecar_netsim::packet::{FlowId, Packet, PacketKind, Payload};
@@ -35,7 +33,6 @@ use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_netsim::transport::{
     CcAlgorithm, ReceiverConfig, ReceiverCore, ReceiverNode, SenderConfig, SenderCore, SenderNode,
 };
-use sidecar_netsim::world::World;
 use sidecar_netsim::Forwarder;
 use std::any::Any;
 use std::collections::VecDeque;
@@ -43,7 +40,6 @@ use std::collections::VecDeque;
 const TOKEN_EMIT: u64 = 1;
 const TOKEN_GRACE: u64 = 2;
 const TOKEN_DRAIN: u64 = 3;
-const TOKEN_RTO: u64 = 4;
 const TOKEN_DELAYED_ACK: u64 = 5;
 const TOKEN_SUPERVISE: u64 = 6;
 
@@ -55,17 +51,12 @@ pub(crate) const STEERED_CC: CcAlgorithm = CcAlgorithm::Fixed(u64::MAX / 2);
 /// sidecar library.
 pub struct CcdClient {
     transport: ReceiverCore,
-    sidecar: QuackProducer<Fp32>,
+    sidecar: ProducerHalf,
     /// The connection this sidecar belongs to; its messages carry this flow
     /// and inbound control for other flows is ignored.
     flow: FlowId,
     interval: SimDuration,
-    /// Authenticated control channel; `None` speaks the legacy plain wire.
-    auth: Option<ChannelAuth>,
-    /// QuACK datagrams emitted.
-    pub quacks_sent: u64,
-    /// QuACK bytes emitted.
-    pub quack_bytes: u64,
+    ctrl: CtrlChannel,
 }
 
 impl CcdClient {
@@ -74,24 +65,27 @@ impl CcdClient {
         let flow = transport.flow;
         CcdClient {
             transport: ReceiverCore::new(transport),
-            sidecar: QuackProducer::new(sidecar),
+            sidecar: ProducerHalf::new(sidecar, Peer::new(flow, IfaceId(0)), None),
             flow,
             interval,
-            auth: None,
-            quacks_sent: 0,
-            quack_bytes: 0,
+            ctrl: CtrlChannel::default(),
         }
     }
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
     pub fn with_auth(mut self, cfg: AuthConfig) -> Self {
-        self.auth = Some(ChannelAuth::new(cfg));
+        self.ctrl = CtrlChannel::authenticated(cfg);
         self
     }
 
     /// Transport statistics.
     pub fn stats(&self) -> &sidecar_netsim::transport::ReceiverStats {
         self.transport.stats()
+    }
+
+    /// QuACKs emitted so far, as `(datagrams, bytes)`.
+    pub fn quacks_sent(&self) -> (u64, u64) {
+        (self.ctrl.quacks_sent, self.ctrl.quack_bytes)
     }
 }
 
@@ -103,45 +97,22 @@ impl Node for CcdClient {
     fn on_packet(&mut self, _iface: IfaceId, packet: Packet, ctx: &mut Context) {
         match packet.payload {
             Payload::Sidecar { proto, ref bytes } => {
-                match open_ctrl(&mut self.auth, proto, bytes, ctx) {
+                use SidecarMessage::{Hello, Reset};
+                match self.ctrl.open(proto, bytes, ctx) {
                     // An end-host sidecar owns exactly one connection:
                     // control tagged for any other flow is not ours.
-                    Ok((mflow, _)) if mflow != self.flow.0 => {
-                        #[cfg(feature = "obs")]
-                        ctx.obs_inc("sidecar.flow_mismatch");
-                    }
-                    Ok((_, SidecarMessage::Reset { epoch })) => self.sidecar.reset(epoch),
-                    Ok((_, hello @ SidecarMessage::Hello { .. })) => {
-                        let accepted = accept_hello(&Capabilities::default(), &hello).is_ok();
-                        obs::handshake(ctx, accepted);
-                        if accepted {
-                            // Pristine producer: keep the epoch (startup
-                            // handshake is zero-cost). Otherwise this is a
-                            // recovery handshake — the consumer's mirror is
-                            // empty, so start a fresh epoch to match.
-                            let epoch = if self.sidecar.count() == 0 {
-                                self.sidecar.epoch()
-                            } else {
-                                let e = self.sidecar.epoch().wrapping_add(1);
-                                self.sidecar.reset(e);
-                                e
-                            };
-                            let _ = send_sidecar(
-                                SidecarMessage::Reset { epoch },
-                                self.flow,
-                                IfaceId(0),
-                                &mut self.auth,
-                                ctx,
-                            );
+                    Ok((flow, _)) if flow != self.flow => obs::flow_mismatch(ctx),
+                    Ok((_, msg @ (Reset { .. } | Hello { .. }))) => {
+                        if ProducerHalf::accepts(&msg, ctx) {
+                            self.sidecar.on_control(msg, &mut self.ctrl, ctx);
                         }
                     }
                     _ => {}
                 }
             }
             _ if packet.kind == PacketKind::Data => {
-                self.sidecar.observe(packet.id);
-                obs::observed(ctx);
-                obs::quack_fold(ctx, packet.flow.0, packet.seq);
+                self.sidecar.producer.observe(packet.id);
+                obs::observed(ctx, packet.flow.0, packet.seq);
                 if let Some(ack) = self.transport.on_data(&packet, ctx.now()) {
                     ctx.send(IfaceId(0), ack);
                 } else if let Some(deadline) = self.transport.ack_deadline() {
@@ -155,12 +126,7 @@ impl Node for CcdClient {
     fn on_timer(&mut self, token: u64, ctx: &mut Context) {
         match token {
             TOKEN_EMIT => {
-                let fill = self.sidecar.burst_fill();
-                let msg = self.sidecar.emit();
-                self.quacks_sent += 1;
-                let bytes = send_sidecar(msg, self.flow, IfaceId(0), &mut self.auth, ctx);
-                self.quack_bytes += bytes as u64;
-                obs::quack_emitted(ctx, self.sidecar.epoch(), self.sidecar.count(), fill, bytes);
+                self.sidecar.emit(&mut self.ctrl, ctx);
                 ctx.set_timer_after(self.interval, TOKEN_EMIT);
             }
             TOKEN_DELAYED_ACK => {
@@ -175,15 +141,8 @@ impl Node for CcdClient {
     fn on_restart(&mut self, ctx: &mut Context) {
         // The sketch died with the process: start a fresh, time-derived
         // epoch and announce it so the proxy resyncs its mirror.
-        let epoch = restart_epoch(ctx.now());
-        self.sidecar.reset(epoch);
-        let _ = send_sidecar(
-            SidecarMessage::Reset { epoch },
-            self.flow,
-            IfaceId(0),
-            &mut self.auth,
-            ctx,
-        );
+        self.sidecar.producer.reset(restart_epoch(ctx.now()));
+        self.sidecar.announce(&mut self.ctrl, ctx);
         ctx.set_timer_after(self.interval, TOKEN_EMIT);
     }
 
@@ -204,6 +163,8 @@ impl Node for CcdClient {
 #[derive(Clone, Debug)]
 struct RateController {
     rate_bps: f64,
+    /// Configured initial pacing rate — the degraded/restart fallback.
+    initial_bps: f64,
     min_bps: f64,
     max_bps: f64,
 }
@@ -212,6 +173,7 @@ impl RateController {
     fn new(initial_bps: f64, min_bps: f64, max_bps: f64) -> Self {
         RateController {
             rate_bps: initial_bps,
+            initial_bps,
             min_bps,
             max_bps,
         }
@@ -232,22 +194,58 @@ impl RateController {
         }
         self.rate_bps = self.rate_bps.clamp(self.min_bps, self.max_bps);
     }
+
+    /// Heavy downstream loss (the mirror overflowed): slash the rate.
+    fn on_overflow(&mut self) {
+        self.rate_bps = (self.rate_bps * 0.5).max(self.min_bps);
+    }
+
+    /// Back to the configured initial rate.
+    fn reset(&mut self) {
+        self.rate_bps = self.initial_bps.clamp(self.min_bps, self.max_bps);
+    }
 }
 
 /// One flow's sidecar state inside the division proxy: the upstream
-/// producer (server→proxy segment), the downstream consumer mirror
-/// (proxy→client segment), and that downstream session's supervision.
+/// producer (server→proxy segment) and the supervised downstream consumer
+/// mirror (proxy→client segment, the adaptive pacing loop).
 struct CcdFlow {
     /// QuACK producer toward the server (covers the server→proxy segment).
-    upstream_producer: QuackProducer<Fp32>,
+    up: ProducerHalf,
     /// QuACK consumer for client quACKs (covers the proxy→client segment).
-    downstream_consumer: QuackConsumer<Fp32>,
+    down: ConsumerHalf,
     /// Local tag counter for the downstream mirror log.
     next_tag: u64,
-    /// Supervises the proxy→client quACK session (the adaptive pacing loop).
-    supervisor: Supervisor,
-    /// QuACKs emitted upstream for this flow.
-    quacks: u64,
+}
+
+/// The pacing buffer of the division proxy: one egress link metered at one
+/// rate, whatever mix of flows crosses it.
+struct Pacer {
+    /// Data packets awaiting the downstream segment.
+    buffer: VecDeque<Packet>,
+    /// Buffer capacity; overflow drops (creating segment-1 backpressure).
+    cap: usize,
+    rate: RateController,
+    /// Whether a drain timer is outstanding.
+    drain_armed: bool,
+}
+
+impl Pacer {
+    fn arm_drain(&mut self, pkt_size: u32, ctx: &mut Context) {
+        let gap = SimDuration::from_secs_f64(pkt_size as f64 * 8.0 / self.rate.rate_bps);
+        self.drain_armed = true;
+        ctx.set_timer_after(gap, TOKEN_DRAIN);
+    }
+
+    /// No trusted downstream session remains: stop metering altogether
+    /// (flush the buffer at line rate, forget the learned rate).
+    fn unpace(&mut self, ctx: &mut Context) {
+        while let Some(pkt) = self.buffer.pop_front() {
+            ctx.send(IfaceId(1), pkt);
+        }
+        self.drain_armed = false;
+        self.rate.reset();
+    }
 }
 
 /// The division proxy: a regular router for the base protocol that paces
@@ -256,7 +254,7 @@ struct CcdFlow {
 /// [`FlowTable`]. The pacing buffer and rate controller stay shared: the
 /// proxy meters one egress link, whatever mix of flows crosses it.
 pub struct CcdProxy {
-    /// Sidecar parameters (kept for handshakes and new-flow sessions).
+    /// Sidecar parameters (kept for new-flow sessions).
     cfg: SidecarConfig,
     table: FlowTable<CcdFlow>,
     /// Batched fold path for the upstream producers: identifiers of
@@ -266,37 +264,24 @@ pub struct CcdProxy {
     /// defer because upstream emission is interval-driven and power-sum
     /// folds commute within an epoch.
     folds: FoldBuffer,
-    /// Pacing buffer of data packets awaiting the downstream segment.
-    buffer: VecDeque<Packet>,
-    /// Buffer capacity; overflow drops (creating segment-1 backpressure).
-    buffer_cap: usize,
-    rate: RateController,
-    /// Configured initial pacing rate — the degraded fallback.
-    initial_rate_bps: f64,
+    pacer: Pacer,
     /// Emission interval toward the server.
     interval: SimDuration,
     /// Downstream in-transit window (for consumer builds).
     downstream_rtt: SimDuration,
-    /// Whether a drain timer is outstanding.
-    drain_armed: bool,
     supervision: SupervisionConfig,
     /// Set after a restart: the fresh epoch each recreated flow announces
     /// upstream when its data reappears.
     restart_announce: Option<u32>,
-    /// Supervisor outcomes of sessions the table already reclaimed
-    /// (`(degradations, recoveries)`), so report totals survive eviction.
-    evicted_sup: (u64, u64),
+    /// Supervisor outcomes of sessions the table already reclaimed, so
+    /// report totals survive eviction.
+    reclaimed: SupTally,
     /// The shared `TOKEN_GRACE` chain: arms are deduped and superseded
     /// chains cancelled in the queue, so one event per proxy is pending.
     grace: GuardedTimer,
     /// The shared `TOKEN_SUPERVISE` chain (same guard).
     sup: GuardedTimer,
-    /// Authenticated control channel; `None` speaks the legacy plain wire.
-    auth: Option<ChannelAuth>,
-    /// QuACKs emitted upstream (all flows).
-    pub quacks_sent: u64,
-    /// QuACK bytes emitted upstream (all flows).
-    pub quack_bytes: u64,
+    ctrl: CtrlChannel,
     /// Packets dropped by the pacing buffer.
     pub buffer_drops: u64,
 }
@@ -337,34 +322,33 @@ impl CcdProxy {
             cfg: sidecar,
             table: FlowTable::new(table),
             folds: FoldBuffer::with_capacity(FoldBuffer::DEFAULT_CAPACITY),
-            buffer: VecDeque::new(),
-            buffer_cap,
-            rate: RateController::new(initial_rate_bps, 1_000_000.0, 10_000_000_000.0),
-            initial_rate_bps,
+            pacer: Pacer {
+                buffer: VecDeque::new(),
+                cap: buffer_cap,
+                rate: RateController::new(initial_rate_bps, 1_000_000.0, 10_000_000_000.0),
+                drain_armed: false,
+            },
             interval,
             downstream_rtt,
-            drain_armed: false,
             supervision,
             restart_announce: None,
-            evicted_sup: (0, 0),
-            grace: GuardedTimer::default(),
-            sup: GuardedTimer::default(),
-            auth: None,
-            quacks_sent: 0,
-            quack_bytes: 0,
+            reclaimed: SupTally::default(),
+            grace: GuardedTimer::new(TOKEN_GRACE),
+            sup: GuardedTimer::new(TOKEN_SUPERVISE),
+            ctrl: CtrlChannel::default(),
             buffer_drops: 0,
         }
     }
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
     pub fn with_auth(mut self, cfg: AuthConfig) -> Self {
-        self.auth = Some(ChannelAuth::new(cfg));
+        self.ctrl = CtrlChannel::authenticated(cfg);
         self
     }
 
     /// The current paced rate (bits/s).
     pub fn pacing_rate_bps(&self) -> f64 {
-        self.rate.rate_bps
+        self.pacer.rate.rate_bps
     }
 
     /// Live per-flow sessions.
@@ -372,28 +356,15 @@ impl CcdProxy {
         self.table.len()
     }
 
-    /// Supervisor degradations summed over live and reclaimed sessions.
-    pub fn degradations(&self) -> u64 {
-        self.evicted_sup.0
-            + self
-                .table
-                .iter()
-                .map(|(_, s)| s.supervisor.stats.degradations)
-                .sum::<u64>()
+    /// QuACKs emitted upstream so far (all flows), as `(datagrams, bytes)`.
+    pub fn quacks_sent(&self) -> (u64, u64) {
+        (self.ctrl.quacks_sent, self.ctrl.quack_bytes)
     }
 
-    /// Supervisor recoveries summed over live and reclaimed sessions.
-    pub fn recoveries(&self) -> u64 {
-        self.evicted_sup.1
-            + self
-                .table
-                .iter()
-                .map(|(_, s)| s.supervisor.stats.recoveries)
-                .sum::<u64>()
-    }
-
-    fn any_enabled(&self) -> bool {
-        self.table.iter().any(|(_, s)| s.supervisor.enabled())
+    /// Supervisor outcomes summed over live and reclaimed sessions.
+    pub(crate) fn tally(&self) -> SupTally {
+        let live = self.table.iter().map(|(_, s)| &s.down);
+        self.reclaimed.with_live(live)
     }
 
     /// Ensures `flow` has a session. A fresh session is supervised at once
@@ -401,33 +372,21 @@ impl CcdProxy {
     /// it reaches the pacing buffer's egress), and — post-restart — tells
     /// the server this flow's fresh upstream epoch.
     fn ensure_session(&mut self, flow: FlowId, ctx: &mut Context) -> SlotId {
-        let cfg = self.cfg;
-        let rtt = self.downstream_rtt;
-        let supervision = self.supervision;
-        let epoch = self.restart_announce;
-        let now = ctx.now();
-        let (created, slot) = self.table.ensure_slot(flow, now, || {
-            let mut upstream_producer = QuackProducer::new(cfg);
-            if let Some(e) = epoch {
-                upstream_producer.reset(e);
-            }
-            CcdFlow {
-                upstream_producer,
-                downstream_consumer: QuackConsumer::new(cfg, rtt),
-                next_tag: 0,
-                supervisor: Supervisor::new(supervision),
-                quacks: 0,
-            }
+        let (created, slot) = self.table.ensure_slot(flow, ctx.now(), || CcdFlow {
+            up: ProducerHalf::new(self.cfg, Peer::new(flow, IfaceId(0)), self.restart_announce),
+            down: ConsumerHalf::new(
+                self.cfg,
+                self.downstream_rtt,
+                self.supervision,
+                Peer::new(flow, IfaceId(1)),
+            ),
+            next_tag: 0,
         });
         if created {
-            if let Some(e) = epoch {
-                let _ = send_sidecar(
-                    SidecarMessage::Reset { epoch: e },
-                    flow,
-                    IfaceId(0),
-                    &mut self.auth,
-                    ctx,
-                );
+            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                if self.restart_announce.is_some() {
+                    session.up.announce(&mut self.ctrl, ctx);
+                }
             }
             self.supervise_flow(flow, ctx);
         }
@@ -441,333 +400,226 @@ impl CcdProxy {
             return;
         }
         self.folds.flush(&mut self.table, |_, session, ids| {
-            session.upstream_producer.observe_batch(ids);
+            session.up.producer.observe_batch(ids);
         });
         obs::fold_flush(ctx, &mut self.folds);
     }
 
-    fn arm_drain(&mut self, pkt_size: u32, ctx: &mut Context) {
-        let gap = SimDuration::from_secs_f64(pkt_size as f64 * 8.0 / self.rate.rate_bps);
-        self.drain_armed = true;
-        ctx.set_timer_after(gap, TOKEN_DRAIN);
+    /// Folds one data packet into its upstream producer (deferred through
+    /// the slot-bucketed batch path).
+    fn observe(&mut self, slot: SlotId, packet: &Packet, ctx: &mut Context) {
+        if self.folds.push(slot, packet.id) {
+            self.flush_folds(ctx);
+        }
+        obs::observed(ctx, packet.flow.0, packet.seq);
+        obs::flow_table(ctx, &mut self.table);
     }
 
     fn drain_one(&mut self, ctx: &mut Context) {
-        self.drain_armed = false;
-        if let Some(pkt) = self.buffer.pop_front() {
+        self.pacer.drain_armed = false;
+        if let Some(pkt) = self.pacer.buffer.pop_front() {
             // Forwarding downstream: mirror the identifier into the packet's
             // flow session (tag is a local counter — the proxy never reads
             // protocol fields). A degraded or reclaimed session forwards
             // unmirrored: the proxy is then a plain pacer for that flow.
-            let now = ctx.now();
             if let Some(session) = self.table.peek_mut(pkt.flow) {
-                if session.supervisor.enabled() {
-                    let tag = session.next_tag;
+                if session.down.enabled() {
+                    session
+                        .down
+                        .record_sent(pkt.id, session.next_tag, ctx.now());
                     session.next_tag += 1;
-                    session.downstream_consumer.record_sent(pkt.id, tag, now);
-                    session.supervisor.note_send(now);
                 }
             }
             let size = pkt.size;
             ctx.send(IfaceId(1), pkt);
-            if !self.buffer.is_empty() {
-                self.arm_drain(size, ctx);
+            if !self.pacer.buffer.is_empty() {
+                self.pacer.arm_drain(size, ctx);
             }
         }
     }
 
     fn handle_client_quack(&mut self, flow: FlowId, epoch: u32, bytes: &[u8], ctx: &mut Context) {
-        let now = ctx.now();
-        let result = match self.table.peek_mut(flow) {
-            Some(session) => session.downstream_consumer.process_quack(now, epoch, bytes),
-            None => {
-                // QuACK for a flow with no mirror (never seen or already
-                // reclaimed): nothing to decode against.
-                #[cfg(feature = "obs")]
-                ctx.obs_inc("sidecar.flow_mismatch");
-                return;
-            }
+        // Degraded sessions ignore quACKs outright; recovery goes through
+        // the hello handshake.
+        let Some(session) = self.table.peek_mut(flow).filter(|s| s.down.enabled()) else {
+            return;
         };
-        obs::quack_outcome(ctx, flow.0, &result);
-        match result {
-            Ok(report) => {
-                self.rate
+        match session.down.on_quack(epoch, bytes, &mut self.ctrl, ctx) {
+            QuackVerdict::Report(report) => {
+                self.pacer
+                    .rate
                     .on_feedback(report.received.len(), report.newly_missing.len());
-                if let Some(session) = self.table.peek_mut(flow) {
-                    session.supervisor.on_feedback_ok(now);
-                }
+                session.down.flush(ctx);
                 self.arm_grace(ctx);
             }
-            Err(
-                err @ (ProcessError::ThresholdExceeded { .. } | ProcessError::CountInconsistent),
-            ) => {
-                // Heavy downstream loss: slash the rate and reset the
-                // segment sidecar.
-                self.rate.rate_bps = (self.rate.rate_bps * 0.5).max(self.rate.min_bps);
-                let (new_epoch, degrade) = {
-                    let session = self.table.peek_mut(flow).expect("session checked above");
-                    let new_epoch = session.downstream_consumer.epoch().wrapping_add(1);
-                    let _ = session.downstream_consumer.reset(new_epoch);
-                    (new_epoch, session.supervisor.on_quack_error(&err, now))
-                };
-                let _ = send_sidecar(
-                    SidecarMessage::Reset { epoch: new_epoch },
-                    flow,
-                    IfaceId(1),
-                    &mut self.auth,
-                    ctx,
-                );
-                if degrade {
-                    self.enter_degraded_flow(flow, ctx);
+            QuackVerdict::Rejected {
+                overflow, degraded, ..
+            } => {
+                if overflow {
+                    self.pacer.rate.on_overflow();
+                }
+                if degraded {
+                    self.unpace_if_all_degraded(ctx);
                 }
                 self.supervise_flow(flow, ctx);
             }
-            Err(err) => {
-                let degrade = self
-                    .table
-                    .peek_mut(flow)
-                    .is_some_and(|s| s.supervisor.on_quack_error(&err, now));
-                if degrade {
-                    self.enter_degraded_flow(flow, ctx);
-                }
-                self.supervise_flow(flow, ctx);
-            }
-        }
-        if let Some(session) = self.table.peek_mut(flow) {
-            obs::sup_flush(ctx, &mut session.supervisor);
         }
     }
 
     /// One flow's downstream session fell back to plain forwarding. Only
-    /// when *no* trusted session remains does the proxy stop metering
-    /// altogether (flush the shared buffer, line-rate pacing) — a single
-    /// bad flow must not unpace everyone else.
-    fn enter_degraded_flow(&mut self, flow: FlowId, ctx: &mut Context) {
-        if let Some(session) = self.table.peek_mut(flow) {
-            let epoch = session.downstream_consumer.epoch().wrapping_add(1);
-            let _ = session.downstream_consumer.reset(epoch);
-        }
-        if !self.any_enabled() {
-            while let Some(pkt) = self.buffer.pop_front() {
-                ctx.send(IfaceId(1), pkt);
-            }
-            self.drain_armed = false;
-            self.rate.rate_bps = self
-                .initial_rate_bps
-                .clamp(self.rate.min_bps, self.rate.max_bps);
+    /// when *no* trusted session remains does the proxy stop metering — a
+    /// single bad flow must not unpace everyone else.
+    fn unpace_if_all_degraded(&mut self, ctx: &mut Context) {
+        if !self.table.iter().any(|(_, s)| s.down.enabled()) {
+            self.pacer.unpace(ctx);
         }
     }
 
     /// Drives one flow's downstream supervisor: hellos while connecting or
-    /// degraded, liveness while active. The supervision timer is shared;
-    /// every fire polls all flows, so the earliest deadline wins.
+    /// degraded, liveness while active.
     fn supervise_flow(&mut self, flow: FlowId, ctx: &mut Context) {
-        let cfg = self.cfg;
-        let buffered = !self.buffer.is_empty();
-        let now = ctx.now();
-        let (degraded_now, send_hello, next_deadline) = {
-            let Some(session) = self.table.peek_mut(flow) else {
-                return;
-            };
-            let expecting = buffered || session.downstream_consumer.log_len() > 0;
-            let outcome = session.supervisor.poll(now, expecting);
-            (
-                outcome.degraded_now,
-                outcome.send_hello,
-                outcome.next_deadline,
-            )
+        let buffered = !self.pacer.buffer.is_empty();
+        let Some(session) = self.table.peek_mut(flow) else {
+            return;
         };
-        if degraded_now {
-            self.enter_degraded_flow(flow, ctx);
-        }
-        if send_hello {
-            let _ = send_sidecar(offer(&cfg), flow, IfaceId(1), &mut self.auth, ctx);
-        }
-        if let Some(deadline) = next_deadline {
-            self.arm_supervise(deadline, ctx);
+        let expecting = buffered || session.down.consumer.log_len() > 0;
+        let outcome = session.down.liveness(ctx.now(), expecting);
+        if outcome.degraded_now {
+            self.unpace_if_all_degraded(ctx);
         }
         if let Some(session) = self.table.peek_mut(flow) {
-            obs::sup_flush(ctx, &mut session.supervisor);
+            session
+                .down
+                .follow_up(outcome, &mut self.ctrl, &mut self.sup, ctx);
         }
     }
 
+    /// Polls every flow (the supervision timer is shared). Sessions only
+    /// ever *leave* the trusted set during a poll, so counting them down
+    /// finds the moment the last one degrades without rescanning the table.
     fn supervise_all(&mut self, ctx: &mut Context) {
-        let flows: Vec<FlowId> = self.table.iter().map(|(f, _)| f).collect();
-        for flow in flows {
-            self.supervise_flow(flow, ctx);
+        let mut trusted = self.table.iter().filter(|(_, s)| s.down.enabled()).count();
+        for (_, session) in self.table.iter_mut() {
+            let expecting = !self.pacer.buffer.is_empty() || session.down.consumer.log_len() > 0;
+            let outcome = session.down.liveness(ctx.now(), expecting);
+            if outcome.degraded_now {
+                trusted -= 1;
+                if trusted == 0 {
+                    self.pacer.unpace(ctx);
+                }
+            }
+            session
+                .down
+                .follow_up(outcome, &mut self.ctrl, &mut self.sup, ctx);
         }
-    }
-
-    /// Arms the shared supervision timer, keeping at most one live chain.
-    fn arm_supervise(&mut self, deadline: SimTime, ctx: &mut Context) {
-        self.sup.arm(deadline, TOKEN_SUPERVISE, ctx);
     }
 
     /// Arms the shared grace timer at the earliest deadline across flows.
     fn arm_grace(&mut self, ctx: &mut Context) {
-        let deadline = self
-            .table
-            .iter()
-            .filter_map(|(_, s)| s.downstream_consumer.next_grace_deadline())
-            .min();
-        let Some(deadline) = deadline else {
-            return;
-        };
-        self.grace.arm(deadline, TOKEN_GRACE, ctx);
+        let halves = self.table.iter().map(|(_, s)| &s.down);
+        ConsumerHalf::arm_grace(halves, &mut self.grace, ctx);
+    }
+
+    /// Control from the server side: the upstream (producer-role) session.
+    fn on_server_control(&mut self, proto: u8, bytes: &[u8], ctx: &mut Context) {
+        // Control handling reads and resets producer state, so deferred
+        // folds must land first.
+        self.flush_folds(ctx);
+        use SidecarMessage::{Hello, Reset};
+        // The server (re)offering or resyncing the upstream session.
+        if let Ok((flow, msg @ (Reset { .. } | Hello { .. }))) = self.ctrl.open(proto, bytes, ctx) {
+            if ProducerHalf::accepts(&msg, ctx) {
+                let slot = self.ensure_session(flow, ctx);
+                if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                    session.up.on_control(msg, &mut self.ctrl, ctx);
+                }
+            }
+        }
+        obs::flow_table(ctx, &mut self.table);
+    }
+
+    /// Control from the client side: the downstream (consumer-role) session.
+    fn on_client_control(
+        &mut self,
+        datagram_flow: FlowId,
+        proto: u8,
+        bytes: &[u8],
+        ctx: &mut Context,
+    ) {
+        // Degradation or resync below may evict or reset sessions; land
+        // deferred folds first.
+        self.flush_folds(ctx);
+        match self.ctrl.open(proto, bytes, ctx) {
+            Ok((flow, SidecarMessage::Quack { epoch, bytes })) => {
+                self.handle_client_quack(flow, epoch, &bytes, ctx);
+            }
+            Ok((flow, SidecarMessage::Reset { epoch })) => {
+                // Handshake-ack / resync from the client's producer.
+                let slot = self.ensure_session(flow, ctx);
+                if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                    let _ = session.down.on_reset(epoch, ctx.now());
+                }
+                self.supervise_flow(flow, ctx);
+            }
+            Ok(_) => {}
+            Err(()) => {
+                // Undecodable sidecar datagram (e.g. corrupted in flight).
+                // Content is garbage, so attribute it by the datagram's
+                // 4-tuple.
+                let degraded = self
+                    .table
+                    .peek_mut(datagram_flow)
+                    .is_some_and(|s| s.down.on_undecodable(ctx.now()));
+                if degraded {
+                    self.unpace_if_all_degraded(ctx);
+                }
+                self.supervise_flow(datagram_flow, ctx);
+            }
+        }
+        obs::flow_table(ctx, &mut self.table);
     }
 }
 
 impl Node for CcdProxy {
     fn on_packet(&mut self, iface: IfaceId, packet: Packet, ctx: &mut Context) {
-        match iface {
+        match (iface, &packet.payload) {
+            (IfaceId(0), &Payload::Sidecar { proto, ref bytes }) => {
+                self.on_server_control(proto, bytes, ctx)
+            }
+            (IfaceId(1), &Payload::Sidecar { proto, ref bytes }) => {
+                self.on_client_control(packet.flow, proto, bytes, ctx)
+            }
             // From the server: observe + enqueue for paced downstream
             // forwarding.
-            IfaceId(0) => {
-                if packet.kind == PacketKind::Data {
-                    let slot = self.ensure_session(packet.flow, ctx);
-                    let enabled = self
-                        .table
-                        .slot_entry_mut(slot)
-                        .is_some_and(|(_, s)| s.supervisor.enabled());
-                    if !enabled {
-                        // Degraded flow: plain forwarding, no pacing. The
-                        // upstream producer keeps observing — that session
-                        // belongs to the server, not to this one. Folds are
-                        // deferred through the slot-bucketed batch path.
-                        if self.folds.push(slot, packet.id) {
-                            self.flush_folds(ctx);
-                        }
-                        obs::observed(ctx);
-                        obs::quack_fold(ctx, packet.flow.0, packet.seq);
-                        obs::flow_table(ctx, &mut self.table);
-                        ctx.send(IfaceId(1), packet);
-                        return;
-                    }
-                    if self.buffer.len() >= self.buffer_cap {
-                        // Drop *without* observing: the server's sidecar
-                        // sees it as missing on segment 1 and slows down.
-                        self.buffer_drops += 1;
-                        return;
-                    }
-                    if self.folds.push(slot, packet.id) {
-                        self.flush_folds(ctx);
-                    }
-                    obs::observed(ctx);
-                    obs::quack_fold(ctx, packet.flow.0, packet.seq);
-                    obs::flow_table(ctx, &mut self.table);
-                    let size = packet.size;
-                    self.buffer.push_back(packet);
-                    if !self.drain_armed {
-                        self.arm_drain(size, ctx);
-                    }
-                } else {
-                    // Control/sidecar traffic from the server side. Control
-                    // handling reads and resets producer state, so deferred
-                    // folds must land first.
-                    if let Payload::Sidecar { proto, ref bytes } = packet.payload {
-                        self.flush_folds(ctx);
-                        match open_ctrl(&mut self.auth, proto, bytes, ctx) {
-                            Ok((mflow, SidecarMessage::Reset { epoch })) => {
-                                let flow = FlowId(mflow);
-                                self.ensure_session(flow, ctx);
-                                if let Some(session) = self.table.peek_mut(flow) {
-                                    session.upstream_producer.reset(epoch);
-                                }
-                            }
-                            Ok((mflow, hello @ SidecarMessage::Hello { .. })) => {
-                                let flow = FlowId(mflow);
-                                let accepted =
-                                    accept_hello(&Capabilities::default(), &hello).is_ok();
-                                obs::handshake(ctx, accepted);
-                                if accepted {
-                                    // The server (re)offering the upstream
-                                    // session; reply with the flow producer's
-                                    // epoch (fresh if the sketch already has
-                                    // history).
-                                    self.ensure_session(flow, ctx);
-                                    let epoch = {
-                                        let session = self
-                                            .table
-                                            .peek_mut(flow)
-                                            .expect("session just ensured");
-                                        if session.upstream_producer.count() == 0 {
-                                            session.upstream_producer.epoch()
-                                        } else {
-                                            let e =
-                                                session.upstream_producer.epoch().wrapping_add(1);
-                                            session.upstream_producer.reset(e);
-                                            e
-                                        }
-                                    };
-                                    let _ = send_sidecar(
-                                        SidecarMessage::Reset { epoch },
-                                        flow,
-                                        IfaceId(0),
-                                        &mut self.auth,
-                                        ctx,
-                                    );
-                                }
-                            }
-                            _ => {}
-                        }
-                        obs::flow_table(ctx, &mut self.table);
-                        return;
-                    }
+            (IfaceId(0), _) if packet.kind == PacketKind::Data => {
+                let slot = self.ensure_session(packet.flow, ctx);
+                let enabled = self
+                    .table
+                    .slot_entry_mut(slot)
+                    .is_some_and(|(_, s)| s.down.enabled());
+                if !enabled {
+                    // Degraded flow: plain forwarding, no pacing. The
+                    // upstream producer keeps observing — that session
+                    // belongs to the server, not to this one.
+                    self.observe(slot, &packet, ctx);
                     ctx.send(IfaceId(1), packet);
+                } else if self.pacer.buffer.len() >= self.pacer.cap {
+                    // Drop *without* observing: the server's sidecar sees
+                    // it as missing on segment 1 and slows down.
+                    self.buffer_drops += 1;
+                } else {
+                    self.observe(slot, &packet, ctx);
+                    let size = packet.size;
+                    self.pacer.buffer.push_back(packet);
+                    if !self.pacer.drain_armed {
+                        self.pacer.arm_drain(size, ctx);
+                    }
                 }
             }
-            // From the client: consume quACKs, forward the rest upstream.
-            IfaceId(1) => match packet.payload {
-                Payload::Sidecar { proto, ref bytes } => {
-                    // Degradation or resync below may evict or reset
-                    // sessions; land deferred folds first.
-                    self.flush_folds(ctx);
-                    match open_ctrl(&mut self.auth, proto, bytes, ctx) {
-                        Ok((mflow, SidecarMessage::Quack { epoch, bytes })) => {
-                            let flow = FlowId(mflow);
-                            let enabled = self
-                                .table
-                                .peek_mut(flow)
-                                .is_some_and(|s| s.supervisor.enabled());
-                            if enabled {
-                                self.handle_client_quack(flow, epoch, &bytes, ctx);
-                            }
-                        }
-                        Ok((mflow, SidecarMessage::Reset { epoch })) => {
-                            // Handshake-ack / resync from the client's
-                            // producer.
-                            let flow = FlowId(mflow);
-                            self.ensure_session(flow, ctx);
-                            if let Some(session) = self.table.peek_mut(flow) {
-                                if epoch != session.downstream_consumer.epoch() {
-                                    let _ = session.downstream_consumer.reset(epoch);
-                                }
-                                session.supervisor.on_handshake_ack(ctx.now());
-                            }
-                            self.supervise_flow(flow, ctx);
-                        }
-                        Ok(_) => {}
-                        Err(_) => {
-                            // Undecodable sidecar datagram (e.g. corrupted
-                            // in flight): a hard session error, never a
-                            // panic. Content is garbage, so attribute it by
-                            // the datagram's 4-tuple.
-                            let flow = packet.flow;
-                            let degrade = self
-                                .table
-                                .peek_mut(flow)
-                                .is_some_and(|s| s.supervisor.note_error(ctx.now()));
-                            if degrade {
-                                self.enter_degraded_flow(flow, ctx);
-                            }
-                            self.supervise_flow(flow, ctx);
-                        }
-                    }
-                    obs::flow_table(ctx, &mut self.table);
-                }
-                _ => ctx.send(IfaceId(0), packet),
-            },
-            other => panic!("ccd proxy has 2 interfaces, got {other:?}"),
+            (IfaceId(0), _) => ctx.send(IfaceId(1), packet),
+            // From the client: everything but quACKs goes upstream.
+            (IfaceId(1), _) => ctx.send(IfaceId(0), packet),
+            (other, _) => panic!("ccd proxy has 2 interfaces, got {other:?}"),
         }
     }
 
@@ -784,28 +636,11 @@ impl Node for CcdProxy {
                 // Reap idle flows first: finished flows stop costing
                 // upstream emissions on the very next tick.
                 for (f, session) in self.table.sweep_idle(ctx.now()) {
-                    self.evicted_sup.0 += session.supervisor.stats.degradations;
-                    self.evicted_sup.1 += session.supervisor.stats.recoveries;
-                    obs::flow_evicted(ctx, f.0, session.quacks);
+                    self.reclaimed.add(&session.down);
+                    obs::flow_evicted(ctx, f.0, session.up.quacks);
                 }
-                let flows: Vec<FlowId> = self.table.iter().map(|(f, _)| f).collect();
-                for flow in flows {
-                    let (msg, fill, epoch, count) = {
-                        let session = self.table.peek_mut(flow).expect("listed above");
-                        let fill = session.upstream_producer.burst_fill();
-                        let msg = session.upstream_producer.emit();
-                        session.quacks += 1;
-                        (
-                            msg,
-                            fill,
-                            session.upstream_producer.epoch(),
-                            session.upstream_producer.count(),
-                        )
-                    };
-                    self.quacks_sent += 1;
-                    let bytes = send_sidecar(msg, flow, IfaceId(0), &mut self.auth, ctx);
-                    self.quack_bytes += bytes as u64;
-                    obs::quack_emitted(ctx, epoch, count, fill, bytes);
+                for (_, session) in self.table.iter_mut() {
+                    session.up.emit(&mut self.ctrl, ctx);
                 }
                 obs::flow_table(ctx, &mut self.table);
                 ctx.set_timer_after(self.interval, TOKEN_EMIT);
@@ -813,23 +648,15 @@ impl Node for CcdProxy {
             TOKEN_DRAIN => self.drain_one(ctx),
             // Superseded chains are cancelled in the queue; `fire` filters
             // the rare stragglers (chains orphaned by a crash).
-            TOKEN_GRACE => {
-                if !self.grace.fire(ctx) {
-                    return;
-                }
+            TOKEN_GRACE if self.grace.fire(ctx) => {
                 // Confirmed downstream losses: the client will recover via
                 // the end-to-end protocol; the proxy only meters its rate.
-                let flows: Vec<FlowId> = self.table.iter().map(|(f, _)| f).collect();
-                for flow in flows {
-                    if let Some(session) = self.table.peek_mut(flow) {
-                        let _ = session.downstream_consumer.poll_expired(ctx.now());
-                    }
+                for (_, session) in self.table.iter_mut() {
+                    let _ = session.down.consumer.poll_expired(ctx.now());
                 }
                 self.arm_grace(ctx);
             }
-            TOKEN_SUPERVISE if self.sup.fire(ctx) => {
-                self.supervise_all(ctx);
-            }
+            TOKEN_SUPERVISE if self.sup.fire(ctx) => self.supervise_all(ctx),
             _ => {}
         }
     }
@@ -839,18 +666,10 @@ impl Node for CcdProxy {
         // logs, session state. Each flow resyncs lazily as its data
         // reappears — announcing a fresh time-derived upstream epoch and
         // re-handshaking its downstream session from scratch.
-        self.buffer.clear();
-        self.drain_armed = false;
-        self.rate.rate_bps = self
-            .initial_rate_bps
-            .clamp(self.rate.min_bps, self.rate.max_bps);
-        let (mut deg, mut rec) = (0, 0);
-        for (_, s) in self.table.iter() {
-            deg += s.supervisor.stats.degradations;
-            rec += s.supervisor.stats.recoveries;
-        }
-        self.evicted_sup.0 += deg;
-        self.evicted_sup.1 += rec;
+        self.pacer.buffer.clear();
+        self.pacer.drain_armed = false;
+        self.pacer.rate.reset();
+        self.reclaimed = self.tally();
         self.table = FlowTable::new(*self.table.config());
         self.folds.clear();
         // Stale guards would suppress re-arming for reborn sessions;
@@ -874,35 +693,67 @@ impl Node for CcdProxy {
     }
 }
 
-/// The server end host: unchanged transport sender whose congestion window
-/// is steered by the proxy's quACKs (the "library install" of §2.1).
-pub struct CcdServer {
-    transport: SenderCore,
-    cfg: SidecarConfig,
-    sidecar: QuackConsumer<Fp32>,
-    /// The connection this sidecar belongs to; its messages carry this flow
-    /// and inbound control for other flows is ignored.
-    flow: FlowId,
+/// §2.1's window policy: the proxy's quACKs steer the congestion window
+/// ("the server no longer needs to rely on end-to-end ACKs to make
+/// decisions to increase the cwnd, though these ACKs still govern the
+/// retransmission logic"), with real end-to-end congestion control as the
+/// degraded-mode fallback (the paper's "no worse than no sidecar"
+/// guarantee).
+#[derive(Debug)]
+pub struct SteerWindow {
     /// Sidecar-controlled window (packets).
     window: f64,
     max_window: f64,
-    /// End-to-end congestion control to fall back on when the sidecar
-    /// session degrades (the paper's "no worse than no sidecar" guarantee).
     fallback_cc: CcAlgorithm,
-    /// Authenticated control channel; `None` speaks the legacy plain wire.
-    auth: Option<ChannelAuth>,
-    /// Supervises the proxy→server quACK session (the window-steering loop).
-    pub supervisor: Supervisor,
-    /// The shared `TOKEN_RTO` chain. `pump` runs on every packet and ACK;
-    /// the guard keeps one live chain instead of one per call.
-    rto: GuardedTimer,
-    /// The shared `TOKEN_GRACE` chain (same guard).
-    grace: GuardedTimer,
-    /// The shared `TOKEN_SUPERVISE` chain (same guard).
-    sup: GuardedTimer,
 }
 
-impl CcdServer {
+impl SteerWindow {
+    fn apply(&mut self, transport: &mut SenderCore) {
+        transport.set_cwnd_cap(Some(self.window as u64));
+    }
+}
+
+impl WindowPolicy for SteerWindow {
+    const NAME: &'static str = "ccd-server";
+
+    /// AIMD on segment-1 feedback (§2.1: grow without e2e ACKs, "decrease
+    /// the congestion window" on segment loss).
+    fn on_report(&mut self, report: &QuackReport, transport: &mut SenderCore, _now: SimTime) {
+        if report.newly_missing.is_empty() {
+            self.window += report.received.len() as f64 * 0.5;
+        } else {
+            self.window *= 0.7;
+        }
+        self.window = self.window.clamp(2.0, self.max_window);
+        self.apply(transport);
+    }
+
+    fn on_overflow(&mut self, transport: &mut SenderCore) {
+        self.window = (self.window * 0.5).max(2.0);
+        self.apply(transport);
+    }
+
+    /// Hand the window back to real end-to-end congestion control, seeded
+    /// at the current steered window so the handover is rate-continuous.
+    fn enter_degraded(&mut self, transport: &mut SenderCore) {
+        transport.swap_cc(self.fallback_cc, self.window as u64);
+        transport.set_cwnd_cap(None);
+    }
+
+    /// Resume sidecar steering from wherever the fallback control settled.
+    fn exit_degraded(&mut self, transport: &mut SenderCore) {
+        let resume = transport.effective_cwnd().max(2);
+        self.window = (resume as f64).clamp(2.0, self.max_window);
+        transport.swap_cc(STEERED_CC, resume);
+        self.apply(transport);
+    }
+}
+
+/// The server end host: unchanged transport sender whose congestion window
+/// is steered by the proxy's quACKs (the "library install" of §2.1).
+pub type CcdServer = SidecarServer<SteerWindow>;
+
+impl SidecarServer<SteerWindow> {
     /// Creates the server. `fallback_cc` takes over in degraded mode.
     pub fn new(
         transport: SenderConfig,
@@ -911,246 +762,19 @@ impl CcdServer {
         fallback_cc: CcAlgorithm,
         supervision: SupervisionConfig,
     ) -> Self {
-        let initial = transport.initial_cwnd as f64;
-        let flow = transport.flow;
-        let mut core = SenderCore::new(transport);
-        core.set_cwnd_cap(Some(initial as u64));
-        CcdServer {
-            transport: core,
-            cfg: sidecar,
-            sidecar: QuackConsumer::new(sidecar, segment_rtt),
-            flow,
-            window: initial,
+        let mut window = SteerWindow {
+            window: transport.initial_cwnd as f64,
             max_window: 10_000.0,
             fallback_cc,
-            auth: None,
-            supervisor: Supervisor::new(supervision),
-            rto: GuardedTimer::default(),
-            grace: GuardedTimer::default(),
-            sup: GuardedTimer::default(),
-        }
-    }
-
-    /// Seals and verifies all control traffic with `cfg`'s session keys.
-    pub fn with_auth(mut self, cfg: AuthConfig) -> Self {
-        self.auth = Some(ChannelAuth::new(cfg));
-        self
-    }
-
-    /// Transport statistics.
-    pub fn stats(&self) -> &sidecar_netsim::transport::SenderStats {
-        self.transport.stats()
-    }
-
-    /// The transport core (for report extraction).
-    pub fn core(&self) -> &SenderCore {
-        &self.transport
+        };
+        let mut core = SenderCore::new(transport);
+        window.apply(&mut core);
+        Self::with_policy(core, sidecar, segment_rtt, supervision, window)
     }
 
     /// The current sidecar-steered window.
     pub fn window(&self) -> u64 {
-        self.window as u64
-    }
-
-    fn pump(&mut self, ctx: &mut Context) {
-        let enabled = self.supervisor.enabled();
-        for pkt in self.transport.poll_send(ctx.now()) {
-            // Mirror every transmission into the segment-1 sidecar — only
-            // while the session is trusted; in degraded mode the fallback
-            // congestion control runs on e2e ACKs alone.
-            if enabled {
-                self.sidecar.record_sent(pkt.id, pkt.seq, ctx.now());
-                self.supervisor.note_send(ctx.now());
-            }
-            ctx.send(IfaceId(0), pkt);
-        }
-        obs::transport_lifecycle(ctx, &mut self.transport);
-        if let Some(deadline) = self.transport.next_timeout() {
-            self.rto.arm(deadline, TOKEN_RTO, ctx);
-        }
-    }
-
-    fn handle_quack(&mut self, epoch: u32, bytes: &[u8], ctx: &mut Context) {
-        let result = self.sidecar.process_quack(ctx.now(), epoch, bytes);
-        obs::quack_outcome(ctx, self.flow.0, &result);
-        match result {
-            Ok(report) => {
-                self.supervisor.on_feedback_ok(ctx.now());
-                // Flight recorder: the mirror tags packets by their packet
-                // number, so a newly-missing tag IS the lost pn.
-                for &(_, pn) in &report.newly_missing {
-                    obs::decode_missing(ctx, self.flow.0, pn);
-                }
-                // AIMD on segment-1 feedback (§2.1: grow without e2e ACKs,
-                // "decrease the congestion window" on segment loss).
-                if report.newly_missing.is_empty() {
-                    self.window += report.received.len() as f64 * 0.5;
-                } else {
-                    self.window *= 0.7;
-                }
-                self.window = self.window.clamp(2.0, self.max_window);
-                self.transport.set_cwnd_cap(Some(self.window as u64));
-                if let Some(deadline) = self.sidecar.next_grace_deadline() {
-                    self.grace.arm(deadline, TOKEN_GRACE, ctx);
-                }
-            }
-            Err(
-                err @ (ProcessError::ThresholdExceeded { .. } | ProcessError::CountInconsistent),
-            ) => {
-                self.window = (self.window * 0.5).max(2.0);
-                self.transport.set_cwnd_cap(Some(self.window as u64));
-                let epoch = self.sidecar.epoch().wrapping_add(1);
-                let _ = self.sidecar.reset(epoch);
-                let _ = send_sidecar(
-                    SidecarMessage::Reset { epoch },
-                    self.flow,
-                    IfaceId(0),
-                    &mut self.auth,
-                    ctx,
-                );
-                if self.supervisor.on_quack_error(&err, ctx.now()) {
-                    self.enter_degraded();
-                }
-                self.supervise(ctx);
-            }
-            Err(err) => {
-                if self.supervisor.on_quack_error(&err, ctx.now()) {
-                    self.enter_degraded();
-                }
-                self.supervise(ctx);
-            }
-        }
-        obs::sup_flush(ctx, &mut self.supervisor);
-    }
-
-    /// Hand the window back to real end-to-end congestion control, seeded
-    /// at the current steered window so the handover is rate-continuous.
-    fn enter_degraded(&mut self) {
-        self.transport.swap_cc(self.fallback_cc, self.window as u64);
-        self.transport.set_cwnd_cap(None);
-        let epoch = self.sidecar.epoch().wrapping_add(1);
-        let _ = self.sidecar.reset(epoch);
-    }
-
-    /// Resume sidecar steering from wherever the fallback control settled.
-    fn exit_degraded(&mut self) {
-        let resume = self.transport.effective_cwnd().max(2);
-        self.window = (resume as f64).clamp(2.0, self.max_window);
-        self.transport.swap_cc(STEERED_CC, resume);
-        self.transport.set_cwnd_cap(Some(self.window as u64));
-    }
-
-    fn supervise(&mut self, ctx: &mut Context) {
-        let expecting = !self.transport.is_complete();
-        let outcome = self.supervisor.poll(ctx.now(), expecting);
-        if outcome.degraded_now {
-            self.enter_degraded();
-        }
-        if outcome.send_hello {
-            let cfg = self.cfg;
-            let _ = send_sidecar(offer(&cfg), self.flow, IfaceId(0), &mut self.auth, ctx);
-        }
-        if let Some(deadline) = outcome.next_deadline {
-            self.sup.arm(deadline, TOKEN_SUPERVISE, ctx);
-        }
-        obs::sup_flush(ctx, &mut self.supervisor);
-    }
-}
-
-impl Node for CcdServer {
-    fn on_start(&mut self, ctx: &mut Context) {
-        // Hello first: on FIFO links it reaches the proxy ahead of the
-        // first data burst, so the handshake costs nothing.
-        self.supervise(ctx);
-        self.pump(ctx);
-    }
-
-    fn on_packet(&mut self, _iface: IfaceId, packet: Packet, ctx: &mut Context) {
-        match packet.payload {
-            Payload::Ack(ref info) => {
-                self.transport.on_ack(info, ctx.now());
-                self.pump(ctx);
-            }
-            Payload::Sidecar { proto, ref bytes } => {
-                match open_ctrl(&mut self.auth, proto, bytes, ctx) {
-                    // An end-host sidecar owns exactly one connection: control
-                    // tagged for any other flow is not ours.
-                    Ok((mflow, _)) if mflow != self.flow.0 => {
-                        #[cfg(feature = "obs")]
-                        ctx.obs_inc("sidecar.flow_mismatch");
-                    }
-                    Ok((_, SidecarMessage::Quack { epoch, bytes })) => {
-                        if self.supervisor.enabled() {
-                            self.handle_quack(epoch, &bytes, ctx);
-                            self.pump(ctx);
-                        }
-                    }
-                    Ok((_, SidecarMessage::Reset { epoch })) => {
-                        // Handshake-ack / resync from the proxy's producer.
-                        if epoch != self.sidecar.epoch() {
-                            let _ = self.sidecar.reset(epoch);
-                        }
-                        if self.supervisor.on_handshake_ack(ctx.now()) {
-                            self.exit_degraded();
-                        }
-                        self.supervise(ctx);
-                    }
-                    Ok(_) => {}
-                    Err(_) => {
-                        // Undecodable sidecar datagram: count it against the
-                        // session, never panic or mis-steer.
-                        if self.supervisor.note_error(ctx.now()) {
-                            self.enter_degraded();
-                        }
-                        self.supervise(ctx);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Context) {
-        match token {
-            TOKEN_SUPERVISE if self.sup.fire(ctx) => {
-                self.supervise(ctx);
-            }
-            TOKEN_RTO => {
-                if !self.rto.fire(ctx) {
-                    return;
-                }
-                if let Some(deadline) = self.transport.next_timeout() {
-                    if ctx.now() >= deadline {
-                        self.transport.on_rto(ctx.now());
-                    }
-                }
-                self.pump(ctx);
-            }
-            TOKEN_GRACE => {
-                if !self.grace.fire(ctx) {
-                    return;
-                }
-                // Confirmed segment-1 losses: keep the mirror tidy; e2e
-                // reliability handles retransmission.
-                let _ = self.sidecar.poll_expired(ctx.now());
-                if let Some(deadline) = self.sidecar.next_grace_deadline() {
-                    self.grace.arm(deadline, TOKEN_GRACE, ctx);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn name(&self) -> &str {
-        "ccd-server"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+        self.window_policy().window as u64
     }
 }
 
@@ -1227,11 +851,7 @@ impl CcdScenario {
     }
 
     fn run_sidecar_inner(&self, seed: u64, faults: Option<&FaultScript>) -> ScenarioReport {
-        let mut w = World::new(seed);
-        #[cfg(feature = "obs")]
-        if let Some(cap) = self.trace_capacity {
-            w.obs_mut().trace = sidecar_obs::EventTrace::with_capacity(cap);
-        }
+        let mut h = Harness::new(seed, self.trace_capacity);
         let mut server_node = CcdServer::new(
             SenderConfig {
                 total_packets: Some(self.total_packets),
@@ -1261,67 +881,24 @@ impl CcdScenario {
             proxy_node = proxy_node.with_auth(auth.with_nonce(2));
             client_node = client_node.with_auth(auth.with_nonce(3));
         }
-        let server = w.add_node(Box::new(server_node));
-        let proxy = w.add_node(Box::new(proxy_node));
-        let client = w.add_node(Box::new(client_node));
-        w.connect(server, proxy, self.upstream.clone(), self.upstream.clone());
-        w.connect(
-            proxy,
-            client,
-            self.downstream.clone(),
-            self.downstream.clone(),
-        );
-        if let Some(script) = faults {
-            let plan = script.lower(proxy, (proxy, client));
-            if !plan.is_empty() {
-                w.install_faults(plan);
-            }
-        }
-        // Periodic sidecar timers never let the event queue drain; run to a
-        // generous deadline instead.
-        w.run_until(SimTime::ZERO + SimDuration::from_secs(120));
+        let server = h.w.add_node(Box::new(server_node));
+        let proxy = h.w.add_node(Box::new(proxy_node));
+        let client = h.w.add_node(Box::new(client_node));
+        let links = [&self.upstream, &self.downstream];
+        h.run_line(&[server, proxy, client], &links, faults);
 
-        // Snapshot the world registry before borrowing nodes; mirror it
-        // into the process-global registry for bench `--metrics-out` dumps.
-        #[cfg(feature = "obs")]
-        let metrics = {
-            let snap = w.obs().metrics.snapshot();
-            sidecar_obs::global().absorb(&snap);
-            snap
+        let srv = h.w.node_as::<CcdServer>(server);
+        let px = h.w.node_as::<CcdProxy>(proxy);
+        let cl = h.w.node_as::<CcdClient>(client);
+        let mut report = ScenarioReport {
+            sidecar_messages: px.quacks_sent().0 + cl.quacks_sent().0,
+            sidecar_bytes: px.quacks_sent().1 + cl.quacks_sent().1,
+            degradations: srv.supervisor().stats.degradations + px.tally().degradations,
+            recoveries: srv.supervisor().stats.recoveries + px.tally().recoveries,
+            ..Harness::report(srv.core(), cl.stats().acks_sent)
         };
-        #[cfg(feature = "obs")]
-        let trace = {
-            let trace = w.obs().trace.clone();
-            sidecar_obs::global_trace_absorb(&trace);
-            trace
-        };
-        #[cfg(feature = "obs")]
-        let scoreboard = w.obs().scoreboard.snapshot(super::SCOREBOARD_TOP_K);
-        let srv = w.node_as::<CcdServer>(server);
-        let stats = srv.stats().clone();
-        let mtu = srv.core().config().mtu;
-        let px = w.node_as::<CcdProxy>(proxy);
-        let cl = w.node_as::<CcdClient>(client);
-        ScenarioReport {
-            completion: stats.completed_at,
-            goodput_bps: stats.goodput_bps(mtu),
-            server_sent: stats.sent_packets,
-            server_retransmissions: stats.retransmissions,
-            client_acks: cl.stats().acks_sent,
-            sidecar_messages: px.quacks_sent + cl.quacks_sent,
-            sidecar_bytes: px.quack_bytes + cl.quack_bytes,
-            proxy_retransmissions: 0,
-            degradations: srv.supervisor.stats.degradations + px.degradations(),
-            recoveries: srv.supervisor.stats.recoveries + px.recoveries(),
-            #[cfg(feature = "obs")]
-            metrics,
-            #[cfg(feature = "obs")]
-            trace,
-            #[cfg(feature = "obs")]
-            timeseries: sidecar_obs::TimeSeries::default(),
-            #[cfg(feature = "obs")]
-            scoreboard,
-        }
+        h.export_obs(&mut report);
+        report
     }
 
     /// Runs the baseline: plain forwarder, e2e congestion control.
@@ -1335,44 +912,21 @@ impl CcdScenario {
     }
 
     fn run_baseline_inner(&self, seed: u64, faults: Option<&FaultScript>) -> ScenarioReport {
-        let mut w = World::new(seed);
-        let server = w.add_node(SenderNode::boxed(SenderConfig {
+        let mut h = Harness::new(seed, None);
+        let server = h.w.add_node(SenderNode::boxed(SenderConfig {
             total_packets: Some(self.total_packets),
             cc: self.baseline_cc,
             id_seed: seed ^ 0xCCD,
             ..SenderConfig::default()
         }));
-        let proxy = w.add_node(Forwarder::boxed());
-        let client = w.add_node(ReceiverNode::boxed(ReceiverConfig::default()));
-        w.connect(server, proxy, self.upstream.clone(), self.upstream.clone());
-        w.connect(
-            proxy,
-            client,
-            self.downstream.clone(),
-            self.downstream.clone(),
-        );
-        if let Some(script) = faults {
-            let plan = script.lower(proxy, (proxy, client));
-            if !plan.is_empty() {
-                w.install_faults(plan);
-            }
-        }
-        // Periodic sidecar timers never let the event queue drain; run to a
-        // generous deadline instead.
-        w.run_until(SimTime::ZERO + SimDuration::from_secs(120));
-
-        let srv = w.node_as::<SenderNode>(server);
-        let stats = srv.stats().clone();
-        let mtu = srv.core().config().mtu;
-        let cl = w.node_as::<ReceiverNode>(client);
-        ScenarioReport {
-            completion: stats.completed_at,
-            goodput_bps: stats.goodput_bps(mtu),
-            server_sent: stats.sent_packets,
-            server_retransmissions: stats.retransmissions,
-            client_acks: cl.stats().acks_sent,
-            ..ScenarioReport::default()
-        }
+        let proxy = h.w.add_node(Forwarder::boxed());
+        let client = h.w.add_node(ReceiverNode::boxed(ReceiverConfig::default()));
+        let links = [&self.upstream, &self.downstream];
+        h.run_line(&[server, proxy, client], &links, faults);
+        Harness::report(
+            h.w.node_as::<SenderNode>(server).core(),
+            h.w.node_as::<ReceiverNode>(client).stats().acks_sent,
+        )
     }
 }
 

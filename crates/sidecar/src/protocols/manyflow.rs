@@ -10,19 +10,19 @@
 //!
 //! [`FlowTable`]: crate::flows::FlowTable
 
-use crate::config::{AuthConfig, QuackFrequency, SidecarConfig, SupervisionConfig};
+use crate::config::{AuthConfig, SidecarConfig, SupervisionConfig};
 use crate::flows::FlowTableConfig;
-use crate::protocols::ack_reduction::{AckRedProxy, AckRedServer};
-use crate::protocols::ccd::{CcdClient, CcdProxy, CcdServer, STEERED_CC};
-use crate::protocols::retx::{ReceiverSideProxy, SenderSideProxy};
+use crate::protocols::ack_reduction::{AckRedProxy, AckRedServer, AckReductionScenario};
+use crate::protocols::ccd::{CcdClient, CcdProxy, CcdScenario, CcdServer, STEERED_CC};
+use crate::protocols::retx::{ReceiverSideProxy, RetxScenario, SenderSideProxy};
+use crate::protocols::{obs, Harness};
 use sidecar_netsim::link::{LinkConfig, LossModel};
-use sidecar_netsim::node::IfaceId;
-use sidecar_netsim::node::NodeId;
+use sidecar_netsim::node::{IfaceId, Node, NodeId};
 use sidecar_netsim::packet::FlowId;
 use sidecar_netsim::router::FlowRouter;
-use sidecar_netsim::time::{SimDuration, SimTime};
+use sidecar_netsim::time::SimDuration;
 use sidecar_netsim::transport::{
-    CcAlgorithm, ReceiverConfig, ReceiverNode, SenderConfig, SenderNode,
+    CcAlgorithm, ReceiverConfig, ReceiverNode, SenderConfig, SenderCore, SenderNode,
 };
 use sidecar_netsim::world::World;
 
@@ -173,35 +173,12 @@ impl ManyFlowScenario {
         }
     }
 
-    /// Fresh world for one run, with the flight-recorder ring resized when
-    /// a trace capacity was requested.
-    fn world(&self) -> World {
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
-        let mut w = World::new(self.seed);
-        #[cfg(feature = "obs")]
-        if let Some(cap) = self.trace_capacity {
-            w.obs_mut().trace = sidecar_obs::EventTrace::with_capacity(cap);
-        }
-        w
-    }
-
+    /// Each protocol muxes with its single-flow scenario's sidecar tuning.
     fn sidecar_cfg(&self) -> SidecarConfig {
         match self.protocol {
-            ManyFlowProtocol::CongestionDivision => SidecarConfig {
-                threshold: 50,
-                reorder_grace: SimDuration::from_millis(10),
-                ..SidecarConfig::paper_default()
-            },
-            ManyFlowProtocol::AckReduction => SidecarConfig {
-                frequency: QuackFrequency::EveryPackets(2),
-                reorder_grace: SimDuration::from_millis(20),
-                ..SidecarConfig::paper_default()
-            },
-            ManyFlowProtocol::Retx => SidecarConfig {
-                frequency: QuackFrequency::Adaptive(SimDuration::from_millis(5)),
-                reorder_grace: SimDuration::from_millis(3),
-                ..SidecarConfig::paper_default()
-            },
+            ManyFlowProtocol::CongestionDivision => CcdScenario::default().sidecar,
+            ManyFlowProtocol::AckReduction => AckReductionScenario::default().sidecar,
+            ManyFlowProtocol::Retx => RetxScenario::default().sidecar,
         }
     }
 
@@ -227,24 +204,12 @@ impl ManyFlowScenario {
 
     /// Runs the scenario.
     pub fn run(&self) -> ManyFlowReport {
-        match self.protocol {
-            ManyFlowProtocol::CongestionDivision => self.run_ccd(),
-            ManyFlowProtocol::AckReduction => self.run_ackred(),
-            ManyFlowProtocol::Retx => self.run_retx(),
-        }
-    }
-
-    fn finish<F>(
-        &self,
-        w: World,
-        senders: &[NodeId],
-        completed_at: F,
-        sidecar: (u64, u64),
-        live: usize,
-    ) -> ManyFlowReport
-    where
-        F: Fn(&World, NodeId) -> (Option<SimTime>, Option<f64>),
-    {
+        let mut h = Harness::new(self.seed, self.trace_capacity);
+        let (senders, sender_core, sidecar, live) = match self.protocol {
+            ManyFlowProtocol::CongestionDivision => self.run_ccd(&mut h),
+            ManyFlowProtocol::AckReduction => self.run_ackred(&mut h),
+            ManyFlowProtocol::Retx => self.run_retx(&mut h),
+        };
         let mut report = ManyFlowReport {
             flows: self.flows,
             live_flows_at_end: live,
@@ -252,51 +217,55 @@ impl ManyFlowScenario {
             sidecar_bytes: sidecar.1,
             ..ManyFlowReport::default()
         };
-        for &s in senders {
-            let (done, goodput) = completed_at(&w, s);
-            if let Some(t) = done {
+        for s in senders {
+            let core = sender_core(&h.w, s);
+            if let Some(t) = core.stats().completed_at {
                 report.completed += 1;
                 report.slowest_completion_secs =
                     report.slowest_completion_secs.max(t.as_secs_f64());
-                report.aggregate_goodput_bps += goodput.unwrap_or(0.0);
+                report.aggregate_goodput_bps +=
+                    core.stats().goodput_bps(core.config().mtu).unwrap_or(0.0);
             } else {
                 report.slowest_completion_secs = f64::INFINITY;
             }
         }
-        #[cfg(feature = "obs")]
-        {
-            let snap = w.obs().metrics.snapshot();
-            report.evictions_idle = snap.counter("flowtable.evicted.idle");
-            report.evictions_capacity = snap.counter("flowtable.evicted.capacity");
-            sidecar_obs::global().absorb(&snap);
-            report.metrics = snap;
-            let trace = w.obs().trace.clone();
-            sidecar_obs::global_trace_absorb(&trace);
-            report.trace = trace;
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = w;
+        obs::export_manyflow(&h.w, &mut report);
         report
     }
 
-    fn run_retx(&self) -> ManyFlowReport {
-        let cfg = self.sidecar_cfg();
-        let mut w = self.world();
-        let senders: Vec<NodeId> = self
-            .flow_ids()
-            .iter()
-            .map(|&flow| {
-                w.add_node(SenderNode::boxed(SenderConfig {
-                    flow,
-                    total_packets: Some(self.packets_per_flow),
-                    id_seed: self.seed ^ (0x5E7 << 32) ^ flow.0 as u64,
-                    peer_max_ack_delay: SimDuration::from_millis(100),
-                    ..SenderConfig::default()
-                }))
-            })
-            .collect();
+    /// Builds `senders → mux → proxies… → demux → receivers` (node and
+    /// link creation order is part of the deterministic surface), runs to
+    /// the horizon, and returns `(senders, proxies, receivers)`. `hops` are
+    /// the links along the mux→proxies→demux chain; every access link is an
+    /// `edge`.
+    fn run_tier(
+        &self,
+        h: &mut Harness,
+        sender: impl Fn(FlowId) -> Box<dyn Node>,
+        proxies: Vec<Box<dyn Node>>,
+        hops: &[&LinkConfig],
+        receiver: impl Fn(FlowId) -> Box<dyn Node>,
+    ) -> (Vec<NodeId>, Vec<NodeId>, Vec<NodeId>) {
+        let (flows, w) = (self.flow_ids(), &mut h.w);
+        let senders: Vec<NodeId> = flows.iter().map(|&f| w.add_node(sender(f))).collect();
         let (mux, demux) = self.routers();
         let mux = w.add_node(mux.boxed());
+        let proxies: Vec<NodeId> = proxies.into_iter().map(|p| w.add_node(p)).collect();
+        let demux = w.add_node(demux.boxed());
+        let receivers: Vec<NodeId> = flows.iter().map(|&f| w.add_node(receiver(f))).collect();
+        for &s in &senders {
+            w.connect(s, mux, self.edge.clone(), self.edge.clone());
+        }
+        h.connect_line(&[&[mux][..], &proxies[..], &[demux][..]].concat(), hops);
+        for &r in &receivers {
+            h.w.connect(demux, r, self.edge.clone(), self.edge.clone());
+        }
+        h.run(self.horizon);
+        (senders, proxies, receivers)
+    }
+
+    fn run_retx(&self, h: &mut Harness) -> TierOutcome {
+        let cfg = self.sidecar_cfg();
         let subpath_rtt = self.trunk.delay * 2 + SimDuration::from_millis(2);
         let mut proxy_a =
             SenderSideProxy::with_flow_table(cfg, subpath_rtt, 4_096, self.supervision, self.table);
@@ -305,64 +274,46 @@ impl ManyFlowScenario {
             proxy_a = proxy_a.with_auth(auth.with_nonce(1));
             proxy_b = proxy_b.with_auth(auth.with_nonce(2));
         }
-        let a = w.add_node(Box::new(proxy_a));
-        let b = w.add_node(Box::new(proxy_b));
-        let demux = w.add_node(demux.boxed());
-        let receivers: Vec<NodeId> = self
-            .flow_ids()
-            .iter()
-            .map(|&flow| {
-                w.add_node(ReceiverNode::boxed(ReceiverConfig {
+        let (senders, proxies, _) = self.run_tier(
+            h,
+            |flow| {
+                SenderNode::boxed(SenderConfig {
                     flow,
-                    ack_every: 32,
-                    max_ack_delay: SimDuration::from_millis(50),
-                    immediate_on_gap: false,
-                    ..ReceiverConfig::default()
-                }))
-            })
-            .collect();
-        for &s in &senders {
-            w.connect(s, mux, self.edge.clone(), self.edge.clone());
-        }
-        w.connect(mux, a, self.edge.clone(), self.edge.clone());
-        w.connect(a, b, self.trunk.clone(), self.trunk.clone());
-        w.connect(b, demux, self.edge.clone(), self.edge.clone());
-        for &r in &receivers {
-            w.connect(demux, r, self.edge.clone(), self.edge.clone());
-        }
-        w.run_until(SimTime::ZERO + self.horizon);
-
-        let (sidecar, live) = {
-            let pa = w.node_as::<SenderSideProxy>(a);
-            let pb = w.node_as::<ReceiverSideProxy>(b);
-            (
-                (pb.quacks_sent + pa.control_sent, pb.quack_bytes),
-                pa.live_flows() + pb.live_flows(),
-            )
-        };
-        self.finish(
-            w,
-            &senders,
-            |w, s| {
-                let node = w.node_as::<SenderNode>(s);
-                let stats = node.stats();
-                (
-                    stats.completed_at,
-                    stats.goodput_bps(node.core().config().mtu),
-                )
+                    total_packets: Some(self.packets_per_flow),
+                    id_seed: self.seed ^ (0x5E7 << 32) ^ flow.0 as u64,
+                    peer_max_ack_delay: SimDuration::from_millis(100),
+                    ..SenderConfig::default()
+                })
             },
-            sidecar,
-            live,
+            vec![Box::new(proxy_a), Box::new(proxy_b)],
+            &[&self.edge, &self.trunk, &self.edge],
+            // The single-flow scenario's sparse-ACK client, one per flow.
+            |flow| {
+                ReceiverNode::boxed(ReceiverConfig {
+                    flow,
+                    ..RetxScenario::default().client
+                })
+            },
+        );
+        let pa = h.w.node_as::<SenderSideProxy>(proxies[0]);
+        let pb = h.w.node_as::<ReceiverSideProxy>(proxies[1]);
+        (
+            senders,
+            |w, s| w.node_as::<SenderNode>(s).core(),
+            (pb.quacks_sent + pa.control_sent, pb.quack_bytes),
+            pa.live_flows() + pb.live_flows(),
         )
     }
 
-    fn run_ackred(&self) -> ManyFlowReport {
+    fn run_ackred(&self, h: &mut Harness) -> TierOutcome {
         let cfg = self.sidecar_cfg();
-        let mut w = self.world();
-        let senders: Vec<NodeId> = self
-            .flow_ids()
-            .iter()
-            .map(|&flow| {
+        let mut proxy = AckRedProxy::with_flow_table(cfg, self.table);
+        if let Some(auth) = self.auth {
+            proxy = proxy.with_auth(auth.with_nonce(1));
+        }
+        let (senders, proxies, _) = self.run_tier(
+            h,
+            |flow| {
                 let mut server = AckRedServer::new(
                     SenderConfig {
                         flow,
@@ -379,68 +330,47 @@ impl ManyFlowScenario {
                 if let Some(auth) = self.auth {
                     server = server.with_auth(auth.with_nonce(100 + flow.0 as u64));
                 }
-                w.add_node(Box::new(server))
-            })
-            .collect();
-        let (mux, demux) = self.routers();
-        let mux = w.add_node(mux.boxed());
-        let mut proxy_node = AckRedProxy::with_flow_table(cfg, self.table);
-        if let Some(auth) = self.auth {
-            proxy_node = proxy_node.with_auth(auth.with_nonce(1));
-        }
-        let proxy = w.add_node(Box::new(proxy_node));
-        let demux = w.add_node(demux.boxed());
-        let receivers: Vec<NodeId> = self
-            .flow_ids()
-            .iter()
-            .map(|&flow| {
-                w.add_node(ReceiverNode::boxed(ReceiverConfig {
+                Box::new(server)
+            },
+            vec![Box::new(proxy)],
+            &[&self.trunk, &self.edge],
+            |flow| {
+                ReceiverNode::boxed(ReceiverConfig {
                     flow,
                     ack_every: 32,
                     max_ack_delay: SimDuration::from_millis(150),
                     immediate_on_gap: false,
                     ..ReceiverConfig::default()
-                }))
-            })
-            .collect();
-        for &s in &senders {
-            w.connect(s, mux, self.edge.clone(), self.edge.clone());
-        }
-        w.connect(mux, proxy, self.trunk.clone(), self.trunk.clone());
-        w.connect(proxy, demux, self.edge.clone(), self.edge.clone());
-        for &r in &receivers {
-            w.connect(demux, r, self.edge.clone(), self.edge.clone());
-        }
-        w.run_until(SimTime::ZERO + self.horizon);
-
-        let (sidecar, live) = {
-            let px = w.node_as::<AckRedProxy>(proxy);
-            ((px.quacks_sent, px.quack_bytes), px.live_flows())
-        };
-        self.finish(
-            w,
-            &senders,
-            |w, s| {
-                let node = w.node_as::<AckRedServer>(s);
-                let stats = node.stats();
-                (
-                    stats.completed_at,
-                    stats.goodput_bps(node.core().config().mtu),
-                )
+                })
             },
-            sidecar,
-            live,
+        );
+        let px = h.w.node_as::<AckRedProxy>(proxies[0]);
+        (
+            senders,
+            |w, s| w.node_as::<AckRedServer>(s).core(),
+            px.quacks_sent(),
+            px.live_flows(),
         )
     }
 
-    fn run_ccd(&self) -> ManyFlowReport {
+    fn run_ccd(&self, h: &mut Harness) -> TierOutcome {
         let cfg = self.sidecar_cfg();
         let quack_interval = SimDuration::from_millis(30);
-        let mut w = self.world();
-        let senders: Vec<NodeId> = self
-            .flow_ids()
-            .iter()
-            .map(|&flow| {
+        let mut proxy = CcdProxy::with_flow_table(
+            cfg,
+            quack_interval,
+            self.trunk.rate_bps as f64 * 0.9,
+            2_048,
+            self.trunk.delay * 2 + SimDuration::from_millis(5),
+            self.supervision,
+            self.table,
+        );
+        if let Some(auth) = self.auth {
+            proxy = proxy.with_auth(auth.with_nonce(1));
+        }
+        let (senders, proxies, receivers) = self.run_tier(
+            h,
+            |flow| {
                 let mut server = CcdServer::new(
                     SenderConfig {
                         flow,
@@ -457,87 +387,45 @@ impl ManyFlowScenario {
                 if let Some(auth) = self.auth {
                     server = server.with_auth(auth.with_nonce(100 + flow.0 as u64));
                 }
-                w.add_node(Box::new(server))
-            })
-            .collect();
-        let (mux, demux) = self.routers();
-        let mux = w.add_node(mux.boxed());
-        let mut proxy_node = CcdProxy::with_flow_table(
-            cfg,
-            quack_interval,
-            self.trunk.rate_bps as f64 * 0.9,
-            2_048,
-            self.trunk.delay * 2 + SimDuration::from_millis(5),
-            self.supervision,
-            self.table,
-        );
-        if let Some(auth) = self.auth {
-            proxy_node = proxy_node.with_auth(auth.with_nonce(1));
-        }
-        let proxy = w.add_node(Box::new(proxy_node));
-        let demux = w.add_node(demux.boxed());
-        let receivers: Vec<NodeId> = self
-            .flow_ids()
-            .iter()
-            .map(|&flow| {
-                let mut client = CcdClient::new(
-                    ReceiverConfig {
-                        flow,
-                        ..ReceiverConfig::default()
-                    },
-                    cfg,
-                    quack_interval,
-                );
+                Box::new(server)
+            },
+            vec![Box::new(proxy)],
+            &[&self.edge, &self.trunk],
+            |flow| {
+                let config = ReceiverConfig {
+                    flow,
+                    ..ReceiverConfig::default()
+                };
+                let mut client = CcdClient::new(config, cfg, quack_interval);
                 if let Some(auth) = self.auth {
                     client = client.with_auth(auth.with_nonce(200 + flow.0 as u64));
                 }
-                w.add_node(Box::new(client))
-            })
-            .collect();
-        for &s in &senders {
-            w.connect(s, mux, self.edge.clone(), self.edge.clone());
-        }
-        w.connect(mux, proxy, self.edge.clone(), self.edge.clone());
-        w.connect(proxy, demux, self.trunk.clone(), self.trunk.clone());
-        for &r in &receivers {
-            w.connect(demux, r, self.edge.clone(), self.edge.clone());
-        }
-        w.run_until(SimTime::ZERO + self.horizon);
-
-        let (sidecar, live) = {
-            let px = w.node_as::<CcdProxy>(proxy);
-            let client_quacks: u64 = receivers
-                .iter()
-                .map(|&r| w.node_as::<CcdClient>(r).quacks_sent)
-                .sum();
-            let client_bytes: u64 = receivers
-                .iter()
-                .map(|&r| w.node_as::<CcdClient>(r).quack_bytes)
-                .sum();
-            (
-                (
-                    px.quacks_sent + client_quacks,
-                    px.quack_bytes + client_bytes,
-                ),
-                px.live_flows(),
-            )
-        };
-        self.finish(
-            w,
-            &senders,
-            |w, s| {
-                let node = w.node_as::<CcdServer>(s);
-                let stats = node.stats();
-                (
-                    stats.completed_at,
-                    stats.goodput_bps(node.core().config().mtu),
-                )
+                Box::new(client)
             },
-            sidecar,
-            live,
+        );
+        let px = h.w.node_as::<CcdProxy>(proxies[0]);
+        let quacks = receivers
+            .iter()
+            .map(|&r| h.w.node_as::<CcdClient>(r).quacks_sent())
+            .fold(px.quacks_sent(), |sum, q| (sum.0 + q.0, sum.1 + q.1));
+        (
+            senders,
+            |w, s| w.node_as::<CcdServer>(s).core(),
+            quacks,
+            px.live_flows(),
         )
     }
 }
+
+/// What a protocol's run hands back for the report: the sender nodes, how
+/// to reach a sender's transport core, the proxy tier's sidecar
+/// `(messages, bytes)`, and its live session count.
+type TierOutcome = (
+    Vec<NodeId>,
+    fn(&World, NodeId) -> &SenderCore,
+    (u64, u64),
+    usize,
+);
 
 #[cfg(test)]
 mod tests {

@@ -6,20 +6,43 @@
 //! | ACK reduction (§2.2) | send quACKs | receive quACKs; move the sending window | none |
 //! | In-network retransmission (§2.3) | send and receive quACKs; buffer and retransmit; tune frequency to the loss ratio | none | none |
 //!
+//! The table has only two roles, so the code has only two role
+//! implementations: the crate-private `session` module holds *send quACKs*
+//! (`ProducerHalf`), *receive quACKs* (`ConsumerHalf`) and the one control
+//! channel both speak over (`CtrlChannel`: seal/open, send, sent counters).
+//! Every node below is a composition of those halves and keeps only its
+//! cell's paper-level decision:
+//!
+//! * [`retx`] — buffer, retransmit, and retune the quACK frequency
+//!   (sender side); adaptive-interval emission per flow (receiver side).
+//! * [`ack_reduction`] — every-`n`-packets emission at the proxy; the
+//!   server releases window space on quACK confirmations.
+//! * [`ccd`] — paced forwarding with an AIMD rate at the proxy; the server
+//!   steers its congestion window from the proxy's quACKs.
+//!
+//! The two quACK-receiving end hosts are one node (`server`), generic over
+//! what a decoded report does to the window. [`manyflow`] muxes N flows
+//! through one proxy tier for all three protocols.
+//!
 //! Every scenario comes with a baseline twin (plain forwarding, unmodified
-//! hosts) so the benchmarks can report sidecar-vs-baseline shapes.
+//! hosts) so the benchmarks can report sidecar-vs-baseline shapes; all of
+//! them run on one `Harness` (trace-ring sizing, fault lowering,
+//! run-to-deadline, obs export).
 
 pub mod ack_reduction;
 pub mod ccd;
 pub mod manyflow;
 pub mod retx;
+mod server;
+mod session;
 
-use crate::auth::ChannelAuth;
-use crate::messages::{SidecarMessage, HEADER_OVERHEAD, MAX_BODY};
+use crate::messages::SidecarMessage;
 use sidecar_netsim::fault::FaultPlan;
-use sidecar_netsim::node::{Context, IfaceId, NodeId, TimerHandle};
-use sidecar_netsim::packet::{FlowId, Packet};
+use sidecar_netsim::link::LinkConfig;
+use sidecar_netsim::node::{Context, NodeId, TimerHandle};
 use sidecar_netsim::time::{SimDuration, SimTime};
+use sidecar_netsim::transport::SenderCore;
+use sidecar_netsim::world::World;
 
 /// A guarded one-shot timer keeping at most one live chain in the queue.
 ///
@@ -31,16 +54,22 @@ use sidecar_netsim::time::{SimDuration, SimTime};
 /// instead of letting it fire and be filtered (the accumulating-timer
 /// footgun PR 4 noted: every superseded arm used to stay in the world's
 /// queue until its fire time).
-#[derive(Default, Debug)]
+#[derive(Debug)]
 pub(crate) struct GuardedTimer {
+    token: u64,
     armed: Option<(SimTime, TimerHandle)>,
 }
 
 impl GuardedTimer {
-    /// Arms `token` at `deadline` (clamped to now). If a chain is already
+    /// A disarmed guard for the `token` chain.
+    pub(crate) fn new(token: u64) -> Self {
+        GuardedTimer { token, armed: None }
+    }
+
+    /// Arms the chain at `deadline` (clamped to now). If a chain is already
     /// pending at or before `deadline` this is a no-op; a pending *later*
     /// chain is cancelled and replaced.
-    pub(crate) fn arm(&mut self, deadline: SimTime, token: u64, ctx: &mut Context) {
+    pub(crate) fn arm(&mut self, deadline: SimTime, ctx: &mut Context) {
         let deadline = deadline.max(ctx.now());
         if let Some((at, handle)) = self.armed {
             if at <= deadline {
@@ -48,7 +77,7 @@ impl GuardedTimer {
             }
             ctx.cancel_timer(handle);
         }
-        let handle = ctx.set_timer_at(deadline, token);
+        let handle = ctx.set_timer_at(deadline, self.token);
         self.armed = Some((deadline, handle));
     }
 
@@ -74,87 +103,6 @@ impl GuardedTimer {
     }
 }
 
-/// Encodes `msg` for `flow` and sends it out `iface`; returns the wire size
-/// in bytes. The datagram is stamped with the session's real flow id (so
-/// per-flow router/trace accounting sees control bytes where they belong)
-/// and flow-tagged on the wire; flow 0 keeps the legacy untagged encoding.
-/// With an auth channel the encoding is additionally sealed (authenticated
-/// twin tag + envelope; see [`crate::auth`]) — `None` keeps the wire image
-/// byte-identical to pre-auth builds.
-pub(crate) fn send_sidecar(
-    msg: SidecarMessage,
-    flow: FlowId,
-    iface: IfaceId,
-    auth: &mut Option<ChannelAuth>,
-    ctx: &mut Context,
-) -> u32 {
-    let (proto, body) = match auth {
-        Some(channel) => channel.seal(&msg, flow.0),
-        None => msg.encode_for_flow(flow.0),
-    };
-    // Enforce the single-datagram wire maximum on the final body (sealed
-    // envelopes included): an oversized control message is dropped here with
-    // its counter bumped, never emitted with a truncated length field.
-    if body.len() > MAX_BODY {
-        #[cfg(feature = "obs")]
-        ctx.obs_inc("sidecar.err.oversized");
-        return 0;
-    }
-    let size = HEADER_OVERHEAD + body.len() as u32;
-    #[cfg(feature = "obs")]
-    {
-        ctx.obs_inc(match &msg {
-            SidecarMessage::Quack { .. } => "sidecar.sent.quack",
-            SidecarMessage::Configure { .. } => "sidecar.sent.configure",
-            SidecarMessage::Reset { .. } => "sidecar.sent.reset",
-            SidecarMessage::Hello { .. } => "sidecar.sent.hello",
-        });
-        ctx.obs_add("sidecar.sent_bytes", size as u64);
-    }
-    #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
-    let mut pkt = Packet::sidecar(flow, proto, body, size, ctx.now());
-    // Flight-recorder stamp: control datagrams have no packet number, so
-    // obs builds give each one a world-scoped control sequence (`seq` stays
-    // 0 when obs is compiled out — the stamp is free on the obs-off wire).
-    #[cfg(feature = "obs")]
-    {
-        pkt.seq = ctx.next_ctrl_seq();
-    }
-    ctx.send(iface, pkt);
-    size
-}
-
-/// Decodes (and, with an auth channel, verifies) an inbound sidecar
-/// datagram into `(flow, message)`.
-///
-/// With `Some(channel)` the full authenticated open runs — tag-range check,
-/// envelope parse, MAC verification, replay window, inner decode — and
-/// every rejection is counted (`auth.rejected.<kind>`) and traced before
-/// the caller sees a unit `Err`. Plain (unsealed) datagrams are rejected
-/// too: an authenticated receiver accepts *only* sealed control traffic,
-/// which is what makes "zero forged/replayed datagrams accepted" hold.
-/// With `None` this is exactly the legacy `decode_flow` path.
-pub(crate) fn open_ctrl(
-    auth: &mut Option<ChannelAuth>,
-    proto: u8,
-    bytes: &[u8],
-    ctx: &mut Context,
-) -> Result<(u32, SidecarMessage), ()> {
-    match auth {
-        Some(channel) => match channel.open(proto, bytes) {
-            Ok(ok) => {
-                obs::auth_accept(ctx);
-                Ok(ok)
-            }
-            Err(err) => {
-                obs::auth_reject(ctx, &err);
-                Err(())
-            }
-        },
-        None => SidecarMessage::decode_flow(proto, bytes).map_err(|_| ()),
-    }
-}
-
 /// Observability taps shared by the three protocols.
 ///
 /// Every helper has an empty twin below so call sites stay free of `cfg`
@@ -162,9 +110,15 @@ pub(crate) fn open_ctrl(
 /// tests) the obs-enabled versions are no-ops as well.
 #[cfg(feature = "obs")]
 pub(crate) mod obs {
+    use super::manyflow::ManyFlowReport;
+    use super::{ScenarioReport, SCOREBOARD_TOP_K};
     use crate::endpoint::{ProcessError, QuackReport};
+    use crate::messages::SidecarMessage;
     use crate::supervise::{Supervisor, SupervisorState};
     use sidecar_netsim::node::Context;
+    use sidecar_netsim::packet::Packet;
+    use sidecar_netsim::time::{SimDuration, SimTime};
+    use sidecar_netsim::world::World;
     use sidecar_obs::{Event, HealthDim, QuackErrorKind, SessionState};
 
     /// Histogram bounds for the producer's burst-buffer fill at emit time
@@ -180,9 +134,13 @@ pub(crate) mod obs {
         }
     }
 
-    /// A producer observed one forwarded data packet.
-    pub(crate) fn observed(ctx: &mut Context) {
+    /// A producer folded forwarded data packet `(flow, seq)` into its quACK
+    /// sketch: the counter, plus the flight recorder's packet-identity
+    /// event.
+    pub(crate) fn observed(ctx: &mut Context, flow: u32, seq: u64) {
         ctx.obs_inc("quack.observed");
+        let node = ctx.node_id().0 as u32;
+        ctx.obs_event(Event::QuackFold { node, flow, seq });
     }
 
     /// A quACK left the producer: record the sketch coordinates and how
@@ -321,13 +279,6 @@ pub(crate) mod obs {
         }
     }
 
-    /// A proxy folded data packet `(flow, seq)` into its quACK sketch
-    /// (flight-recorder twin of [`observed`], carrying packet identity).
-    pub(crate) fn quack_fold(ctx: &mut Context, flow: u32, seq: u64) {
-        let node = ctx.node_id().0 as u32;
-        ctx.obs_event(Event::QuackFold { node, flow, seq });
-    }
-
     /// A quACK decode newly reported `(flow, seq)` missing on the proxied
     /// segment.
     pub(crate) fn decode_missing(ctx: &mut Context, flow: u32, seq: u64) {
@@ -353,16 +304,44 @@ pub(crate) mod obs {
         sidecar_netsim::transport::emit_sender_lifecycle(core, ctx);
     }
 
-    /// An authenticated control channel accepted an inbound datagram.
-    pub(crate) fn auth_accept(ctx: &mut Context) {
-        ctx.obs_inc("auth.accepted");
+    /// A control datagram arrived for a flow this node holds no session
+    /// for (never seen, reclaimed, or — at an end host — someone else's).
+    pub(crate) fn flow_mismatch(ctx: &mut Context) {
+        ctx.obs_inc("sidecar.flow_mismatch");
     }
 
-    /// An authenticated control channel rejected an inbound datagram:
-    /// per-kind counter plus an attributable trace event.
-    pub(crate) fn auth_reject(ctx: &mut Context, err: &crate::auth::AuthError) {
+    /// An encoded control message exceeded the single-datagram maximum and
+    /// was refused.
+    pub(crate) fn ctrl_oversized(ctx: &mut Context) {
+        ctx.obs_inc("sidecar.err.oversized");
+    }
+
+    /// A control datagram is about to leave: per-kind and byte counters,
+    /// plus the flight-recorder stamp. Control datagrams have no packet
+    /// number, so obs builds give each one a world-scoped control sequence
+    /// (`seq` stays 0 when obs is compiled out — the stamp is free on the
+    /// obs-off wire).
+    pub(crate) fn ctrl_sent(ctx: &mut Context, msg: &SidecarMessage, pkt: &mut Packet) {
+        ctx.obs_inc(match msg {
+            SidecarMessage::Quack { .. } => "sidecar.sent.quack",
+            SidecarMessage::Configure { .. } => "sidecar.sent.configure",
+            SidecarMessage::Reset { .. } => "sidecar.sent.reset",
+            SidecarMessage::Hello { .. } => "sidecar.sent.hello",
+        });
+        ctx.obs_add("sidecar.sent_bytes", pkt.size as u64);
+        pkt.seq = ctx.next_ctrl_seq();
+    }
+
+    /// An authenticated control channel accepted (`None`) or rejected an
+    /// inbound datagram; a rejection gets its per-kind counter plus an
+    /// attributable trace event.
+    pub(crate) fn auth_outcome(ctx: &mut Context, rejected: Option<&crate::auth::AuthError>) {
         use crate::auth::AuthError;
         use sidecar_obs::AuthRejectKind;
+        let Some(err) = rejected else {
+            ctx.obs_inc("auth.accepted");
+            return;
+        };
         let (counter, kind) = match err {
             AuthError::NotAuthenticated(_) => (
                 "auth.rejected.unauthenticated",
@@ -384,17 +363,82 @@ pub(crate) mod obs {
         // flow-0 row rather than smearing forged ids across the table.
         ctx.obs_flow_health(0, HealthDim::AuthReject);
     }
+
+    /// The windowed metrics series a sampled run produces.
+    pub(crate) type Series = sidecar_obs::TimeSeries;
+
+    /// Resizes the world's flight-recorder ring when a scenario asks for a
+    /// capacity other than the obs default.
+    pub(crate) fn resize_trace(w: &mut World, capacity: Option<usize>) {
+        if let Some(cap) = capacity {
+            w.obs_mut().trace = sidecar_obs::EventTrace::with_capacity(cap);
+        }
+    }
+
+    /// Runs `w` to `deadline`, sampling the world registry every `sample`
+    /// (on the sim clock) when asked to.
+    pub(crate) fn run(w: &mut World, deadline: SimTime, sample: Option<SimDuration>) -> Series {
+        let mut sampler = sidecar_obs::Sampler::default();
+        match sample {
+            Some(interval) => {
+                let registry = w.obs().metrics.clone();
+                sidecar_netsim::telemetry::run_sampled(
+                    w,
+                    &registry,
+                    deadline,
+                    interval,
+                    &mut sampler,
+                );
+            }
+            None => {
+                w.run_until(deadline);
+            }
+        }
+        sampler.into_series()
+    }
+
+    /// Snapshots the world registry and flight recorder at quiescence,
+    /// mirroring both into the process-global ones for bench
+    /// `--metrics-out` / `--trace-out` dumps.
+    fn snapshot(w: &World) -> (sidecar_obs::MetricsSnapshot, sidecar_obs::EventTrace) {
+        let metrics = w.obs().metrics.snapshot();
+        sidecar_obs::global().absorb(&metrics);
+        let trace = w.obs().trace.clone();
+        sidecar_obs::global_trace_absorb(&trace);
+        (metrics, trace)
+    }
+
+    /// Fills a scenario report's obs fields from the finished world.
+    pub(crate) fn export(w: &World, series: Series, report: &mut ScenarioReport) {
+        (report.metrics, report.trace) = snapshot(w);
+        report.timeseries = series;
+        report.scoreboard = w.obs().scoreboard.snapshot(SCOREBOARD_TOP_K);
+    }
+
+    /// Fills a many-flow report's obs fields (and the eviction totals, which
+    /// live in the registry) from the finished world.
+    pub(crate) fn export_manyflow(w: &World, report: &mut ManyFlowReport) {
+        (report.metrics, report.trace) = snapshot(w);
+        report.evictions_idle = report.metrics.counter("flowtable.evicted.idle");
+        report.evictions_capacity = report.metrics.counter("flowtable.evicted.capacity");
+    }
 }
 
 /// No-op twins of the observability taps (obs feature disabled).
 #[cfg(not(feature = "obs"))]
 pub(crate) mod obs {
+    use super::manyflow::ManyFlowReport;
+    use super::ScenarioReport;
     use crate::endpoint::{ProcessError, QuackReport};
+    use crate::messages::SidecarMessage;
     use crate::supervise::Supervisor;
     use sidecar_netsim::node::Context;
+    use sidecar_netsim::packet::Packet;
+    use sidecar_netsim::time::{SimDuration, SimTime};
+    use sidecar_netsim::world::World;
 
     #[inline(always)]
-    pub(crate) fn observed(_ctx: &mut Context) {}
+    pub(crate) fn observed(_ctx: &mut Context, _flow: u32, _seq: u64) {}
 
     #[inline(always)]
     pub(crate) fn quack_emitted(
@@ -429,9 +473,6 @@ pub(crate) mod obs {
     pub(crate) fn fold_flush(_ctx: &mut Context, _folds: &mut crate::flows::FoldBuffer) {}
 
     #[inline(always)]
-    pub(crate) fn quack_fold(_ctx: &mut Context, _flow: u32, _seq: u64) {}
-
-    #[inline(always)]
     pub(crate) fn decode_missing(_ctx: &mut Context, _flow: u32, _seq: u64) {}
 
     #[inline(always)]
@@ -445,20 +486,28 @@ pub(crate) mod obs {
     }
 
     #[inline(always)]
-    pub(crate) fn auth_accept(_ctx: &mut Context) {}
+    pub(crate) fn flow_mismatch(_ctx: &mut Context) {}
 
     #[inline(always)]
-    pub(crate) fn auth_reject(_ctx: &mut Context, _err: &crate::auth::AuthError) {}
-}
+    pub(crate) fn ctrl_oversized(_ctx: &mut Context) {}
 
-/// Deterministic post-restart epoch: a rebooted producer lost its epoch
-/// counter along with everything else, so it derives a fresh one from the
-/// clock and announces it via `Reset`. Time-derived epochs are huge
-/// compared to the small consumer-bumped ones, so a restart is effectively
-/// always a visible epoch change (and even a freak collision only costs
-/// one consumer-driven reset round).
-pub(crate) fn restart_epoch(now: SimTime) -> u32 {
-    ((now.as_nanos() >> 10) as u32) | 1
+    #[inline(always)]
+    pub(crate) fn ctrl_sent(_ctx: &mut Context, _msg: &SidecarMessage, _pkt: &mut Packet) {}
+
+    #[inline(always)]
+    pub(crate) fn auth_outcome(_ctx: &mut Context, _rejected: Option<&crate::auth::AuthError>) {}
+
+    pub(crate) type Series = ();
+
+    pub(crate) fn resize_trace(_w: &mut World, _capacity: Option<usize>) {}
+
+    pub(crate) fn run(w: &mut World, deadline: SimTime, _sample: Option<SimDuration>) -> Series {
+        w.run_until(deadline);
+    }
+
+    pub(crate) fn export(_w: &World, _series: Series, _report: &mut ScenarioReport) {}
+
+    pub(crate) fn export_manyflow(_w: &World, _report: &mut ManyFlowReport) {}
 }
 
 /// Metrics common to all protocol scenarios.
@@ -517,6 +566,88 @@ impl ScenarioReport {
     /// convenient for table printing).
     pub fn completion_secs(&self) -> f64 {
         self.completion.map_or(f64::INFINITY, |t| t.as_secs_f64())
+    }
+}
+
+/// One scenario run: the world plus the plumbing every runner shares —
+/// flight-recorder sizing, fault lowering, run-to-deadline, and the report
+/// skeleton read off the server's transport and the world's obs state.
+pub(crate) struct Harness {
+    pub(crate) w: World,
+    /// Sample the metrics registry this often (on the sim clock) while
+    /// running; `None` skips sampling.
+    pub(crate) sample: Option<SimDuration>,
+    series: obs::Series,
+}
+
+impl Harness {
+    /// Simulated-time budget of the single-flow scenarios. Periodic sidecar
+    /// timers never let the event queue drain, so runs go to a generous
+    /// deadline and read completion from the sender's stats.
+    const DEADLINE: SimDuration = SimDuration::from_secs(120);
+
+    /// A fresh seeded world, its trace ring resized when asked.
+    pub(crate) fn new(seed: u64, trace_capacity: Option<usize>) -> Self {
+        let mut w = World::new(seed);
+        obs::resize_trace(&mut w, trace_capacity);
+        Harness {
+            w,
+            sample: None,
+            series: obs::Series::default(),
+        }
+    }
+
+    /// Wires `chain` into a line: `links[i]` (both directions) joins
+    /// `chain[i]` and `chain[i + 1]`.
+    pub(crate) fn connect_line(&mut self, chain: &[NodeId], links: &[&LinkConfig]) {
+        for (pair, &link) in chain.windows(2).zip(links) {
+            self.w.connect(pair[0], pair[1], link.clone(), link.clone());
+        }
+    }
+
+    /// Runs for `budget` of simulated time.
+    pub(crate) fn run(&mut self, budget: SimDuration) {
+        self.series = obs::run(&mut self.w, SimTime::ZERO + budget, self.sample);
+    }
+
+    /// The single-flow scenario run: wires `line` (server, proxy, …,
+    /// client) over `links`, lowers `faults` onto it — the crash hits the
+    /// first proxy, the blackout the segment after it — and runs to the
+    /// deadline.
+    pub(crate) fn run_line(
+        &mut self,
+        line: &[NodeId],
+        links: &[&LinkConfig],
+        faults: Option<&FaultScript>,
+    ) {
+        self.connect_line(line, links);
+        let plan = faults.map(|script| script.lower(line[1], (line[1], line[2])));
+        if let Some(plan) = plan.filter(|plan| !plan.is_empty()) {
+            self.w.install_faults(plan);
+        }
+        self.run(Self::DEADLINE);
+    }
+
+    /// The transport-level report of a finished run, read off the server's
+    /// sender core and the client's ACK count. Sidecar runs go on to add
+    /// their protocol counters and call [`Harness::export_obs`]; baseline
+    /// runs keep the rest at its empty default.
+    pub(crate) fn report(server: &SenderCore, client_acks: u64) -> ScenarioReport {
+        let stats = server.stats();
+        ScenarioReport {
+            completion: stats.completed_at,
+            goodput_bps: stats.goodput_bps(server.config().mtu),
+            server_sent: stats.sent_packets,
+            server_retransmissions: stats.retransmissions,
+            client_acks,
+            ..ScenarioReport::default()
+        }
+    }
+
+    /// Attaches the world's metrics, trace, series and scoreboard to a
+    /// sidecar run's report (a no-op when the `obs` feature is off).
+    pub(crate) fn export_obs(self, report: &mut ScenarioReport) {
+        obs::export(&self.w, self.series, report);
     }
 }
 

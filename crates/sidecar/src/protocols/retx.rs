@@ -12,17 +12,13 @@
 //! flexible, as it should ideally depend on the loss ratio" (§2.3, §4.3:
 //! target a constant `t` missing packets per quACK).
 
-use crate::auth::ChannelAuth;
 use crate::config::{AuthConfig, QuackFrequency, SidecarConfig, SupervisionConfig};
-use crate::endpoint::{QuackConsumer, QuackProducer};
 use crate::flows::{FlowTable, FlowTableConfig, FoldBuffer, SlotId};
 use crate::messages::SidecarMessage;
-use crate::negotiate::{accept_hello, offer, Capabilities};
-use crate::protocols::{
-    obs, open_ctrl, restart_epoch, send_sidecar, FaultScript, GuardedTimer, ScenarioReport,
+use crate::protocols::session::{
+    restart_epoch, ConsumerHalf, CtrlChannel, Peer, ProducerHalf, QuackVerdict, SupTally,
 };
-use crate::supervise::Supervisor;
-use sidecar_galois::Fp32;
+use crate::protocols::{obs, FaultScript, GuardedTimer, Harness, ScenarioReport};
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::node::{Context, IfaceId, Node};
 use sidecar_netsim::packet::{FlowId, Packet, PacketKind, Payload};
@@ -30,7 +26,6 @@ use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_netsim::transport::{
     CcAlgorithm, ReceiverConfig, ReceiverNode, SenderConfig, SenderNode,
 };
-use sidecar_netsim::world::World;
 use sidecar_netsim::Forwarder;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -51,10 +46,10 @@ fn split_token(token: u64) -> (u64, FlowId) {
     (token & 0xFFFF_FFFF, FlowId((token >> 32) as u32))
 }
 
-/// One flow's consumer-side session inside the sender-side proxy: mirror
-/// log, retransmission buffer, loss-ratio window, and supervision.
+/// One flow's consumer-side session inside the sender-side proxy: the
+/// supervised mirror, the retransmission buffer, and the loss-ratio window.
 struct ConsumerSession {
-    consumer: QuackConsumer<Fp32>,
+    half: ConsumerHalf,
     /// Buffered copies of forwarded data packets, by tag.
     buffer: HashMap<u64, Packet>,
     /// Tags in insertion order for eviction.
@@ -67,19 +62,12 @@ struct ConsumerSession {
     window_start: SimTime,
     /// Last interval requested from the producer.
     requested_interval: Option<SimDuration>,
-    /// Session supervision: hello handshake, liveness, degraded fallback.
-    supervisor: Supervisor,
 }
 
 impl ConsumerSession {
-    fn new(
-        cfg: SidecarConfig,
-        in_transit_window: SimDuration,
-        supervision: SupervisionConfig,
-        now: SimTime,
-    ) -> Self {
+    fn new(half: ConsumerHalf, now: SimTime) -> Self {
         ConsumerSession {
-            consumer: QuackConsumer::new(cfg, in_transit_window),
+            half,
             buffer: HashMap::new(),
             order: VecDeque::new(),
             next_tag: 0,
@@ -87,11 +75,16 @@ impl ConsumerSession {
             window_lost: 0,
             window_start: now,
             requested_interval: None,
-            supervisor: Supervisor::new(supervision),
         }
     }
 
-    fn buffer_insert(&mut self, buffer_cap: usize, tag: u64, pkt: Packet) {
+    /// Mirrors and buffers one packet about to cross the subpath, under a
+    /// fresh tag. A retransmitted packet keeps its identifier (identical
+    /// ciphertext), so the far sidecar's multiset stays consistent.
+    fn track(&mut self, pkt: &Packet, buffer_cap: usize, now: SimTime) {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.half.consumer.record_sent(pkt.id, tag, now);
         if self.buffer.len() >= buffer_cap {
             // Evict oldest still-buffered entry.
             while let Some(old) = self.order.pop_front() {
@@ -100,21 +93,77 @@ impl ConsumerSession {
                 }
             }
         }
-        self.buffer.insert(tag, pkt);
+        self.buffer.insert(tag, pkt.clone());
         self.order.push_back(tag);
+        self.window_sent += 1;
     }
 
-    /// Baseline fallback: drop every piece of sidecar state. The node keeps
-    /// forwarding, so the flow degrades to exactly the no-sidecar path and
-    /// end-to-end recovery owns all retransmissions.
+    /// Baseline fallback: drop every piece of sidecar state (the half has
+    /// already dropped its mirror). The node keeps forwarding, so the flow
+    /// degrades to exactly the no-sidecar path and end-to-end recovery owns
+    /// all retransmissions.
     fn enter_degraded(&mut self) {
         self.buffer.clear();
         self.order.clear();
-        let epoch = self.consumer.epoch().wrapping_add(1);
-        let _ = self.consumer.reset(epoch);
         self.window_sent = 0;
         self.window_lost = 0;
         self.requested_interval = None;
+    }
+
+    /// Drives the session's supervisor: liveness, hello (re)sends, and the
+    /// shared supervision timer.
+    fn supervise(&mut self, ctrl: &mut CtrlChannel, sup: &mut GuardedTimer, ctx: &mut Context) {
+        let expecting = !self.buffer.is_empty() || self.half.consumer.log_len() > 0;
+        let outcome = self.half.liveness(ctx.now(), expecting);
+        if outcome.degraded_now {
+            self.enter_degraded();
+        }
+        self.half.follow_up(outcome, ctrl, sup, ctx);
+    }
+
+    /// §4.3: pick the emission interval so a quACK window carries roughly
+    /// `t/2` missing packets at the observed loss ratio and packet rate:
+    /// "the sender who configures this frequency could target a constant
+    /// t = 20 missing packets per quACK. If the link is relatively stable,
+    /// the sender-side proxy could decrease the frequency".
+    fn retune_frequency(
+        &mut self,
+        max_interval: SimDuration,
+        ctrl: &mut CtrlChannel,
+        ctx: &mut Context,
+    ) {
+        if self.window_sent < 200 {
+            return; // not enough signal yet
+        }
+        let elapsed = (ctx.now() - self.window_start).as_secs_f64();
+        if elapsed <= 0.0 {
+            return;
+        }
+        let loss_ratio = (self.window_lost as f64 / self.window_sent as f64).max(1e-4);
+        let packet_rate = self.window_sent as f64 / elapsed; // packets/s
+        self.window_sent = 0;
+        self.window_lost = 0;
+        self.window_start = ctx.now();
+        // Interval such that expected missing per quACK ≈ t/2:
+        // loss_ratio · packet_rate · interval = t/2.
+        let target_missing = self.half.consumer.config().threshold as f64 / 2.0;
+        let seconds = target_missing / (loss_ratio * packet_rate);
+        let cap = max_interval.as_secs_f64().max(0.004);
+        let new_interval = SimDuration::from_secs_f64(seconds.clamp(0.002, cap));
+        let changed = match self.requested_interval {
+            Some(prev) => {
+                let ratio = new_interval.as_nanos() as f64 / prev.as_nanos().max(1) as f64;
+                !(0.5..=2.0).contains(&ratio)
+            }
+            None => true,
+        };
+        if changed {
+            self.requested_interval = Some(new_interval);
+            let msg = SidecarMessage::Configure {
+                interval: new_interval,
+            };
+            ctrl.send(msg, self.half.producer, ctx);
+        }
     }
 }
 
@@ -135,9 +184,9 @@ pub struct SenderSideProxy {
     /// In-transit window, kept so restarts/new flows can build consumers.
     in_transit_window: SimDuration,
     supervision: SupervisionConfig,
-    /// Supervisor outcomes of sessions the table already reclaimed
-    /// (`(degradations, recoveries)`), so report totals survive eviction.
-    evicted_sup: (u64, u64),
+    /// Supervisor outcomes of sessions the table already reclaimed, so
+    /// report totals survive eviction.
+    reclaimed: SupTally,
     /// The shared `TOKEN_GRACE` chain. The grace timer has many arm sites
     /// (every quACK, every fire); the guard dedups arms and cancels
     /// superseded chains so exactly one event per proxy sits in the queue.
@@ -145,11 +194,11 @@ pub struct SenderSideProxy {
     /// The shared `TOKEN_SUPERVISE` chain (same guard: one timer chain,
     /// not one per flow per poll).
     sup: GuardedTimer,
-    /// Authenticated control channel; `None` speaks the legacy plain wire.
-    auth: Option<ChannelAuth>,
+    ctrl: CtrlChannel,
     /// In-network retransmissions performed (all flows).
     pub retransmitted: u64,
-    /// Sidecar control messages sent (all flows).
+    /// Sidecar control messages sent (all flows; mirrors the control
+    /// channel's counter after every callback).
     pub control_sent: u64,
 }
 
@@ -185,10 +234,10 @@ impl SenderSideProxy {
             cfg,
             in_transit_window,
             supervision,
-            evicted_sup: (0, 0),
-            grace: GuardedTimer::default(),
-            sup: GuardedTimer::default(),
-            auth: None,
+            reclaimed: SupTally::default(),
+            grace: GuardedTimer::new(TOKEN_GRACE),
+            sup: GuardedTimer::new(TOKEN_SUPERVISE),
+            ctrl: CtrlChannel::default(),
             retransmitted: 0,
             control_sent: 0,
         }
@@ -196,16 +245,13 @@ impl SenderSideProxy {
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
     pub fn with_auth(mut self, cfg: AuthConfig) -> Self {
-        self.auth = Some(ChannelAuth::new(cfg));
+        self.ctrl = CtrlChannel::authenticated(cfg);
         self
     }
 
     /// Consumer statistics for one flow's live session.
     pub fn consumer_stats(&self, flow: FlowId) -> Option<&crate::endpoint::ConsumerStats> {
-        self.table
-            .iter()
-            .find(|(f, _)| *f == flow)
-            .map(|(_, s)| &s.consumer.stats)
+        self.table.peek(flow).map(|s| &s.half.consumer.stats)
     }
 
     /// Live per-flow sessions.
@@ -213,105 +259,50 @@ impl SenderSideProxy {
         self.table.len()
     }
 
+    fn tally(&self) -> SupTally {
+        self.reclaimed
+            .with_live(self.table.iter().map(|(_, s)| &s.half))
+    }
+
     /// Supervisor degradations summed over live and reclaimed sessions.
     pub fn degradations(&self) -> u64 {
-        self.evicted_sup.0
-            + self
-                .table
-                .iter()
-                .map(|(_, s)| s.supervisor.stats.degradations)
-                .sum::<u64>()
+        self.tally().degradations
     }
 
     /// Supervisor recoveries summed over live and reclaimed sessions.
     pub fn recoveries(&self) -> u64 {
-        self.evicted_sup.1
-            + self
-                .table
-                .iter()
-                .map(|(_, s)| s.supervisor.stats.recoveries)
-                .sum::<u64>()
+        self.tally().recoveries
     }
 
-    /// Looks up (or lazily creates) `flow`'s session. A freshly created
-    /// session is immediately supervised, which sends its opening `Hello` —
-    /// queued *before* the data packet that triggered creation, so the
-    /// producer side handshakes on a pristine sketch exactly as the old
-    /// single-flow `on_start` path did.
-    fn session(&mut self, flow: FlowId, ctx: &mut Context) -> &mut ConsumerSession {
-        let cfg = self.cfg;
-        let window = self.in_transit_window;
-        let supervision = self.supervision;
+    /// Looks up (or lazily creates) `flow`'s session, returning its slot
+    /// handle for O(1) re-entry. A freshly created session is immediately
+    /// supervised, which sends its opening `Hello` — queued *before* the
+    /// data packet that triggered creation, so the producer side handshakes
+    /// on a pristine sketch exactly as the old single-flow `on_start` path
+    /// did.
+    fn ensure_session(&mut self, flow: FlowId, ctx: &mut Context) -> SlotId {
         let now = ctx.now();
-        let (created, _) = self.table.get_or_insert_with(flow, now, || {
-            ConsumerSession::new(cfg, window, supervision, now)
+        let (created, slot) = self.table.ensure_slot(flow, now, || {
+            let peer = Peer::new(flow, IfaceId(1));
+            let half = ConsumerHalf::new(self.cfg, self.in_transit_window, self.supervision, peer);
+            ConsumerSession::new(half, now)
         });
         if created {
-            self.supervise_flow(flow, ctx);
-        }
-        self.table.peek_mut(flow).expect("session just ensured")
-    }
-
-    /// §4.3: pick the emission interval so a quACK window carries roughly
-    /// `t/2` missing packets at the observed loss ratio and packet rate:
-    /// "the sender who configures this frequency could target a constant
-    /// t = 20 missing packets per quACK. If the link is relatively stable,
-    /// the sender-side proxy could decrease the frequency".
-    fn retune_frequency(&mut self, flow: FlowId, ctx: &mut Context) {
-        let threshold = self.cfg.threshold as f64;
-        let max_interval = self.max_interval;
-        let Some(session) = self.table.peek_mut(flow) else {
-            return;
-        };
-        if session.window_sent < 200 {
-            return; // not enough signal yet
-        }
-        let elapsed = (ctx.now() - session.window_start).as_secs_f64();
-        if elapsed <= 0.0 {
-            return;
-        }
-        let loss_ratio = (session.window_lost as f64 / session.window_sent as f64).max(1e-4);
-        let packet_rate = session.window_sent as f64 / elapsed; // packets/s
-        session.window_sent = 0;
-        session.window_lost = 0;
-        session.window_start = ctx.now();
-        // Interval such that expected missing per quACK ≈ t/2:
-        // loss_ratio · packet_rate · interval = t/2.
-        let target_missing = threshold / 2.0;
-        let seconds = target_missing / (loss_ratio * packet_rate);
-        let cap = max_interval.as_secs_f64().max(0.004);
-        let new_interval = SimDuration::from_secs_f64(seconds.clamp(0.002, cap));
-        let changed = match session.requested_interval {
-            Some(prev) => {
-                let ratio = new_interval.as_nanos() as f64 / prev.as_nanos().max(1) as f64;
-                !(0.5..=2.0).contains(&ratio)
+            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                session.supervise(&mut self.ctrl, &mut self.sup, ctx);
             }
-            None => true,
-        };
-        if changed {
-            session.requested_interval = Some(new_interval);
-            let msg = SidecarMessage::Configure {
-                interval: new_interval,
-            };
-            let _ = send_sidecar(msg, flow, IfaceId(1), &mut self.auth, ctx);
-            self.control_sent += 1;
         }
+        slot
     }
 
     fn handle_quack(&mut self, flow: FlowId, epoch: u32, bytes: &[u8], ctx: &mut Context) {
-        let Some(session) = self.table.peek_mut(flow) else {
-            // No mirror for this flow (never seen, or reclaimed): nothing
-            // to decode against. The epoch machinery resynchronizes once
-            // the flow's data reappears.
-            #[cfg(feature = "obs")]
-            ctx.obs_inc("sidecar.flow_mismatch");
+        // Degraded sessions ignore quACKs outright; recovery goes through
+        // the hello handshake.
+        let Some(session) = self.table.peek_mut(flow).filter(|s| s.half.enabled()) else {
             return;
         };
-        let result = session.consumer.process_quack(ctx.now(), epoch, bytes);
-        obs::quack_outcome(ctx, flow.0, &result);
-        match result {
-            Ok(report) => {
-                session.supervisor.on_feedback_ok(ctx.now());
+        match session.half.on_quack(epoch, bytes, &mut self.ctrl, ctx) {
+            QuackVerdict::Report(report) => {
                 // Flight recorder: the decode just revealed these packets
                 // missing on the subpath (the buffered copy knows their
                 // data identity).
@@ -324,75 +315,23 @@ impl SenderSideProxy {
                 for &(_, tag) in &report.received {
                     session.buffer.remove(&tag);
                 }
+                session.half.flush(ctx);
                 self.arm_grace(ctx);
             }
-            Err(
-                err @ (crate::endpoint::ProcessError::ThresholdExceeded { .. }
-                | crate::endpoint::ProcessError::CountInconsistent),
-            ) => {
-                // Reset both sides to a fresh epoch (§3.3). Wrapping: epochs
-                // are compared by equality, so u32::MAX -> 0 resyncs fine.
-                let new_epoch = session.consumer.epoch().wrapping_add(1);
-                let leftovers = session.consumer.reset(new_epoch);
+            QuackVerdict::Rejected {
+                leftovers,
+                degraded,
+                ..
+            } => {
                 for entry in leftovers {
                     session.buffer.remove(&entry.tag);
                 }
-                let degrade = session.supervisor.on_quack_error(&err, ctx.now());
-                if degrade {
+                if degraded {
                     session.enter_degraded();
                 }
-                let _ = send_sidecar(
-                    SidecarMessage::Reset { epoch: new_epoch },
-                    flow,
-                    IfaceId(1),
-                    &mut self.auth,
-                    ctx,
-                );
-                self.control_sent += 1;
-                self.supervise_flow(flow, ctx);
-            }
-            Err(err) => {
-                // Stale quACKs refresh liveness inside the supervisor;
-                // wrong-epoch/malformed ones burn the error budget.
-                if session.supervisor.on_quack_error(&err, ctx.now()) {
-                    session.enter_degraded();
-                }
-                self.supervise_flow(flow, ctx);
+                session.supervise(&mut self.ctrl, &mut self.sup, ctx);
             }
         }
-        if let Some(session) = self.table.peek_mut(flow) {
-            obs::sup_flush(ctx, &mut session.supervisor);
-        }
-    }
-
-    /// Drives one flow's supervisor: hello (re)sends, liveness checks,
-    /// timer re-arming (the supervision timer is shared; every fire polls
-    /// all flows, so the earliest deadline wins).
-    fn supervise_flow(&mut self, flow: FlowId, ctx: &mut Context) {
-        let cfg = self.cfg;
-        let Some(session) = self.table.peek_mut(flow) else {
-            return;
-        };
-        let expecting = !session.buffer.is_empty() || session.consumer.log_len() > 0;
-        let outcome = session.supervisor.poll(ctx.now(), expecting);
-        if outcome.degraded_now {
-            session.enter_degraded();
-        }
-        if outcome.send_hello {
-            let _ = send_sidecar(offer(&cfg), flow, IfaceId(1), &mut self.auth, ctx);
-            self.control_sent += 1;
-        }
-        if let Some(deadline) = outcome.next_deadline {
-            self.arm_supervise(deadline, ctx);
-        }
-        if let Some(session) = self.table.peek_mut(flow) {
-            obs::sup_flush(ctx, &mut session.supervisor);
-        }
-    }
-
-    /// Arms the shared supervision timer, keeping at most one live chain.
-    fn arm_supervise(&mut self, deadline: SimTime, ctx: &mut Context) {
-        self.sup.arm(deadline, TOKEN_SUPERVISE, ctx);
     }
 
     fn supervise_all(&mut self, ctx: &mut Context) {
@@ -400,64 +339,75 @@ impl SenderSideProxy {
         // their buffers freed); fold their supervisor outcomes into the
         // report accumulators.
         for (_, session) in self.table.sweep_idle(ctx.now()) {
-            self.evicted_sup.0 += session.supervisor.stats.degradations;
-            self.evicted_sup.1 += session.supervisor.stats.recoveries;
+            self.reclaimed.add(&session.half);
         }
-        let flows: Vec<FlowId> = self.table.iter().map(|(f, _)| f).collect();
-        for flow in flows {
-            self.supervise_flow(flow, ctx);
+        for (_, session) in self.table.iter_mut() {
+            session.supervise(&mut self.ctrl, &mut self.sup, ctx);
         }
         obs::flow_table(ctx, &mut self.table);
     }
 
     /// Arms the shared grace timer at the earliest deadline across flows
-    /// whose session is active (degraded flows are skipped by
-    /// [`Self::fire_grace`], so their deadlines must not drive the timer).
+    /// (a degraded session holds no mirror, hence no deadline).
     fn arm_grace(&mut self, ctx: &mut Context) {
-        let deadline = self
-            .table
-            .iter()
-            .filter(|(_, s)| s.supervisor.enabled())
-            .filter_map(|(_, s)| s.consumer.next_grace_deadline())
-            .min();
-        let Some(deadline) = deadline else {
-            return;
-        };
-        self.grace.arm(deadline, TOKEN_GRACE, ctx);
+        let halves = self.table.iter().map(|(_, s)| &s.half);
+        ConsumerHalf::arm_grace(halves, &mut self.grace, ctx);
     }
 
     fn fire_grace(&mut self, ctx: &mut Context) {
-        let buffer_cap = self.buffer_cap;
-        let flows: Vec<FlowId> = self.table.iter().map(|(f, _)| f).collect();
-        for flow in flows {
-            let Some(session) = self.table.peek_mut(flow) else {
-                continue;
-            };
-            if !session.supervisor.enabled() {
+        let now = ctx.now();
+        for (_, session) in self.table.iter_mut() {
+            if !session.half.enabled() {
                 continue;
             }
-            let losses = session.consumer.poll_expired(ctx.now());
-            let mut retransmitted = 0u64;
-            for loss in losses {
+            for loss in session.half.consumer.poll_expired(now) {
                 session.window_lost += 1;
                 if let Some(pkt) = session.buffer.remove(&loss.tag) {
-                    // Retransmit the identical ciphertext: same identifier,
-                    // so the far sidecar's multiset stays consistent.
-                    // Re-record it under a fresh tag.
-                    let tag = session.next_tag;
-                    session.next_tag += 1;
-                    session.consumer.record_sent(pkt.id, tag, ctx.now());
-                    session.buffer_insert(buffer_cap, tag, pkt.clone());
+                    // Retransmit the identical ciphertext, re-recorded
+                    // under a fresh tag.
+                    session.track(&pkt, self.buffer_cap, now);
                     obs::proxy_retx(ctx, pkt.flow.0, pkt.seq);
                     ctx.send(IfaceId(1), pkt);
-                    retransmitted += 1;
-                    session.window_sent += 1;
+                    self.retransmitted += 1;
                 }
             }
-            self.retransmitted += retransmitted;
-            self.retune_frequency(flow, ctx);
+            session.retune_frequency(self.max_interval, &mut self.ctrl, ctx);
         }
         self.arm_grace(ctx);
+    }
+
+    /// From the subpath side: the producer's control traffic.
+    fn on_control(&mut self, datagram_flow: FlowId, proto: u8, bytes: &[u8], ctx: &mut Context) {
+        match self.ctrl.open(proto, bytes, ctx) {
+            Ok((flow, SidecarMessage::Quack { epoch, bytes })) => {
+                self.handle_quack(flow, epoch, &bytes, ctx);
+            }
+            Ok((flow, SidecarMessage::Reset { epoch })) => {
+                // Producer handshake-ack, or its post-restart epoch
+                // announcement: adopt the epoch and mark the flow's
+                // session live (creating it if the announcement precedes
+                // the flow's data).
+                let slot = self.ensure_session(flow, ctx);
+                if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                    for entry in session.half.on_reset(epoch, ctx.now()).0 {
+                        session.buffer.remove(&entry.tag);
+                    }
+                    session.supervise(&mut self.ctrl, &mut self.sup, ctx);
+                }
+            }
+            Ok(_) => {}
+            Err(()) => {
+                // Undecodable sidecar frame (corruption): counts against
+                // the session's error budget. Content is garbage, so
+                // attribute it by the datagram's 4-tuple.
+                if let Some(session) = self.table.peek_mut(datagram_flow) {
+                    if session.half.on_undecodable(ctx.now()) {
+                        session.enter_degraded();
+                    }
+                    session.supervise(&mut self.ctrl, &mut self.sup, ctx);
+                }
+            }
+        }
     }
 }
 
@@ -469,15 +419,12 @@ impl Node for SenderSideProxy {
             // plain forwarder for it).
             IfaceId(0) => {
                 if packet.kind == PacketKind::Data {
-                    let buffer_cap = self.buffer_cap;
-                    let session = self.session(packet.flow, ctx);
-                    if session.supervisor.enabled() {
-                        let tag = session.next_tag;
-                        session.next_tag += 1;
-                        session.consumer.record_sent(packet.id, tag, ctx.now());
-                        session.supervisor.note_send(ctx.now());
-                        session.buffer_insert(buffer_cap, tag, packet.clone());
-                        session.window_sent += 1;
+                    let slot = self.ensure_session(packet.flow, ctx);
+                    if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                        if session.half.enabled() {
+                            session.track(&packet, self.buffer_cap, ctx.now());
+                            session.half.supervisor.note_send(ctx.now());
+                        }
                     }
                     obs::flow_table(ctx, &mut self.table);
                 }
@@ -486,86 +433,35 @@ impl Node for SenderSideProxy {
             // From the subpath side: quACKs are consumed, the rest forwarded.
             IfaceId(1) => match packet.payload {
                 Payload::Sidecar { proto, ref bytes } => {
-                    match open_ctrl(&mut self.auth, proto, bytes, ctx) {
-                        Ok((mflow, SidecarMessage::Quack { epoch, bytes })) => {
-                            let flow = FlowId(mflow);
-                            // Degraded sessions ignore quACKs outright;
-                            // recovery goes through the hello handshake.
-                            let enabled = self
-                                .table
-                                .peek_mut(flow)
-                                .is_some_and(|s| s.supervisor.enabled());
-                            if enabled {
-                                self.handle_quack(flow, epoch, &bytes, ctx);
-                            }
-                        }
-                        Ok((mflow, SidecarMessage::Reset { epoch })) => {
-                            // Producer handshake-ack, or its post-restart
-                            // epoch announcement: adopt the epoch and mark
-                            // the flow's session live (creating it if the
-                            // announcement precedes the flow's data).
-                            let flow = FlowId(mflow);
-                            let session = self.session(flow, ctx);
-                            if epoch != session.consumer.epoch() {
-                                let leftovers = session.consumer.reset(epoch);
-                                for entry in leftovers {
-                                    session.buffer.remove(&entry.tag);
-                                }
-                            }
-                            session.supervisor.on_handshake_ack(ctx.now());
-                            self.supervise_flow(flow, ctx);
-                        }
-                        Ok(_) => {}
-                        Err(_) => {
-                            // Undecodable sidecar frame (corruption): counts
-                            // against the session's error budget. Content is
-                            // garbage, so attribute it by the datagram's
-                            // 4-tuple.
-                            let flow = packet.flow;
-                            if let Some(session) = self.table.peek_mut(flow) {
-                                if session.supervisor.note_error(ctx.now()) {
-                                    session.enter_degraded();
-                                }
-                                self.supervise_flow(flow, ctx);
-                            }
-                        }
-                    }
+                    self.on_control(packet.flow, proto, bytes, ctx)
                 }
                 _ => ctx.send(IfaceId(0), packet),
             },
             other => panic!("sender-side proxy has 2 interfaces, got {other:?}"),
         }
+        self.control_sent = self.ctrl.control_sent;
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context) {
         match token {
             // Superseded chains are cancelled in the queue; `fire` filters
             // the rare stragglers (chains orphaned by a crash).
-            TOKEN_GRACE if self.grace.fire(ctx) => {
-                self.fire_grace(ctx);
-            }
-            TOKEN_SUPERVISE if self.sup.fire(ctx) => {
-                self.supervise_all(ctx);
-            }
+            TOKEN_GRACE if self.grace.fire(ctx) => self.fire_grace(ctx),
+            TOKEN_SUPERVISE if self.sup.fire(ctx) => self.supervise_all(ctx),
             _ => {}
         }
+        self.control_sent = self.ctrl.control_sent;
     }
 
     fn on_restart(&mut self, ctx: &mut Context) {
         // A crashed proxy lost every flow's buffer, mirror log, and
         // session: come back as a plain forwarder and re-handshake each
-        // flow from scratch as its packets reappear.
-        let (mut deg, mut rec) = (0, 0);
-        for (_, s) in self.table.iter() {
-            deg += s.supervisor.stats.degradations;
-            rec += s.supervisor.stats.recoveries;
-        }
-        // A reboot wipes the aggregates a real process would keep in RAM;
-        // the accumulator models persistent (exported) telemetry, which is
-        // also what the scenario reports compare. Fold live stats in before
-        // dropping the table.
-        self.evicted_sup.0 += deg;
-        self.evicted_sup.1 += rec;
+        // flow from scratch as its packets reappear. A reboot wipes the
+        // aggregates a real process would keep in RAM; the accumulator
+        // models persistent (exported) telemetry, which is also what the
+        // scenario reports compare — fold live stats in before dropping
+        // the table.
+        self.reclaimed = self.tally();
         self.table = FlowTable::new(*self.table.config());
         // Stale guards would suppress re-arming for reborn sessions;
         // disarm cancels whatever chains survived the outage.
@@ -588,12 +484,10 @@ impl Node for SenderSideProxy {
 
 /// One flow's producer-side session inside the receiver-side proxy.
 struct ProducerSession {
-    producer: QuackProducer<Fp32>,
+    half: ProducerHalf,
     /// Earliest instant the flow's emit-timer chain may legitimately fire;
     /// an earlier fire is a stale duplicate chain and dies unanswered.
     next_emit: SimTime,
-    /// quACKs emitted for this flow (feeds the eviction histogram).
-    quacks: u64,
 }
 
 /// The receiver-side proxy (left-hand side of paper Fig. 4): forwards,
@@ -612,9 +506,9 @@ pub struct ReceiverSideProxy {
     /// when its data reappears (lazy per-flow version of the old broadcast
     /// restart announcement).
     restart_announce: Option<u32>,
-    /// Authenticated control channel; `None` speaks the legacy plain wire.
-    auth: Option<ChannelAuth>,
-    /// QuACK datagrams emitted (all flows).
+    ctrl: CtrlChannel,
+    /// QuACK datagrams emitted (all flows; mirrors the control channel's
+    /// counter after every emission).
     pub quacks_sent: u64,
     /// QuACK bytes emitted (body + headers, all flows).
     pub quack_bytes: u64,
@@ -633,7 +527,7 @@ impl ReceiverSideProxy {
             table: FlowTable::new(table),
             folds: FoldBuffer::with_capacity(FoldBuffer::DEFAULT_CAPACITY),
             restart_announce: None,
-            auth: None,
+            ctrl: CtrlChannel::default(),
             quacks_sent: 0,
             quack_bytes: 0,
         }
@@ -641,7 +535,7 @@ impl ReceiverSideProxy {
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
     pub fn with_auth(mut self, cfg: AuthConfig) -> Self {
-        self.auth = Some(ChannelAuth::new(cfg));
+        self.ctrl = CtrlChannel::authenticated(cfg);
         self
     }
 
@@ -655,30 +549,15 @@ impl ReceiverSideProxy {
     /// is set and the proxy restarted, the fresh post-restart epoch is
     /// announced to the consumer for this flow.
     fn ensure_session(&mut self, flow: FlowId, announce: bool, ctx: &mut Context) -> SlotId {
-        let cfg = self.cfg;
-        let epoch = self.restart_announce;
         let now = ctx.now();
-        let (created, slot) = self.table.ensure_slot(flow, now, || {
-            let mut producer = QuackProducer::new(cfg);
-            if let Some(e) = epoch {
-                producer.reset(e);
-            }
-            ProducerSession {
-                producer,
-                next_emit: now,
-                quacks: 0,
-            }
+        let (created, slot) = self.table.ensure_slot(flow, now, || ProducerSession {
+            half: ProducerHalf::new(self.cfg, Peer::new(flow, IfaceId(0)), self.restart_announce),
+            next_emit: now,
         });
         if created {
-            if announce {
-                if let Some(e) = epoch {
-                    let _ = send_sidecar(
-                        SidecarMessage::Reset { epoch: e },
-                        flow,
-                        IfaceId(0),
-                        &mut self.auth,
-                        ctx,
-                    );
+            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                if announce && self.restart_announce.is_some() {
+                    session.half.announce(&mut self.ctrl, ctx);
                 }
             }
             self.arm(flow, ctx);
@@ -693,7 +572,7 @@ impl ReceiverSideProxy {
             return;
         }
         self.folds.flush(&mut self.table, |_, session, ids| {
-            session.producer.observe_batch(ids);
+            session.half.producer.observe_batch(ids);
         });
         obs::fold_flush(ctx, &mut self.folds);
     }
@@ -702,24 +581,11 @@ impl ReceiverSideProxy {
         // Pending folds must reach the sketch before it is sealed into a
         // quACK (the emitted count covers everything observed so far).
         self.flush_folds(ctx);
-        let (msg, fill, epoch, count) = {
-            let Some(session) = self.table.peek_mut(flow) else {
-                return;
-            };
-            let fill = session.producer.burst_fill();
-            let msg = session.producer.emit();
-            session.quacks += 1;
-            (
-                msg,
-                fill,
-                session.producer.epoch(),
-                session.producer.count(),
-            )
-        };
-        self.quacks_sent += 1;
-        let bytes = send_sidecar(msg, flow, IfaceId(0), &mut self.auth, ctx);
-        self.quack_bytes += bytes as u64;
-        obs::quack_emitted(ctx, epoch, count, fill, bytes);
+        if let Some(session) = self.table.peek_mut(flow) {
+            session.half.emit(&mut self.ctrl, ctx);
+            self.quacks_sent = self.ctrl.quacks_sent;
+            self.quack_bytes = self.ctrl.quack_bytes;
+        }
     }
 
     fn arm(&mut self, flow: FlowId, ctx: &mut Context) {
@@ -727,7 +593,7 @@ impl ReceiverSideProxy {
         let Some(session) = self.table.peek_mut(flow) else {
             return;
         };
-        if let Some(interval) = session.producer.interval() {
+        if let Some(interval) = session.half.producer.interval() {
             session.next_emit = now + interval;
             ctx.set_timer_after(interval, flow_token(TOKEN_EMIT, flow));
         }
@@ -742,53 +608,13 @@ impl Node for ReceiverSideProxy {
                 Payload::Sidecar { proto, ref bytes } => {
                     // Control can reset or read a sketch; fold first.
                     self.flush_folds(ctx);
-                    match open_ctrl(&mut self.auth, proto, bytes, ctx) {
-                        Ok((mflow, SidecarMessage::Configure { interval })) => {
-                            let flow = FlowId(mflow);
-                            self.ensure_session(flow, false, ctx);
-                            if let Some(session) = self.table.peek_mut(flow) {
-                                session.producer.set_interval(interval);
+                    if let Ok((flow, msg)) = self.ctrl.open(proto, bytes, ctx) {
+                        if ProducerHalf::accepts(&msg, ctx) {
+                            let slot = self.ensure_session(flow, false, ctx);
+                            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
+                                session.half.on_control(msg, &mut self.ctrl, ctx);
                             }
                         }
-                        Ok((mflow, SidecarMessage::Reset { epoch })) => {
-                            let flow = FlowId(mflow);
-                            self.ensure_session(flow, false, ctx);
-                            if let Some(session) = self.table.peek_mut(flow) {
-                                session.producer.reset(epoch);
-                            }
-                        }
-                        Ok((mflow, hello @ SidecarMessage::Hello { .. })) => {
-                            let flow = FlowId(mflow);
-                            let accepted = accept_hello(&Capabilities::default(), &hello).is_ok();
-                            obs::handshake(ctx, accepted);
-                            if accepted {
-                                // Consumer handshake; the Reset reply doubles
-                                // as the handshake ack. A recovery Hello (the
-                                // sketch already counts packets the consumer
-                                // no longer tracks) starts a fresh epoch;
-                                // a startup Hello keeps the pristine one.
-                                self.ensure_session(flow, false, ctx);
-                                let epoch = {
-                                    let session =
-                                        self.table.peek_mut(flow).expect("session just ensured");
-                                    if session.producer.count() == 0 {
-                                        session.producer.epoch()
-                                    } else {
-                                        let e = session.producer.epoch().wrapping_add(1);
-                                        session.producer.reset(e);
-                                        e
-                                    }
-                                };
-                                let _ = send_sidecar(
-                                    SidecarMessage::Reset { epoch },
-                                    flow,
-                                    IfaceId(0),
-                                    &mut self.auth,
-                                    ctx,
-                                );
-                            }
-                        }
-                        _ => {}
                     }
                     obs::flow_table(ctx, &mut self.table);
                 }
@@ -802,8 +628,7 @@ impl Node for ReceiverSideProxy {
                         if self.folds.push(slot, packet.id) {
                             self.flush_folds(ctx);
                         }
-                        obs::observed(ctx);
-                        obs::quack_fold(ctx, packet.flow.0, packet.seq);
+                        obs::observed(ctx, packet.flow.0, packet.seq);
                         obs::flow_table(ctx, &mut self.table);
                     }
                     ctx.send(IfaceId(1), packet);
@@ -826,7 +651,7 @@ impl Node for ReceiverSideProxy {
         // An idle flow's own timer is its reaper: evict, report, and let
         // the chain die so finished flows stop costing emissions.
         if let Some(evicted) = self.table.evict_if_idle(flow, ctx.now()) {
-            obs::flow_evicted(ctx, flow.0, evicted.quacks);
+            obs::flow_evicted(ctx, flow.0, evicted.half.quacks);
             obs::flow_table(ctx, &mut self.table);
             return;
         }
@@ -982,12 +807,8 @@ impl RetxScenario {
     }
 
     fn run(&self, seed: u64, sidecar: bool, faults: Option<&FaultScript>) -> ScenarioReport {
-        let mut w = World::new(seed);
-        #[cfg(feature = "obs")]
-        if let Some(cap) = self.trace_capacity {
-            w.obs_mut().trace = sidecar_obs::EventTrace::with_capacity(cap);
-        }
-        let server = w.add_node(SenderNode::boxed(SenderConfig {
+        let mut h = Harness::new(seed, self.trace_capacity);
+        let server = h.w.add_node(SenderNode::boxed(SenderConfig {
             total_packets: Some(self.total_packets),
             cc: self.cc,
             id_seed: seed ^ 0xA5A5,
@@ -1008,79 +829,39 @@ impl RetxScenario {
                 a = a.with_auth(auth.with_nonce(1));
                 b = b.with_auth(auth.with_nonce(2));
             }
-            (w.add_node(Box::new(a)), w.add_node(Box::new(b)))
+            (h.w.add_node(Box::new(a)), h.w.add_node(Box::new(b)))
         } else {
             (
-                w.add_node(Forwarder::boxed()),
-                w.add_node(Forwarder::boxed()),
+                h.w.add_node(Forwarder::boxed()),
+                h.w.add_node(Forwarder::boxed()),
             )
         };
-        let client = w.add_node(ReceiverNode::boxed(self.client.clone()));
-        w.connect(server, proxy_a, self.edge_a.clone(), self.edge_a.clone());
-        w.connect(proxy_a, proxy_b, self.subpath.clone(), self.subpath.clone());
-        w.connect(proxy_b, client, self.edge_b.clone(), self.edge_b.clone());
-        if let Some(script) = faults {
-            let plan = script.lower(proxy_a, (proxy_a, proxy_b));
-            if !plan.is_empty() {
-                w.install_faults(plan);
-            }
-        }
-        // Periodic sidecar timers never let the event queue drain; run to a
-        // generous wall-clock deadline instead and read completion from the
-        // sender's stats.
-        let deadline = SimTime::ZERO + SimDuration::from_secs(120);
+        let client = h.w.add_node(ReceiverNode::boxed(self.client.clone()));
         #[cfg(feature = "obs")]
-        let mut sampler = sidecar_obs::Sampler::default();
-        #[cfg(feature = "obs")]
-        if let Some(interval) = self.sample_interval {
-            let registry = w.obs().metrics.clone();
-            sidecar_netsim::telemetry::run_sampled(
-                &mut w,
-                &registry,
-                deadline,
-                interval,
-                &mut sampler,
-            );
-        } else {
-            w.run_until(deadline);
+        {
+            h.sample = self.sample_interval;
         }
-        #[cfg(not(feature = "obs"))]
-        w.run_until(deadline);
+        // The crash hits the sender-side proxy, the blackout the subpath.
+        h.run_line(
+            &[server, proxy_a, proxy_b, client],
+            &[&self.edge_a, &self.subpath, &self.edge_b],
+            faults,
+        );
 
-        let sender = w.node_as::<SenderNode>(server);
-        let stats = sender.stats().clone();
-        let mtu = sender.core().config().mtu;
-        let mut report = ScenarioReport {
-            completion: stats.completed_at,
-            goodput_bps: stats.goodput_bps(mtu),
-            server_sent: stats.sent_packets,
-            server_retransmissions: stats.retransmissions,
-            ..ScenarioReport::default()
-        };
-        let receiver = w.node_as::<ReceiverNode>(client);
-        report.client_acks = receiver.stats().acks_sent;
+        let mut report = Harness::report(
+            h.w.node_as::<SenderNode>(server).core(),
+            h.w.node_as::<ReceiverNode>(client).stats().acks_sent,
+        );
         if sidecar {
-            let a = w.node_as::<SenderSideProxy>(proxy_a);
+            let a = h.w.node_as::<SenderSideProxy>(proxy_a);
             report.proxy_retransmissions = a.retransmitted;
             report.degradations = a.degradations();
             report.recoveries = a.recoveries();
-            let b = w.node_as::<ReceiverSideProxy>(proxy_b);
+            let b = h.w.node_as::<ReceiverSideProxy>(proxy_b);
             report.sidecar_messages = b.quacks_sent + a.control_sent;
             report.sidecar_bytes = b.quack_bytes;
-            // Attach the world registry snapshot (sidecar runs only, so
-            // baselines keep the empty default) and mirror it into the
-            // process-global registry for bench `--metrics-out` dumps.
-            #[cfg(feature = "obs")]
-            {
-                let snap = w.obs().metrics.snapshot();
-                sidecar_obs::global().absorb(&snap);
-                report.metrics = snap;
-                let trace = w.obs().trace.clone();
-                sidecar_obs::global_trace_absorb(&trace);
-                report.trace = trace;
-                report.timeseries = sampler.into_series();
-                report.scoreboard = w.obs().scoreboard.snapshot(super::SCOREBOARD_TOP_K);
-            }
+            // Sidecar runs only, so baselines keep the empty default.
+            h.export_obs(&mut report);
         }
         report
     }
@@ -1226,70 +1007,5 @@ mod tests {
             assert_eq!(report.metrics.counter_sum("auth.rejected."), 0);
         }
         assert_eq!(scenario.run_sidecar(5), scenario.run_sidecar(5));
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-    use sidecar_netsim::transport::{ReceiverNode, SenderNode};
-
-    #[test]
-    #[ignore]
-    fn debug_stall() {
-        let scenario = RetxScenario {
-            total_packets: 500,
-            ..RetxScenario::default()
-        };
-        let mut w = World::new(1);
-        let server = w.add_node(SenderNode::boxed(SenderConfig {
-            total_packets: Some(500),
-            cc: scenario.cc,
-            id_seed: 1 ^ 0xA5A5,
-            ..SenderConfig::default()
-        }));
-        let subpath_rtt = scenario.subpath.delay * 2 + SimDuration::from_millis(2);
-        let proxy_a = w.add_node(Box::new(SenderSideProxy::new(
-            scenario.sidecar,
-            subpath_rtt,
-            scenario.buffer_cap,
-            scenario.supervision,
-        )));
-        let proxy_b = w.add_node(Box::new(ReceiverSideProxy::new(scenario.sidecar)));
-        let client = w.add_node(ReceiverNode::boxed(scenario.client.clone()));
-        w.connect(
-            server,
-            proxy_a,
-            scenario.edge_a.clone(),
-            scenario.edge_a.clone(),
-        );
-        let (a_to_b, _) = w.connect(
-            proxy_a,
-            proxy_b,
-            scenario.subpath.clone(),
-            scenario.subpath.clone(),
-        );
-        w.connect(
-            proxy_b,
-            client,
-            scenario.edge_b.clone(),
-            scenario.edge_b.clone(),
-        );
-        for step_ms in [100u64, 200, 500, 1000, 2000, 5000, 10000] {
-            w.run_until(SimTime::ZERO + SimDuration::from_millis(step_ms));
-            let s = w.node_as::<SenderNode>(server);
-            let st = s.stats().clone();
-            let inflight = s.core().in_flight_count();
-            let cwnd = s.core().effective_cwnd();
-            let nt = s.core().next_timeout();
-            let a = w.node_as::<SenderSideProxy>(proxy_a);
-            let cstats = a.consumer_stats(FlowId(0)).cloned().unwrap_or_default();
-            let cl = w.node_as::<ReceiverNode>(client);
-            let sub = w.link_stats(proxy_a, a_to_b).clone();
-            println!("t={step_ms}ms sent={} retx={} deliv={} lost={} ce={} rtos={} inflight={inflight} cwnd={cwnd} next_to={nt:?} | proxyA retx={} resets={} conf_lost={} conf_recv={} stale={} | client units={} acks={} | sub offered={} dloss={} dq={}",
-                st.sent_packets, st.retransmissions, st.delivered_packets, st.lost_packets, st.congestion_events, st.rtos,
-                a.retransmitted, cstats.resets_needed, cstats.confirmed_lost, cstats.confirmed_received, cstats.quacks_stale,
-                cl.stats().unique_units, cl.stats().acks_sent, sub.offered, sub.dropped_loss, sub.dropped_queue);
-        }
     }
 }
