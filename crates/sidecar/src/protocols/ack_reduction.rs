@@ -17,7 +17,7 @@ use crate::flows::{FlowTable, FlowTableConfig, SlotId};
 use crate::messages::SidecarMessage;
 use crate::protocols::server::{SidecarServer, WindowPolicy};
 use crate::protocols::session::{restart_epoch, CtrlChannel, Peer, ProducerHalf};
-use crate::protocols::{obs, FaultScript, Harness, ScenarioReport};
+use crate::protocols::{obs, FaultScript, GuardedTimer, Harness, ScenarioReport};
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::node::{Context, IfaceId, Node};
 use sidecar_netsim::packet::{FlowId, Packet, PacketKind, Payload};
@@ -50,6 +50,9 @@ pub struct AckRedProxy {
     restart_announce: Option<u32>,
     /// Data packets observed (drives the periodic idle sweep).
     observed_packets: u64,
+    /// The periodic `TOKEN_SWEEP` chain, guarded so a restart cannot leave
+    /// the pre-crash chain sweeping next to the new one.
+    sweep: GuardedTimer,
     ctrl: CtrlChannel,
 }
 
@@ -67,6 +70,7 @@ impl AckRedProxy {
             table: FlowTable::new(table),
             restart_announce: None,
             observed_packets: 0,
+            sweep: GuardedTimer::new(TOKEN_SWEEP),
             ctrl: CtrlChannel::default(),
         }
     }
@@ -101,6 +105,11 @@ impl AckRedProxy {
             }
         }
         slot
+    }
+
+    fn arm_sweep(&mut self, ctx: &mut Context) {
+        let next = ctx.now() + self.table.config().idle_timeout;
+        self.sweep.arm(next, ctx);
     }
 
     fn sweep_idle(&mut self, ctx: &mut Context) {
@@ -171,14 +180,14 @@ impl Node for AckRedProxy {
     }
 
     fn on_start(&mut self, ctx: &mut Context) {
-        ctx.set_timer_after(self.table.config().idle_timeout, TOKEN_SWEEP);
+        self.arm_sweep(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context) {
-        if token == TOKEN_SWEEP {
+        if token == TOKEN_SWEEP && self.sweep.fire(ctx) {
             self.sweep_idle(ctx);
             obs::flow_table(ctx, &mut self.table);
-            ctx.set_timer_after(self.table.config().idle_timeout, TOKEN_SWEEP);
+            self.arm_sweep(ctx);
         }
     }
 
@@ -189,7 +198,10 @@ impl Node for AckRedProxy {
         // stale mirror.
         self.table = FlowTable::new(*self.table.config());
         self.restart_announce = Some(restart_epoch(ctx.now()));
-        ctx.set_timer_after(self.table.config().idle_timeout, TOKEN_SWEEP);
+        // An outage shorter than the sweep period leaves the pre-crash
+        // chain queued; cancel it before starting the new one.
+        self.sweep.disarm(ctx);
+        self.arm_sweep(ctx);
     }
 
     fn name(&self) -> &str {

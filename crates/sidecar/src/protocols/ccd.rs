@@ -56,6 +56,9 @@ pub struct CcdClient {
     /// and inbound control for other flows is ignored.
     flow: FlowId,
     interval: SimDuration,
+    /// The periodic `TOKEN_EMIT` chain, guarded so a restart cannot leave
+    /// the pre-crash chain quACKing next to the new one.
+    emit: GuardedTimer,
     ctrl: CtrlChannel,
 }
 
@@ -68,6 +71,7 @@ impl CcdClient {
             sidecar: ProducerHalf::new(sidecar, Peer::new(flow, IfaceId(0)), None),
             flow,
             interval,
+            emit: GuardedTimer::new(TOKEN_EMIT),
             ctrl: CtrlChannel::default(),
         }
     }
@@ -91,7 +95,7 @@ impl CcdClient {
 
 impl Node for CcdClient {
     fn on_start(&mut self, ctx: &mut Context) {
-        ctx.set_timer_after(self.interval, TOKEN_EMIT);
+        self.emit.arm(ctx.now() + self.interval, ctx);
     }
 
     fn on_packet(&mut self, _iface: IfaceId, packet: Packet, ctx: &mut Context) {
@@ -125,9 +129,9 @@ impl Node for CcdClient {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context) {
         match token {
-            TOKEN_EMIT => {
+            TOKEN_EMIT if self.emit.fire(ctx) => {
                 self.sidecar.emit(&mut self.ctrl, ctx);
-                ctx.set_timer_after(self.interval, TOKEN_EMIT);
+                self.emit.arm(ctx.now() + self.interval, ctx);
             }
             TOKEN_DELAYED_ACK => {
                 if let Some(ack) = self.transport.poll_delayed_ack(ctx.now()) {
@@ -143,7 +147,10 @@ impl Node for CcdClient {
         // epoch and announce it so the proxy resyncs its mirror.
         self.sidecar.producer.reset(restart_epoch(ctx.now()));
         self.sidecar.announce(&mut self.ctrl, ctx);
-        ctx.set_timer_after(self.interval, TOKEN_EMIT);
+        // An outage shorter than the interval leaves the pre-crash chain
+        // queued; cancel it before starting the new one.
+        self.emit.disarm(ctx);
+        self.emit.arm(ctx.now() + self.interval, ctx);
     }
 
     fn name(&self) -> &str {
@@ -281,6 +288,9 @@ pub struct CcdProxy {
     grace: GuardedTimer,
     /// The shared `TOKEN_SUPERVISE` chain (same guard).
     sup: GuardedTimer,
+    /// The periodic `TOKEN_EMIT` chain (same guard: a restart must not
+    /// leave the pre-crash chain emitting next to the new one).
+    emit: GuardedTimer,
     ctrl: CtrlChannel,
     /// Packets dropped by the pacing buffer.
     pub buffer_drops: u64,
@@ -335,6 +345,7 @@ impl CcdProxy {
             reclaimed: SupTally::default(),
             grace: GuardedTimer::new(TOKEN_GRACE),
             sup: GuardedTimer::new(TOKEN_SUPERVISE),
+            emit: GuardedTimer::new(TOKEN_EMIT),
             ctrl: CtrlChannel::default(),
             buffer_drops: 0,
         }
@@ -624,12 +635,12 @@ impl Node for CcdProxy {
     }
 
     fn on_start(&mut self, ctx: &mut Context) {
-        ctx.set_timer_after(self.interval, TOKEN_EMIT);
+        self.emit.arm(ctx.now() + self.interval, ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context) {
         match token {
-            TOKEN_EMIT => {
+            TOKEN_EMIT if self.emit.fire(ctx) => {
                 // Emission reads every producer sketch: deferred folds must
                 // be in the power sums before the snapshots below.
                 self.flush_folds(ctx);
@@ -643,7 +654,7 @@ impl Node for CcdProxy {
                     session.up.emit(&mut self.ctrl, ctx);
                 }
                 obs::flow_table(ctx, &mut self.table);
-                ctx.set_timer_after(self.interval, TOKEN_EMIT);
+                self.emit.arm(ctx.now() + self.interval, ctx);
             }
             TOKEN_DRAIN => self.drain_one(ctx),
             // Superseded chains are cancelled in the queue; `fire` filters
@@ -673,11 +684,13 @@ impl Node for CcdProxy {
         self.table = FlowTable::new(*self.table.config());
         self.folds.clear();
         // Stale guards would suppress re-arming for reborn sessions;
-        // disarm cancels whatever chains survived the outage.
+        // disarm cancels whatever chains survived the outage (the emit
+        // chain survives any outage shorter than its interval).
         self.grace.disarm(ctx);
         self.sup.disarm(ctx);
+        self.emit.disarm(ctx);
         self.restart_announce = Some(restart_epoch(ctx.now()));
-        ctx.set_timer_after(self.interval, TOKEN_EMIT);
+        self.emit.arm(ctx.now() + self.interval, ctx);
     }
 
     fn name(&self) -> &str {

@@ -461,6 +461,124 @@ mod adversary {
     }
 }
 
+// ------------------------------------------------------ short outages ----
+//
+// The world only discards timers that fire *during* an outage. A periodic
+// chain whose node crashes and restarts between two fires therefore still
+// has its pre-crash event queued, and an `on_restart` that re-arms
+// unconditionally leaves two chains alive: the node emits (or sweeps) at
+// double rate for the rest of the run. Each affected chain must look the
+// same after an outage shorter than its period as after a longer one.
+
+mod short_outage {
+    use super::*;
+    use sidecar_netsim::fault::FaultPlan;
+    use sidecar_netsim::link::LinkConfig;
+    use sidecar_netsim::transport::{CcAlgorithm, ReceiverConfig, SenderConfig};
+    use sidecar_netsim::world::World;
+    use sidecar_proto::protocols::ack_reduction::AckRedProxy;
+    use sidecar_proto::protocols::ccd::{CcdClient, CcdProxy, CcdServer};
+    use sidecar_proto::{FlowTableConfig, SidecarConfig, SupervisionConfig};
+
+    /// The default 30 ms quACK interval, spelled out: the outages below are
+    /// sized against it.
+    const INTERVAL: SimDuration = SimDuration::from_millis(30);
+
+    #[test]
+    fn ccd_proxy_emit_chain_survives_a_sub_interval_outage_once() {
+        // A 10 Mbit/s downstream keeps the flow (and so the proxy's
+        // session) alive well past the restart.
+        let mut scenario = CcdScenario {
+            total_packets: 3_000,
+            quack_interval: INTERVAL,
+            ..CcdScenario::default()
+        };
+        scenario.downstream.rate_bps = 10_000_000;
+        let short = scenario.run_sidecar_faulted(3, &crash_restart(1_000, 1_010));
+        let long = scenario.run_sidecar_faulted(3, &crash_restart(1_000, 1_100));
+        assert!(
+            short.sidecar_messages.abs_diff(long.sidecar_messages) <= 16,
+            "10 ms outage: {} sidecar messages, 100 ms outage: {}",
+            short.sidecar_messages,
+            long.sidecar_messages
+        );
+    }
+
+    /// QuACKs a `CcdClient` emitted over 10 s around a crash of the client
+    /// itself (fault scripts only crash proxies, so this world is built by
+    /// hand).
+    fn client_quacks(outage_ms: u64) -> u64 {
+        let sidecar = CcdScenario::default().sidecar;
+        let mut w = World::new(9);
+        let server = w.add_node(Box::new(CcdServer::new(
+            SenderConfig {
+                total_packets: Some(500),
+                ..SenderConfig::default()
+            },
+            sidecar,
+            SimDuration::from_millis(25),
+            CcAlgorithm::NewReno,
+            SupervisionConfig::default(),
+        )));
+        let proxy = w.add_node(Box::new(CcdProxy::new(
+            sidecar,
+            INTERVAL,
+            45_000_000.0,
+            2_048,
+            SimDuration::from_millis(45),
+            SupervisionConfig::default(),
+        )));
+        let client = w.add_node(Box::new(CcdClient::new(
+            ReceiverConfig::default(),
+            sidecar,
+            INTERVAL,
+        )));
+        let link = LinkConfig::default();
+        w.connect(server, proxy, link.clone(), link.clone());
+        w.connect(proxy, client, link.clone(), link);
+        w.install_faults(FaultPlan::new(1).crash_restart(client, at(1_000), at(1_000 + outage_ms)));
+        w.run_until(at(10_000));
+        w.node_as::<CcdClient>(client).quacks_sent().0
+    }
+
+    #[test]
+    fn ccd_client_emit_chain_survives_a_sub_interval_outage_once() {
+        let (short, long) = (client_quacks(10), client_quacks(100));
+        assert!(
+            short.abs_diff(long) <= 4,
+            "10 ms outage: {short} quACKs, 100 ms outage: {long}"
+        );
+    }
+
+    /// Events an otherwise idle `AckRedProxy` processes in 10 s around a
+    /// crash: nothing but its periodic idle sweep (every 20 ms here) and the
+    /// two fault edges. The sweep sends nothing, so the chain count shows in
+    /// the event total rather than in `sidecar_messages`.
+    fn sweep_events(outage_ms: u64) -> u64 {
+        let mut w = World::new(9);
+        let proxy = w.add_node(Box::new(AckRedProxy::with_flow_table(
+            SidecarConfig::paper_default(),
+            FlowTableConfig {
+                idle_timeout: SimDuration::from_millis(20),
+                ..FlowTableConfig::default()
+            },
+        )));
+        // Sweeps land on multiples of 20 ms; the outage starts between two.
+        w.install_faults(FaultPlan::new(1).crash_restart(proxy, at(1_005), at(1_005 + outage_ms)));
+        w.run_until(at(10_000));
+        w.events_processed()
+    }
+
+    #[test]
+    fn ackred_proxy_sweep_chain_survives_a_sub_period_outage_once() {
+        let (short, long) = (sweep_events(5), sweep_events(50));
+        assert!(
+            short.abs_diff(long) <= 4,
+            "5 ms outage: {short} events, 50 ms outage: {long}"
+        );
+    }
+}
+
 // -------------------------------------------------------- determinism ----
 
 #[test]
