@@ -28,9 +28,6 @@ use sidecar_netsim::transport::{
 use sidecar_netsim::Forwarder;
 use std::any::Any;
 
-/// The server (every session's consumer) is out interface 0.
-const SERVER: IfaceId = IfaceId(0);
-
 /// Periodic proxy housekeeping: reap idle flow sessions even when no
 /// traffic arrives to piggyback the sweep on.
 const TOKEN_SWEEP: u64 = 4;
@@ -97,7 +94,7 @@ impl AckRedProxy {
     /// after a restart announces the fresh epoch.
     fn session_slot(&mut self, flow: FlowId, announce: bool, ctx: &mut Context) -> SlotId {
         let (created, slot) = self.table.ensure_slot(flow, ctx.now(), || {
-            ProducerHalf::new(self.cfg, Peer::new(flow, SERVER), self.restart_announce)
+            ProducerHalf::new(self.cfg, Peer::new(flow, IfaceId(0)), self.restart_announce)
         });
         if created && announce && self.restart_announce.is_some() {
             if let Some((_, session)) = self.table.slot_entry_mut(slot) {

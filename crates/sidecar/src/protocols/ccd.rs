@@ -106,10 +106,10 @@ impl Node for CcdClient {
                     // An end-host sidecar owns exactly one connection:
                     // control tagged for any other flow is not ours.
                     Ok((flow, _)) if flow != self.flow => obs::flow_mismatch(ctx),
-                    Ok((_, msg @ (Reset { .. } | Hello { .. }))) => {
-                        if ProducerHalf::accepts(&msg, ctx) {
-                            self.sidecar.on_control(msg, &mut self.ctrl, ctx);
-                        }
+                    Ok((_, msg @ (Reset { .. } | Hello { .. })))
+                        if ProducerHalf::accepts(&msg, ctx) =>
+                    {
+                        self.sidecar.on_control(msg, &mut self.ctrl, ctx)
                     }
                     _ => {}
                 }
@@ -394,8 +394,8 @@ impl CcdProxy {
             next_tag: 0,
         });
         if created {
-            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
-                if self.restart_announce.is_some() {
+            if self.restart_announce.is_some() {
+                if let Some((_, session)) = self.table.slot_entry_mut(slot) {
                     session.up.announce(&mut self.ctrl, ctx);
                 }
             }
@@ -903,11 +903,12 @@ impl CcdScenario {
         let srv = h.w.node_as::<CcdServer>(server);
         let px = h.w.node_as::<CcdProxy>(proxy);
         let cl = h.w.node_as::<CcdClient>(client);
+        let (sup, tally) = (srv.supervisor().stats, px.tally());
         let mut report = ScenarioReport {
             sidecar_messages: px.quacks_sent().0 + cl.quacks_sent().0,
             sidecar_bytes: px.quacks_sent().1 + cl.quacks_sent().1,
-            degradations: srv.supervisor().stats.degradations + px.tally().degradations,
-            recoveries: srv.supervisor().stats.recoveries + px.tally().recoveries,
+            degradations: sup.degradations + tally.degradations,
+            recoveries: sup.recoveries + tally.recoveries,
             ..Harness::report(srv.core(), cl.stats().acks_sent)
         };
         h.export_obs(&mut report);

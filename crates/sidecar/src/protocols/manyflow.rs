@@ -274,6 +274,8 @@ impl ManyFlowScenario {
             proxy_a = proxy_a.with_auth(auth.with_nonce(1));
             proxy_b = proxy_b.with_auth(auth.with_nonce(2));
         }
+        // The single-flow scenario's sparse-ACK client, one per flow.
+        let client = RetxScenario::default().client;
         let (senders, proxies, _) = self.run_tier(
             h,
             |flow| {
@@ -287,11 +289,10 @@ impl ManyFlowScenario {
             },
             vec![Box::new(proxy_a), Box::new(proxy_b)],
             &[&self.edge, &self.trunk, &self.edge],
-            // The single-flow scenario's sparse-ACK client, one per flow.
             |flow| {
                 ReceiverNode::boxed(ReceiverConfig {
                     flow,
-                    ..RetxScenario::default().client
+                    ..client.clone()
                 })
             },
         );

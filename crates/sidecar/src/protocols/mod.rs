@@ -497,12 +497,15 @@ pub(crate) mod obs {
     #[inline(always)]
     pub(crate) fn auth_outcome(_ctx: &mut Context, _rejected: Option<&crate::auth::AuthError>) {}
 
-    pub(crate) type Series = ();
+    /// Nothing is sampled without obs.
+    #[derive(Default)]
+    pub(crate) struct Series;
 
     pub(crate) fn resize_trace(_w: &mut World, _capacity: Option<usize>) {}
 
     pub(crate) fn run(w: &mut World, deadline: SimTime, _sample: Option<SimDuration>) -> Series {
         w.run_until(deadline);
+        Series
     }
 
     pub(crate) fn export(_w: &World, _series: Series, _report: &mut ScenarioReport) {}
@@ -577,7 +580,7 @@ pub(crate) struct Harness {
     /// Sample the metrics registry this often (on the sim clock) while
     /// running; `None` skips sampling.
     pub(crate) sample: Option<SimDuration>,
-    series: obs::Series,
+    series: Option<obs::Series>,
 }
 
 impl Harness {
@@ -593,7 +596,7 @@ impl Harness {
         Harness {
             w,
             sample: None,
-            series: obs::Series::default(),
+            series: None,
         }
     }
 
@@ -607,7 +610,7 @@ impl Harness {
 
     /// Runs for `budget` of simulated time.
     pub(crate) fn run(&mut self, budget: SimDuration) {
-        self.series = obs::run(&mut self.w, SimTime::ZERO + budget, self.sample);
+        self.series = Some(obs::run(&mut self.w, SimTime::ZERO + budget, self.sample));
     }
 
     /// The single-flow scenario run: wires `line` (server, proxy, …,
@@ -647,7 +650,7 @@ impl Harness {
     /// Attaches the world's metrics, trace, series and scoreboard to a
     /// sidecar run's report (a no-op when the `obs` feature is off).
     pub(crate) fn export_obs(self, report: &mut ScenarioReport) {
-        obs::export(&self.w, self.series, report);
+        obs::export(&self.w, self.series.unwrap_or_default(), report);
     }
 }
 

@@ -555,8 +555,8 @@ impl ReceiverSideProxy {
             next_emit: now,
         });
         if created {
-            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
-                if announce && self.restart_announce.is_some() {
+            if announce && self.restart_announce.is_some() {
+                if let Some((_, session)) = self.table.slot_entry_mut(slot) {
                     session.half.announce(&mut self.ctrl, ctx);
                 }
             }
