@@ -227,6 +227,46 @@ mod tests {
         assert_eq!(h.finalize(), d1);
     }
 
+    /// Reference padding: 0x80, then one `update` per zero byte until eight
+    /// bytes remain in the block, then the bit length — the obviously-right
+    /// form `finalize` must agree with.
+    fn finalize_bytewise(mut h: Sha256) -> [u8; 32] {
+        let bit_len = h.length.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffered != 56 {
+            h.update(&[0]);
+        }
+        h.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = h.buffer;
+        h.compress(&block);
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(h.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn every_length_to_200_matches_bytewise_padding() {
+        // 55/56 and 119/120 straddle "padding fits this block" vs "spills
+        // into one more"; 63/64 straddle the empty-buffer case.
+        let data: Vec<u8> = (0..200usize).map(|i| (i * 7 + 3) as u8).collect();
+        let mut chain = Sha256::new();
+        for len in 0..=200 {
+            let mut h = Sha256::new();
+            h.update(&data[..len]);
+            let digest = Sha256::digest(&data[..len]);
+            assert_eq!(digest, finalize_bytewise(h), "len {len}");
+            chain.update(&digest);
+        }
+        // The 201 digests, hashed in order, as an independent
+        // implementation (Python's hashlib) computes them.
+        assert_eq!(
+            to_hex(&chain.finalize()),
+            "3275febb4612d86d586eb9f11cd21e648a9fc7d95e0f6b8d362786e28c9c5b79"
+        );
+    }
+
     #[test]
     fn fifty_five_and_fifty_six_bytes() {
         // 55 bytes: padding fits in one block; 56 bytes: spills into two.

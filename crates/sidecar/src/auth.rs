@@ -494,6 +494,33 @@ mod tests {
     }
 
     #[test]
+    fn hmac_sha256_rfc4231_multi_block_vectors() {
+        use sidecar_quack::sha256::to_hex;
+        // Test case 3: 50 bytes of data, so the inner hash pads into a
+        // second block after the ipad block.
+        assert_eq!(
+            to_hex(&hmac_sha256(&[0xaa; 20], &[0xdd; 50])),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        );
+        // Test case 4: 25-byte key 0x01..=0x19.
+        let key: Vec<u8> = (1..=25u8).collect();
+        assert_eq!(
+            to_hex(&hmac_sha256(&key, &[0xcd; 50])),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+        // Test case 7: key *and* data longer than the block size.
+        assert_eq!(
+            to_hex(&hmac_sha256(
+                &[0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger \
+                  than block-size data. The key needs to be hashed before being \
+                  used by the HMAC algorithm."
+            )),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
+    #[test]
     fn seal_open_roundtrip_every_variant_and_flow() {
         for flow in [0u32, 1, 0xC0FFEE] {
             let mut tx = ChannelAuth::new(cfg(1));
