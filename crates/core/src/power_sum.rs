@@ -352,6 +352,16 @@ impl<F: Field> PowerSumQuack<F> {
         }
     }
 
+    /// [`from_parts`](Self::from_parts) for sums that are already field
+    /// elements: the wire codec converts each sum as it reads it.
+    pub(crate) fn from_field_sums(power_sums: Vec<F>, count: u32) -> Self {
+        PowerSumQuack {
+            power_sums,
+            count,
+            last_value: None,
+        }
+    }
+
     /// Returns a copy with the count replaced (sidecar endpoints mask the
     /// count difference to the negotiated `c` bits, §3.2).
     pub fn with_count(&self, count: u32) -> Self {

@@ -1,11 +1,16 @@
-//! A from-scratch SHA-256 (FIPS 180-4), used by Strawman 2.
+//! A from-scratch SHA-256 (FIPS 180-4).
 //!
-//! The paper's second strawman returns "a hash of a sorted concatenation of
-//! all the received packets" (§1) — 256 bits on the wire (Table 2). The
-//! approved offline dependency set has no hash crate, so this module
-//! implements SHA-256 directly; it is validated against the FIPS test
-//! vectors below and only needs to be fast enough for Table 2's
-//! construction-time row.
+//! Two users. The paper's second strawman returns "a hash of a sorted
+//! concatenation of all the received packets" (§1) — 256 bits on the wire
+//! (Table 2). And since the authenticated control channel (DESIGN.md §12)
+//! this is the core of the HMAC every sealed control datagram pays for
+//! twice, once to seal and once to open, so its per-message overhead —
+//! copies in [`Sha256::update`], padding in [`Sha256::finalize`] — is on the
+//! control path's critical budget, not just Table 2's construction-time
+//! row. The approved offline dependency set has no hash crate, so this
+//! module implements SHA-256 directly; it is validated against the FIPS
+//! test vectors below. The compression function is plain scalar code
+//! (`unsafe` is forbidden crate-wide, which rules out SHA-NI).
 
 /// SHA-256 initial hash values (fractional parts of square roots of the
 /// first eight primes).
@@ -69,11 +74,8 @@ impl Sha256 {
                 self.buffered = 0;
             }
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, tail)) = rest.split_first_chunk::<64>() {
+            self.compress(block);
             rest = tail;
         }
         if !rest.is_empty() {
@@ -85,13 +87,17 @@ impl Sha256 {
     /// Finishes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.length.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 8 bytes remain in the block.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // Padding, written straight into the block buffer (`buffered < 64`
+        // always): 0x80, zeros until 8 bytes remain in a block, the length.
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0u8; 64];
         }
-        // Manually absorb the length without recounting it.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
         let mut out = [0u8; 32];

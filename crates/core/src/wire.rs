@@ -92,14 +92,15 @@ impl WireFormat {
     pub fn encode<F: Field>(&self, quack: &PowerSumQuack<F>) -> Vec<u8> {
         assert_eq!(F::BITS, self.id_bits, "field width mismatch");
         assert_eq!(quack.threshold(), self.threshold, "threshold mismatch");
-        let mut w = BitWriter::with_capacity(self.encoded_bytes());
+        let mut bytes = vec![0u8; self.encoded_bytes()];
+        let mut w = BitWriter::new(&mut bytes);
         for sum in quack.power_sums() {
             w.write(sum, self.id_bits);
         }
         if self.count_bits > 0 {
             w.write(mask(quack.count() as u64, self.count_bits), self.count_bits);
         }
-        w.into_bytes()
+        bytes
     }
 
     /// Deserializes a quACK. `count_override` supplies the count when
@@ -124,14 +125,14 @@ impl WireFormat {
             if raw >= F::MODULUS {
                 return Err(WireError::NonCanonicalSum { index });
             }
-            sums.push(raw);
+            sums.push(F::from_u64(raw));
         }
         let count = if self.count_bits > 0 {
             r.read(self.count_bits) as u32
         } else {
             count_override.unwrap_or(0)
         };
-        Ok(PowerSumQuack::from_parts(sums, count))
+        Ok(PowerSumQuack::from_field_sums(sums, count))
     }
 }
 
@@ -144,45 +145,46 @@ fn mask(value: u64, bits: u32) -> u64 {
     }
 }
 
-/// MSB-first bit packer.
-struct BitWriter {
-    bytes: Vec<u8>,
-    /// Bits already used in the final byte (0..8).
-    used: u32,
+/// Where a `bits`-wide field starting at absolute bit `bit_pos` sits: the
+/// first byte it touches, how many bytes it spans (a field of up to 64
+/// bits at a bit offset of up to 7 spans at most 9), and how far its last
+/// bit is from the end of that span.
+#[inline]
+fn field_span(bit_pos: usize, bits: u32) -> (usize, usize, u32) {
+    debug_assert!((1..=64).contains(&bits));
+    let offset = (bit_pos % 8) as u32;
+    let span = (offset + bits).div_ceil(8);
+    (bit_pos / 8, span as usize, span * 8 - offset - bits)
 }
 
-impl BitWriter {
-    fn with_capacity(bytes: usize) -> Self {
-        BitWriter {
-            bytes: Vec::with_capacity(bytes),
-            used: 0,
-        }
+/// MSB-first bit packer over a zeroed, exactly-sized output: each field is
+/// shifted into place in one `u128` and OR-ed into the bytes it spans.
+struct BitWriter<'a> {
+    bytes: &'a mut [u8],
+    bit_pos: usize,
+}
+
+impl<'a> BitWriter<'a> {
+    fn new(bytes: &'a mut [u8]) -> Self {
+        BitWriter { bytes, bit_pos: 0 }
     }
 
     fn write(&mut self, value: u64, bits: u32) {
-        debug_assert!(bits <= 64);
         debug_assert!(bits == 64 || value < (1u64 << bits));
-        let mut remaining = bits;
-        while remaining > 0 {
-            if self.used == 0 {
-                self.bytes.push(0);
-            }
-            let free = 8 - self.used;
-            let take = free.min(remaining);
-            let shifted = (value >> (remaining - take)) & ((1u64 << take) - 1);
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= (shifted as u8) << (free - take);
-            self.used = (self.used + take) % 8;
-            remaining -= take;
+        let (first, span, shift) = field_span(self.bit_pos, bits);
+        let word = ((value as u128) << shift).to_be_bytes();
+        for (dst, src) in self.bytes[first..first + span]
+            .iter_mut()
+            .zip(&word[16 - span..])
+        {
+            *dst |= src;
         }
-    }
-
-    fn into_bytes(self) -> Vec<u8> {
-        self.bytes
+        self.bit_pos += bits as usize;
     }
 }
 
-/// MSB-first bit unpacker.
+/// MSB-first bit unpacker: gathers the bytes a field spans into one `u128`,
+/// then shifts and masks once.
 struct BitReader<'a> {
     bytes: &'a [u8],
     bit_pos: usize,
@@ -194,14 +196,11 @@ impl<'a> BitReader<'a> {
     }
 
     fn read(&mut self, bits: u32) -> u64 {
-        let mut value = 0u64;
-        for _ in 0..bits {
-            let byte = self.bytes[self.bit_pos / 8];
-            let bit = (byte >> (7 - (self.bit_pos % 8))) & 1;
-            value = (value << 1) | bit as u64;
-            self.bit_pos += 1;
-        }
-        value
+        let (first, span, shift) = field_span(self.bit_pos, bits);
+        let mut word = [0u8; 16];
+        word[16 - span..].copy_from_slice(&self.bytes[first..first + span]);
+        self.bit_pos += bits as usize;
+        mask((u128::from_be_bytes(word) >> shift) as u64, bits)
     }
 }
 
@@ -375,13 +374,13 @@ mod tests {
 
     #[test]
     fn bitwriter_reader_roundtrip_mixed_widths() {
-        let mut w = BitWriter::with_capacity(16);
+        let mut bytes = [0u8; 11];
+        let mut w = BitWriter::new(&mut bytes);
         w.write(0b101, 3);
         w.write(0xABCD, 16);
         w.write(1, 1);
         w.write(u64::MAX, 64);
         w.write(0, 4);
-        let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read(3), 0b101);
         assert_eq!(r.read(16), 0xABCD);

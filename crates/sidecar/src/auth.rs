@@ -136,30 +136,62 @@ pub struct AuthStats {
     pub rejected: u64,
 }
 
+/// An HMAC-SHA256 key (RFC 2104) with its two pad blocks already absorbed:
+/// the SHA-256 states after `key ^ ipad` and after `key ^ opad`. A MAC then
+/// costs only the message's own blocks plus the outer finish, which is what
+/// makes it worth holding one of these per session instead of the raw key.
+#[cfg(feature = "auth")]
+#[derive(Clone)]
+struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+#[cfg(feature = "auth")]
+impl HmacKey {
+    fn new(key: &[u8]) -> Self {
+        const BLOCK: usize = 64;
+        let mut block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            block[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let absorbed = |pad: u8| {
+            let mut state = Sha256::new();
+            state.update(&block.map(|b| b ^ pad));
+            state
+        };
+        HmacKey {
+            inner: absorbed(0x36),
+            outer: absorbed(0x5c),
+        }
+    }
+
+    /// The MAC of the concatenation of `parts`, streamed part by part.
+    fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+/// Key material stays out of `{:?}` output.
+#[cfg(feature = "auth")]
+impl core::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("HmacKey(..)")
+    }
+}
+
 /// HMAC-SHA256 (RFC 2104) over the crate's own SHA-256 core.
 #[cfg(feature = "auth")]
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    const BLOCK: usize = 64;
-    let mut block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        block[..32].copy_from_slice(&Sha256::digest(key));
-    } else {
-        block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0u8; BLOCK];
-    let mut opad = [0u8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] = block[i] ^ 0x36;
-        opad[i] = block[i] ^ 0x5c;
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_hash = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_hash);
-    outer.finalize()
+    HmacKey::new(key).mac(&[message])
 }
 
 /// Domain-separation string for every MAC and key derivation in this
@@ -172,12 +204,8 @@ const DOMAIN: &[u8] = b"sidecar-auth-v1";
 /// is what makes decoding stateless; directions differ because each sender
 /// owns its nonce.
 #[cfg(feature = "auth")]
-fn session_key(psk: &[u8; 32], key_id: u32, nonce: u64) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(DOMAIN.len() + 12);
-    msg.extend_from_slice(DOMAIN);
-    msg.extend_from_slice(&key_id.to_be_bytes());
-    msg.extend_from_slice(&nonce.to_be_bytes());
-    hmac_sha256(psk, &msg)
+fn session_key(psk: &[u8; 32], key_id: u32, nonce: u64) -> HmacKey {
+    HmacKey::new(&HmacKey::new(psk).mac(&[DOMAIN, &key_id.to_be_bytes(), &nonce.to_be_bytes()]))
 }
 
 /// Computes the truncated envelope MAC. The authenticated tag byte and the
@@ -185,21 +213,21 @@ fn session_key(psk: &[u8; 32], key_id: u32, nonce: u64) -> [u8; 32] {
 /// link headers is malleable.
 #[cfg(feature = "auth")]
 fn mac16(
-    key: &[u8; 32],
+    key: &HmacKey,
     auth_tag: u8,
     key_id: u32,
     nonce: u64,
     seq: u64,
     inner: &[u8],
 ) -> [u8; MAC_LEN] {
-    let mut msg = Vec::with_capacity(DOMAIN.len() + 21 + inner.len());
-    msg.extend_from_slice(DOMAIN);
-    msg.push(auth_tag);
-    msg.extend_from_slice(&key_id.to_be_bytes());
-    msg.extend_from_slice(&nonce.to_be_bytes());
-    msg.extend_from_slice(&seq.to_be_bytes());
-    msg.extend_from_slice(inner);
-    let full = hmac_sha256(key, &msg);
+    let full = key.mac(&[
+        DOMAIN,
+        &[auth_tag],
+        &key_id.to_be_bytes(),
+        &nonce.to_be_bytes(),
+        &seq.to_be_bytes(),
+        inner,
+    ]);
     let mut out = [0u8; MAC_LEN];
     out.copy_from_slice(&full[..MAC_LEN]);
     out
@@ -268,7 +296,7 @@ impl ReplayWindow {
 #[cfg(feature = "auth")]
 #[derive(Clone, Debug)]
 struct RxSession {
-    key: [u8; 32],
+    key: HmacKey,
     window: ReplayWindow,
 }
 
@@ -283,7 +311,7 @@ struct RxSession {
 #[derive(Clone, Debug)]
 pub struct ChannelAuth {
     cfg: AuthConfig,
-    tx_key: [u8; 32],
+    tx_key: HmacKey,
     tx_seq: u64,
     rx: HashMap<(u32, u64), RxSession>,
     /// Seal/open counters.
@@ -365,21 +393,27 @@ impl ChannelAuth {
         if key_id != self.cfg.key_id {
             return Err(AuthError::UnknownKey(key_id));
         }
-        // Derive (or fetch) the sender's session key, verify the MAC, and
+        // Fetch (or derive) the sender's session key, verify the MAC, and
         // only cache the session once the MAC proves knowledge of the PSK.
-        let key = match self.rx.get(&(key_id, nonce)) {
-            Some(session) => session.key,
-            None => session_key(&self.cfg.psk, key_id, nonce),
+        let id = (key_id, nonce);
+        let verifies = |key: &HmacKey| ct_eq(&mac16(key, tag_byte, key_id, nonce, seq, inner), mac);
+        let window = match self.rx.get_mut(&id) {
+            Some(session) if verifies(&session.key) => &mut session.window,
+            Some(_) => return Err(AuthError::BadMac),
+            None => {
+                let key = session_key(&self.cfg.psk, key_id, nonce);
+                if !verifies(&key) {
+                    return Err(AuthError::BadMac);
+                }
+                let window = ReplayWindow::new();
+                &mut self
+                    .rx
+                    .entry(id)
+                    .or_insert(RxSession { key, window })
+                    .window
+            }
         };
-        let expect = mac16(&key, tag_byte, key_id, nonce, seq, inner);
-        if !ct_eq(&expect, mac) {
-            return Err(AuthError::BadMac);
-        }
-        let session = self.rx.entry((key_id, nonce)).or_insert_with(|| RxSession {
-            key,
-            window: ReplayWindow::new(),
-        });
-        session.window.check_and_update(seq)?;
+        window.check_and_update(seq)?;
         SidecarMessage::decode_flow(tag_byte - tag::AUTH_OFFSET, inner)
             .map_err(AuthError::Malformed)
     }
@@ -437,6 +471,7 @@ impl ChannelAuth {
 #[cfg(all(test, feature = "auth"))]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sidecar_netsim::time::SimDuration;
 
     fn cfg(nonce: u64) -> AuthConfig {
@@ -518,6 +553,51 @@ mod tests {
             )),
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
         );
+    }
+
+    /// RFC 2104 as the textbook writes it — hash `key ^ ipad ‖ message`,
+    /// then `key ^ opad ‖ that` — from the raw key on every call. The
+    /// reference the cached-state [`HmacKey`] must agree with.
+    fn hmac_textbook(key: &[u8], message: &[u8]) -> [u8; 32] {
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner: Vec<u8> = block.iter().map(|b| b ^ 0x36).collect();
+        inner.extend_from_slice(message);
+        let mut outer: Vec<u8> = block.iter().map(|b| b ^ 0x5c).collect();
+        outer.extend_from_slice(&Sha256::digest(&inner));
+        Sha256::digest(&outer)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Streaming a message into a keyed state part by part — any
+        /// split, empty parts included — is the one-shot HMAC of the
+        /// concatenation, for keys shorter than, equal to and longer than
+        /// the hash block, and one key serves many messages.
+        #[test]
+        fn keyed_streaming_mac_equals_one_shot_hmac(
+            key in proptest::collection::vec(any::<u8>(), 0..201),
+            message in proptest::collection::vec(any::<u8>(), 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (message.len() + 1)).collect();
+            cuts.push(0);
+            cuts.push(message.len());
+            cuts.sort_unstable();
+            let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &message[w[0]..w[1]]).collect();
+            let keyed = HmacKey::new(&key);
+            let want = hmac_textbook(&key, &message);
+            prop_assert_eq!(keyed.mac(&parts), want);
+            prop_assert_eq!(keyed.mac(&[&message]), want);
+            prop_assert_eq!(hmac_sha256(&key, &message), want);
+            // The cached states are not consumed by use.
+            prop_assert_eq!(keyed.mac(&parts), want);
+        }
     }
 
     #[test]
