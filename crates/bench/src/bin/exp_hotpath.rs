@@ -17,6 +17,10 @@
 //! * **speedup ratios** — batched over scalar, machine-independent; the
 //!   CI perf gate enforces the headline `Fp64, t = 20, batch ≥ 32 ⇒ ≥ 2x`
 //!   floor on these.
+//! * **control datagrams/sec** — what every quACK pays around the math on
+//!   its way to the wire and back: the paper-format wire codec (`t = 20`,
+//!   `b = 32`, `c = 16`, 82 bytes) and the HMAC envelope over that quACK
+//!   (seal, open, and the refusal of a tampered copy).
 //!
 //! Results go to stdout (table) and `BENCH_quack.json`
 //! (`sidecar-bench/v1` schema, compared against `bench/baseline.json` by
@@ -29,11 +33,14 @@ use sidecar_bench::{
     Table,
 };
 use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, Monty64, WorkspacePool};
-use sidecar_quack::PowerSumQuack;
+use sidecar_proto::{AuthConfig, ChannelAuth, SidecarMessage};
+use sidecar_quack::{PowerSumQuack, WireFormat};
 use std::time::Duration;
 
 /// Identifiers folded per insert trial.
 const N_IDS: usize = 4096;
+/// Control datagrams encoded, decoded, sealed or opened per control trial.
+const N_CTRL: usize = 1024;
 /// Every cell reports the fastest of [`REPS`] independent means of
 /// [`TRIALS`] runs. These metrics gate CI, so the estimator must shrug
 /// off scheduler preemption — a single mean does not (observed >15%
@@ -55,8 +62,10 @@ struct Cell {
     field: &'static str,
     t: usize,
     /// Insert cells: batch size. Decode cells: number of sent packets.
+    /// Control cells: quACK bytes on the wire.
     n: usize,
-    /// Empty for insert cells; decoder mode for decode cells.
+    /// Empty for insert cells; decoder mode for decode cells; metric name
+    /// for control cells.
     mode: &'static str,
     run: Box<dyn FnMut() -> Duration>,
     best: Option<Duration>,
@@ -164,8 +173,83 @@ fn decode_cells<F: Field>(field: &'static str, cells: &mut Vec<Cell>) {
     }
 }
 
+/// The control-datagram path around the paper's quACK (`t = 20`, `b = 32`,
+/// `c = 16`): wire codec, then the authenticated envelope over its 82
+/// bytes. Each trial handles [`N_CTRL`] datagrams.
+fn control_cells(cells: &mut Vec<Cell>) {
+    const T: usize = 20;
+    let mut quack = PowerSumQuack::<Fp32>::new(T);
+    quack.insert_batch(&IdentifierGenerator::new(32, 0xC0DEC).take_ids(980));
+    let format = WireFormat::paper_default(T);
+    let image = format.encode(&quack);
+    let msg = SidecarMessage::Quack {
+        epoch: 1,
+        bytes: image.clone(),
+    };
+    let auth = AuthConfig::from_secret(0x5EC2E7, 1);
+
+    // An opener with the sealer's session established, the next N_CTRL
+    // datagrams of that session, and a tampered copy of the first. Every
+    // open trial starts from a clone of the opener, so each of its
+    // datagrams carries a sequence number the replay window has not seen.
+    let mut sealer = ChannelAuth::new(auth.with_nonce(1));
+    let mut opener = ChannelAuth::new(auth.with_nonce(2));
+    let (tag, hello) = sealer.seal(&msg, 7);
+    opener.open(tag, &hello).expect("own seal opens");
+    let sealed: Vec<Vec<u8>> = (0..N_CTRL).map(|_| sealer.seal(&msg, 7).1).collect();
+    let mut tampered = sealed[0].clone();
+    *tampered.last_mut().expect("sealed body") ^= 1;
+
+    type Trial = Box<dyn FnMut() -> usize>;
+    let trials: [(&'static str, Trial); 5] = [
+        ("wire_encodes_per_sec", {
+            let quack = quack.clone();
+            Box::new(move || (0..N_CTRL).map(|_| format.encode(&quack).len()).sum())
+        }),
+        ("wire_decodes_per_sec", {
+            let image = image.clone();
+            Box::new(move || {
+                (0..N_CTRL)
+                    .filter(|_| format.decode::<Fp32>(&image, None).is_ok())
+                    .count()
+            })
+        }),
+        ("auth_seals_per_sec", {
+            let msg = msg.clone();
+            Box::new(move || (0..N_CTRL).map(|_| sealer.seal(&msg, 7).1.len()).sum())
+        }),
+        ("auth_opens_per_sec", {
+            let opener = opener.clone();
+            Box::new(move || {
+                let mut rx = opener.clone();
+                let opened = sealed.iter().filter(|b| rx.open(tag, b).is_ok()).count();
+                assert_eq!(opened, N_CTRL, "fresh sequence numbers must open");
+                opened
+            })
+        }),
+        (
+            "auth_rejects_per_sec",
+            Box::new(move || {
+                (0..N_CTRL)
+                    .filter(|_| opener.open(tag, &tampered).is_err())
+                    .count()
+            }),
+        ),
+    ];
+    for (mode, mut run) in trials {
+        cells.push(Cell {
+            field: "Fp32",
+            t: T,
+            n: image.len(),
+            mode,
+            run: Box::new(move || measure_mean_with(TRIALS, WARMUP, &mut |_| run())),
+            best: None,
+        });
+    }
+}
+
 fn main() {
-    println!("Hot-path throughput: inserts/sec and decodes/sec\n");
+    println!("Hot-path throughput: inserts/sec, decodes/sec, control datagrams/sec\n");
 
     // Build every cell first, then interleave the repetitions across all
     // of them — see the comment on `REPS`.
@@ -178,12 +262,15 @@ fn main() {
     let insert_count = cells.len();
     decode_cells::<Fp32>("Fp32", &mut cells);
     decode_cells::<Fp64>("Fp64", &mut cells);
+    let decode_end = cells.len();
+    control_cells(&mut cells);
     for _rep in 0..REPS {
         for cell in cells.iter_mut() {
             cell.rep();
         }
     }
-    let (inserts, decodes) = cells.split_at(insert_count);
+    let (inserts, rest) = cells.split_at(insert_count);
+    let (decodes, controls) = rest.split_at(decode_end - insert_count);
 
     let mut report = BenchReport::new("quack");
     report.push("calibration", &[], calibration_ops_per_sec(), "ops/s");
@@ -254,6 +341,26 @@ fn main() {
         );
     }
     decode_table.print();
+
+    println!();
+    let mut control_table = Table::new(&["control datagram op", "bytes", "ops/sec", "ns/op"]);
+    for cell in controls {
+        let ops = cell.ops(N_CTRL);
+        let bytes = cell.n.to_string();
+        control_table.row(&[
+            cell.mode.to_string(),
+            bytes.clone(),
+            format!("{ops:.2e}"),
+            format!("{:.0}", 1e9 / ops),
+        ]);
+        let params: &[(&str, &str)] = if cell.mode.starts_with("wire_") {
+            &[("t", "20"), ("b", "32"), ("c", "16")]
+        } else {
+            &[("bytes", &bytes)]
+        };
+        report.push(cell.mode, params, ops, "ops/s");
+    }
+    control_table.print();
 
     // The acceptance headline: batched 64-bit inserts at t = 20.
     let headline = report
