@@ -2,15 +2,17 @@
 //!
 //! Two users. The paper's second strawman returns "a hash of a sorted
 //! concatenation of all the received packets" (§1) — 256 bits on the wire
-//! (Table 2). And since the authenticated control channel (DESIGN.md §12)
-//! this is the core of the HMAC every sealed control datagram pays for
-//! twice, once to seal and once to open, so its per-message overhead —
-//! copies in [`Sha256::update`], padding in [`Sha256::finalize`] — is on the
-//! control path's critical budget, not just Table 2's construction-time
-//! row. The approved offline dependency set has no hash crate, so this
-//! module implements SHA-256 directly; it is validated against the FIPS
-//! test vectors below. The compression function is plain scalar code
-//! (`unsafe` is forbidden crate-wide, which rules out SHA-NI).
+//! (Table 2). And it is the core of the control channel's HMAC (DESIGN.md
+//! §12): every authenticated control datagram is hashed once to seal and
+//! once to open, so what this module spends around the compression
+//! function — copies in [`Sha256::update`], padding in
+//! [`Sha256::finalize`] — is part of what a quACK costs, not only of
+//! Table 2's construction-time row.
+//!
+//! The approved offline dependency set has no hash crate, so SHA-256 is
+//! implemented here directly and validated against the FIPS test vectors
+//! below. The compression function is plain scalar code: `unsafe` is
+//! forbidden crate-wide, which rules out the SHA-NI intrinsics.
 
 /// SHA-256 initial hash values (fractional parts of square roots of the
 /// first eight primes).
