@@ -182,6 +182,7 @@ fn control_cells(cells: &mut Vec<Cell>) {
     quack.insert_batch(&IdentifierGenerator::new(32, 0xC0DEC).take_ids(980));
     let format = WireFormat::paper_default(T);
     let image = format.encode(&quack);
+    let wire_bytes = image.len();
     let msg = SidecarMessage::Quack {
         epoch: 1,
         bytes: image.clone(),
@@ -202,22 +203,22 @@ fn control_cells(cells: &mut Vec<Cell>) {
 
     type Trial = Box<dyn FnMut() -> usize>;
     let trials: [(&'static str, Trial); 5] = [
-        ("wire_encodes_per_sec", {
-            let quack = quack.clone();
-            Box::new(move || (0..N_CTRL).map(|_| format.encode(&quack).len()).sum())
-        }),
-        ("wire_decodes_per_sec", {
-            let image = image.clone();
+        (
+            "wire_encodes_per_sec",
+            Box::new(move || (0..N_CTRL).map(|_| format.encode(&quack).len()).sum()),
+        ),
+        (
+            "wire_decodes_per_sec",
             Box::new(move || {
                 (0..N_CTRL)
                     .filter(|_| format.decode::<Fp32>(&image, None).is_ok())
                     .count()
-            })
-        }),
-        ("auth_seals_per_sec", {
-            let msg = msg.clone();
-            Box::new(move || (0..N_CTRL).map(|_| sealer.seal(&msg, 7).1.len()).sum())
-        }),
+            }),
+        ),
+        (
+            "auth_seals_per_sec",
+            Box::new(move || (0..N_CTRL).map(|_| sealer.seal(&msg, 7).1.len()).sum()),
+        ),
         ("auth_opens_per_sec", {
             let opener = opener.clone();
             Box::new(move || {
@@ -240,7 +241,7 @@ fn control_cells(cells: &mut Vec<Cell>) {
         cells.push(Cell {
             field: "Fp32",
             t: T,
-            n: image.len(),
+            n: wire_bytes,
             mode,
             run: Box::new(move || measure_mean_with(TRIALS, WARMUP, &mut |_| run())),
             best: None,
