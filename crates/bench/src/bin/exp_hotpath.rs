@@ -11,9 +11,8 @@
 //!   batched path converts identifiers once (64-bit identifiers stay in
 //!   the Montgomery domain for the whole batch) and advances the `t`
 //!   running powers with a lane-parallel strength-reduced ladder.
-//! * **decodes/sec** — the serial decoder versus the pooled
-//!   (allocation-free) and parallel (threaded candidate evaluation)
-//!   decoders.
+//! * **decodes/sec** — `decode_with_log` against logs of 1000 and 5000
+//!   identifiers with exactly `t = 20` missing.
 //! * **speedup ratios** — batched over scalar, machine-independent; the
 //!   CI perf gate enforces the headline `Fp64, t = 20, batch ≥ 32 ⇒ ≥ 2x`
 //!   floor on these.
@@ -32,7 +31,7 @@ use sidecar_bench::{
     calibration_ops_per_sec, measure_mean_with, ops_per_sec, BenchReport, IdentifierGenerator,
     Table,
 };
-use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, Monty64, WorkspacePool};
+use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, Monty64};
 use sidecar_proto::{AuthConfig, ChannelAuth, SidecarMessage};
 use sidecar_quack::{PowerSumQuack, WireFormat};
 use std::time::Duration;
@@ -64,8 +63,8 @@ struct Cell {
     /// Insert cells: batch size. Decode cells: number of sent packets.
     /// Control cells: quACK bytes on the wire.
     n: usize,
-    /// Empty for insert cells; decoder mode for decode cells; metric name
-    /// for control cells.
+    /// Empty for insert cells; `"serial"` for decode cells (the label the
+    /// baseline rows carry); metric name for control cells.
     mode: &'static str,
     run: Box<dyn FnMut() -> Duration>,
     best: Option<Duration>,
@@ -131,45 +130,18 @@ fn decode_cells<F: Field>(field: &'static str, cells: &mut Vec<Cell>) {
         }
         let diff = sender.difference(&receiver);
         assert_eq!(diff.count() as usize, T, "workload must miss exactly t");
-        let pool = WorkspacePool::<F>::new(T);
-        type DecodeFn = Box<dyn FnMut() -> usize>;
-        let modes: [(&'static str, DecodeFn); 3] = [
-            ("serial", {
-                let diff = diff.clone();
-                let sent = sent.clone();
-                Box::new(move || diff.decode_with_log(&sent).unwrap().missing().len())
-            }),
-            ("pooled", {
-                let diff = diff.clone();
-                let sent = sent.clone();
-                Box::new(move || {
-                    diff.decode_with_log_pooled(&sent, &pool)
-                        .unwrap()
-                        .missing()
-                        .len()
+        cells.push(Cell {
+            field,
+            t: T,
+            n,
+            mode: "serial",
+            run: Box::new(move || {
+                measure_mean_with(TRIALS, WARMUP, &mut |_| {
+                    diff.decode_with_log(&sent).unwrap().missing().len()
                 })
             }),
-            ("parallel", {
-                let diff = diff.clone();
-                let sent = sent.clone();
-                Box::new(move || {
-                    diff.decode_with_log_parallel(&sent)
-                        .unwrap()
-                        .missing()
-                        .len()
-                })
-            }),
-        ];
-        for (mode, mut run) in modes {
-            cells.push(Cell {
-                field,
-                t: T,
-                n,
-                mode,
-                run: Box::new(move || measure_mean_with(TRIALS, WARMUP, &mut |_| run())),
-                best: None,
-            });
-        }
+            best: None,
+        });
     }
 }
 
@@ -311,24 +283,17 @@ fn main() {
     insert_table.print();
 
     println!();
-    let mut decode_table = Table::new(&["field", "t", "n", "mode", "decodes/sec", "vs serial"]);
+    let mut decode_table = Table::new(&["field", "t", "n", "decodes/sec"]);
     for cell in decodes {
-        let serial = decodes
-            .iter()
-            .find(|c| c.field == cell.field && c.n == cell.n && c.mode == "serial")
-            .expect("serial cell exists");
         let ops = cell.ops(1);
-        let speedup = ops / serial.ops(1);
-        decode_table.row(&[
-            cell.field.to_string(),
-            cell.t.to_string(),
-            cell.n.to_string(),
-            cell.mode.to_string(),
-            format!("{ops:.2e}"),
-            format!("{speedup:.2}x"),
-        ]);
         let t = cell.t.to_string();
         let n = cell.n.to_string();
+        decode_table.row(&[
+            cell.field.to_string(),
+            t.clone(),
+            n.clone(),
+            format!("{ops:.2e}"),
+        ]);
         report.push(
             "decodes_per_sec",
             &[

@@ -1,5 +1,5 @@
-//! **Engine scaling**: netsim event throughput, modern timer-wheel engine
-//! versus the legacy heap engine, at 1k → 1M concurrent flows.
+//! **Engine scaling**: netsim event throughput at 1k → 1M concurrent
+//! flows.
 //!
 //! The sidecar story is "one vantage point, many paranoid flows" (§3.3,
 //! §4.2): every emulated experiment in this repo stands on the discrete-
@@ -11,30 +11,20 @@
 //! every packet crosses two hops, so at F flows the queue holds ≈ 5F
 //! events — the regime real 10k–1M-flow experiments put the scheduler in.
 //!
-//! **What the two cells are.** `wheel` is the modern engine in its perf
-//! configuration: O(1) calendar-queue scheduling, pooled zero-alloc
-//! dispatch, pre-interned hot counters, flight-recorder ring off (a switch
-//! this engine added). `heap` is the legacy engine as it shipped, preserved
-//! whole behind [`SchedulerKind::Heap`]: O(log n) binary-heap scheduling
-//! that moves full event payloads per sift, a fresh action buffer allocated
-//! per dispatch, string-keyed (mutex + hash) counter lookups per event, and
-//! the always-on ring it had no switch for. Both produce bit-identical
-//! event orderings, traces, and metric values — the scheduler-equivalence
-//! suite pins that — so the headline isolates cost, not behavior:
+//! The engine runs in its throughput configuration: calendar-queue
+//! scheduling, pooled zero-alloc dispatch, pre-interned hot counters,
+//! flight-recorder ring off. Two cells per flow count:
 //!
 //! * **events/sec** — wall-clock dispatch throughput of the steady-state
 //!   loop (timer fires + two arrival hops per packet), after a warmup that
-//!   reaches the zero-alloc plateau and a full in-flight population.
+//!   reaches the zero-alloc plateau and a full in-flight population. The
+//!   CI perf gate holds the `flows = 100k` cell to its calibrated baseline.
 //! * **wall sec / sim sec** — how much real time one simulated second costs
 //!   at each scale (the number an experiment author budgets with).
-//! * **events_speedup** — modern over legacy at equal flow count; the CI
-//!   perf gate enforces the `flows = 100k ⇒ ≥ 5x` floor on this cell.
 //!
 //! Flow timers are staggered uniformly across the 10 ms period, so wheel
-//! slots fill evenly and the heap sees a steady interleave of near-future
-//! inserts — neither backend gets a degenerate best case. Each cell is
-//! measured best-of-3 (fresh world per rep) to shed scheduler-independent
-//! machine noise.
+//! slots fill evenly. Each cell is measured best-of-3 (fresh world per rep)
+//! to shed scheduler-independent machine noise.
 //!
 //! Results go to stdout (table) and `BENCH_exp_simscale.json`
 //! (`sidecar-bench/v1`; gated against `bench/baseline.json` by `perf_gate`).
@@ -49,7 +39,6 @@ use sidecar_netsim::node::{Context, IfaceId, Node};
 use sidecar_netsim::packet::{FlowId, Packet};
 use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_netsim::world::World;
-use sidecar_netsim::SchedulerKind;
 use std::any::Any;
 use std::time::Instant;
 
@@ -81,7 +70,7 @@ struct PulseBank {
 impl Node for PulseBank {
     fn on_start(&mut self, ctx: &mut Context) {
         // Stagger first fires uniformly across one period so the pending
-        // set spreads over wheel slots (and heap levels) evenly.
+        // set spreads over wheel slots evenly.
         for i in 0..self.flows {
             let offset = PERIOD.as_nanos() * (self.first_flow + i) / self.total_flows;
             ctx.set_timer_at(SimTime::ZERO + SimDuration::from_nanos(offset + 1), i);
@@ -139,23 +128,19 @@ impl Node for Drain {
 /// One measured cell.
 struct Cell {
     flows: u64,
-    scheduler: SchedulerKind,
     pending: usize,
     events_per_sec: f64,
     wall_per_sim: f64,
 }
 
-/// Builds the F-flow two-hop world on the given backend, warms it past the
-/// capacity plateau and a full in-flight population, then measures
-/// `measure_events` dispatches. Returns (events/sec, wall-per-sim, pending).
-fn run_once(flows: u64, scheduler: SchedulerKind, measure_events: u64) -> (f64, f64, usize) {
-    let mut w = World::new_with_scheduler(0x51D3_CA1E ^ flows, scheduler);
-    if scheduler == SchedulerKind::Wheel {
-        // Modern perf configuration: the diagnostics ring off (the legacy
-        // engine predates the switch and always paid ring maintenance).
-        // Hot counters stay on for both — they are part of the engine.
-        w.obs_mut().trace.set_enabled(false);
-    }
+/// Builds the F-flow two-hop world, warms it past the capacity plateau and
+/// a full in-flight population, then measures `measure_events` dispatches.
+/// Returns (events/sec, wall-per-sim, pending).
+fn run_once(flows: u64, measure_events: u64) -> (f64, f64, usize) {
+    let mut w = World::new(0x51D3_CA1E ^ flows);
+    // Throughput configuration: the diagnostics ring off. Hot counters stay
+    // on — they are part of the engine.
+    w.obs_mut().trace.set_enabled(false);
     let sink = w.add_node(Box::new(Drain));
     let mid = w.add_node(Box::new(Vantage));
     // Link rates are set so serialization never queues: the workload
@@ -212,10 +197,10 @@ fn run_once(flows: u64, scheduler: SchedulerKind, measure_events: u64) -> (f64, 
 }
 
 /// Best-of-[`REPS`] wrapper around [`run_once`].
-fn run_cell(flows: u64, scheduler: SchedulerKind, measure_events: u64) -> Cell {
+fn run_cell(flows: u64, measure_events: u64) -> Cell {
     let mut best: Option<(f64, f64, usize)> = None;
     for _ in 0..REPS {
-        let r = run_once(flows, scheduler, measure_events);
+        let r = run_once(flows, measure_events);
         if best.is_none_or(|b| r.0 > b.0) {
             best = Some(r);
         }
@@ -223,7 +208,6 @@ fn run_cell(flows: u64, scheduler: SchedulerKind, measure_events: u64) -> Cell {
     let (events_per_sec, wall_per_sim, pending) = best.expect("at least one rep");
     Cell {
         flows,
-        scheduler,
         pending,
         events_per_sec,
         wall_per_sim,
@@ -245,80 +229,41 @@ fn main() {
         None => vec![1_000, 10_000, 100_000, 1_000_000],
     };
     println!(
-        "Engine scaling: events/sec, modern wheel engine vs legacy heap engine{}\n",
+        "Engine scaling: netsim events/sec by concurrent flows{}\n",
         if quick { " (quick)" } else { "" }
     );
 
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut report = BenchReport::new("exp_simscale");
+    report.push("calibration", &[], calibration_ops_per_sec(), "ops/s");
+
+    let mut table = Table::new(&["flows", "pending", "events/sec", "wall s / sim s"]);
     for &flows in &flow_counts {
         // At least one full re-fire of every flow (3 events per fire:
         // timer + two arrival hops), with a floor so small sweeps stay
         // measurable.
         let floor = if quick { 200_000 } else { 1_000_000 };
-        let measure_events = (6 * flows).max(floor);
-        for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            cells.push(run_cell(flows, scheduler, measure_events));
-        }
-    }
-
-    let mut report = BenchReport::new("exp_simscale");
-    report.push("calibration", &[], calibration_ops_per_sec(), "ops/s");
-
-    let mut table = Table::new(&[
-        "flows",
-        "engine",
-        "pending",
-        "events/sec",
-        "wall s / sim s",
-        "vs legacy",
-    ]);
-    for cell in &cells {
-        let heap = cells
-            .iter()
-            .find(|c| c.flows == cell.flows && c.scheduler == SchedulerKind::Heap)
-            .expect("legacy cell exists");
-        let speedup = cell.events_per_sec / heap.events_per_sec;
-        let sched = match cell.scheduler {
-            SchedulerKind::Wheel => "wheel",
-            SchedulerKind::Heap => "heap",
-        };
+        let cell = run_cell(flows, (6 * flows).max(floor));
         table.row(&[
             cell.flows.to_string(),
-            sched.to_string(),
             cell.pending.to_string(),
             format!("{:.2e}", cell.events_per_sec),
             format!("{:.4}", cell.wall_per_sim),
-            format!("{speedup:.2}x"),
         ]);
         let flows = cell.flows.to_string();
         report.push(
             "events_per_sec",
-            &[("flows", &flows), ("scheduler", sched)],
+            &[("flows", &flows)],
             cell.events_per_sec,
             "ops/s",
         );
         report.push(
             "wall_sec_per_sim_sec",
-            &[("flows", &flows), ("scheduler", sched)],
+            &[("flows", &flows)],
             cell.wall_per_sim,
             "s/s",
         );
-        if cell.scheduler == SchedulerKind::Wheel {
-            report.push("events_speedup", &[("flows", &flows)], speedup, "x");
-        }
     }
     table.print();
-
-    if !quick {
-        let headline = report
-            .get("events_speedup|flows=100000")
-            .expect("headline metric present")
-            .value;
-        println!(
-            "\nheadline: 100k-flow events/sec speedup {headline:.2}x over the \
-             legacy heap engine (acceptance floor: 5.00x)"
-        );
-    }
 
     report
         .write_default()

@@ -12,15 +12,14 @@
 //! * `x` (ratio) metrics are machine-independent and compared directly
 //!   with the same tolerance.
 //! * Hard floors: the quACK `insert_speedup` metrics for `Fp64, t = 20,
-//!   batch ≥ 32` must be at least [`QUACK_FLOOR`], the engine-scaling
-//!   `events_speedup|flows=100000` headline at least [`SIMSCALE_FLOOR`],
-//!   and the flow-engine `manyflow_insert_speedup|flows=100000` headline
-//!   (slab vs legacy table, min across the three protocol session shapes,
-//!   inserts under LRU pressure) at least [`MANYFLOW_FLOOR`], and the
-//!   telemetry-cost `obs_overhead_headroom` headline (plain / sampled
-//!   wall-clock of the same seeded run) at least [`OBS_FLOOR`], regardless
-//!   of the baseline — these are the repo's acceptance headlines and may
-//!   never erode, tolerance or not.
+//!   batch ≥ 32` must be at least [`QUACK_FLOOR`] and the telemetry-cost
+//!   `obs_overhead_headroom` headline (plain / sampled wall-clock of the
+//!   same seeded run) at least [`OBS_FLOOR`], regardless of the baseline —
+//!   these are the repo's acceptance headlines and may never erode,
+//!   tolerance or not. The engines' headlines are absolute `ops/s` cells
+//!   (`events_per_sec|flows=100000`,
+//!   `manyflow_inserts_per_sec|flows=100000|proto=*`), gated by the first
+//!   rule.
 //! * Metrics present in only the baseline or only a current report are
 //!   reported but never fail the gate (so adding benchmarks does not
 //!   require a lockstep baseline update).
@@ -43,13 +42,6 @@ const TOLERANCE: f64 = 0.15;
 /// Absolute floor for the quACK acceptance-headline speedups (`Fp64`,
 /// `t=20`, `batch >= 32`).
 const QUACK_FLOOR: f64 = 2.0;
-/// Absolute floor for the engine-scaling headline: modern wheel engine
-/// events/s over the legacy heap engine at the 100k-flow point.
-const SIMSCALE_FLOOR: f64 = 5.0;
-/// Absolute floor for the flow-engine headline: slab-table inserts/s over
-/// the legacy Vec-scan table at the 100k-flow churn point (min across the
-/// three protocol session shapes; measured ~2.7–3.1x).
-const MANYFLOW_FLOOR: f64 = 1.5;
 /// Absolute floor for the observability-overhead headline: plain over
 /// sampled wall-clock of the same seeded retx run (`exp_obs_overhead`).
 /// 0.95 means the telemetry layer may cost at most ~5% of the datapath.
@@ -101,12 +93,6 @@ fn headline_floor(key: &str) -> Option<f64> {
             .is_some_and(|b| b >= 32);
     if quack {
         return Some(QUACK_FLOOR);
-    }
-    if key == "events_speedup|flows=100000" {
-        return Some(SIMSCALE_FLOOR);
-    }
-    if key == "manyflow_insert_speedup|flows=100000" {
-        return Some(MANYFLOW_FLOOR);
     }
     if key == "obs_overhead_headroom" {
         return Some(OBS_FLOOR);

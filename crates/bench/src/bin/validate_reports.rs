@@ -10,9 +10,10 @@
 //! Known reports additionally carry **required cells**: `exp_manyflow`
 //! must contain its e2e, certified-1k, and flow-engine-sweep metrics (the
 //! cells both `--quick` and full runs emit), and — whenever any 100k-flow
-//! sweep cell is present (a full run) — the
-//! `manyflow_insert_speedup|flows=100000` perf-gate headline. A refactor
-//! that silently stops emitting the gated cell fails here, not as a
+//! sweep cell is present (a full run) — all three gated
+//! `manyflow_inserts_per_sec|flows=100000|proto=*` cells; `exp_simscale`
+//! must carry its calibration and its smallest sweep point. A refactor
+//! that silently stops emitting a gated cell fails here, not as a
 //! quietly-absent "baseline only" row in the perf gate.
 //!
 //! Time-series artifacts (`BENCH_*_timeseries.txt`, emitted by benches
@@ -93,7 +94,6 @@ fn required_cells(report: &str, present: &BTreeSet<String>) -> Vec<String> {
             // …and the 1k flow-engine sweep cells (quick and full runs).
             for name in [
                 "manyflow_inserts_per_sec",
-                "manyflow_insert_speedup",
                 "manyflow_bytes_per_flow",
                 "manyflow_overcommit_evictions",
             ] {
@@ -106,14 +106,22 @@ fn required_cells(report: &str, present: &BTreeSet<String>) -> Vec<String> {
         // `ops/s` cells are gated against the calibration-rescaled
         // baseline, so the report must carry its own calibration cell.
         cells.push("calibration".into());
-        // Full runs (any 100k sweep cell present) must emit the perf-gate
-        // headline; `--quick` runs stop at 10k and owe nothing here.
-        if present
-            .iter()
-            .any(|k| k.starts_with("manyflow_inserts_per_sec|flows=100000"))
-        {
-            cells.push("manyflow_insert_speedup|flows=100000".into());
+        // Full runs (any 100k sweep cell present) must emit all three
+        // gated cells; `--quick` runs stop at 10k and owe nothing here.
+        if present.iter().any(|k| k.contains("|flows=100000|proto=")) {
+            for proto in ["retx", "ackred", "ccd"] {
+                cells.push(format!(
+                    "manyflow_inserts_per_sec|flows=100000|proto={proto}"
+                ));
+            }
         }
+    }
+    if report == "exp_simscale" {
+        // The gated `events_per_sec|flows=100000` cell rescales by the
+        // report's own calibration; every sweep (quick, full, default
+        // `--flows`) starts at 1k.
+        cells.push("calibration".into());
+        cells.push("events_per_sec|flows=1000".into());
     }
     if report == "exp_obs_overhead" {
         // The telemetry-cost report must always carry the gated headroom

@@ -17,14 +17,8 @@
 
 use sidecar_galois::factor::find_roots;
 use sidecar_galois::poly::{deflate_monic, eval_monic};
-use sidecar_galois::{Field, NewtonWorkspace, WorkspacePool};
+use sidecar_galois::{Field, NewtonWorkspace};
 use std::collections::HashMap;
-
-/// Minimum amount of candidate-evaluation work (`distinct keys × locator
-/// degree`) before the parallel decoder spawns threads; below this the
-/// spawn overhead dominates and the serial loop wins.
-#[cfg(feature = "parallel")]
-const PARALLEL_MIN_WORK: usize = 4096;
 
 /// Why decoding a difference quACK failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -168,8 +162,7 @@ impl DecodedQuack {
 /// `QuackConsumer::process_quack`), so it records into
 /// [`sidecar_obs::global`]. Counters are monotone; tests on the global
 /// registry must assert `>=` deltas because the test harness runs decodes
-/// concurrently. With `obs` off every hook is an empty inline function —
-/// the same zero-cost idiom as the `parallel` feature gate below.
+/// concurrently. With `obs` off every hook is an empty inline function.
 #[cfg(feature = "obs")]
 mod hooks {
     use super::DecodeError;
@@ -191,16 +184,6 @@ mod hooks {
     pub(super) fn factor_fallback() {
         sidecar_obs::global().inc("decode.factor_fallback");
     }
-
-    /// Whether a pooled decode found an idle workspace (hit) or had to
-    /// allocate a fresh one (miss).
-    pub(super) fn pool_checkout(hit: bool) {
-        sidecar_obs::global().inc(if hit {
-            "decode.pool.hit"
-        } else {
-            "decode.pool.miss"
-        });
-    }
 }
 
 #[cfg(not(feature = "obs"))]
@@ -215,9 +198,6 @@ mod hooks {
 
     #[inline(always)]
     pub(super) fn factor_fallback() {}
-
-    #[inline(always)]
-    pub(super) fn pool_checkout(_hit: bool) {}
 }
 
 /// Core decode routine shared by [`crate::PowerSumQuack::decode_with_log`].
@@ -231,94 +211,9 @@ pub(crate) fn decode_difference<F: Field>(
     workspace: &NewtonWorkspace<F>,
 ) -> Result<DecodedQuack, DecodeError> {
     hooks::attempt();
-    let mut coeffs = Vec::new();
-    let result = decode_difference_inner(power_sums, count, log, workspace, &mut coeffs, 1);
+    let result = decode_difference_inner(power_sums, count, log, workspace);
     hooks::outcome(&result);
     result
-}
-
-/// Multi-threaded variant of [`decode_difference`]: candidate-root
-/// evaluation (the `O(n·m)` dominant cost, paper §3.2) is fanned out over
-/// `threads` workers; deflation and classification stay serial.
-///
-/// Returns results *identical* to the serial decoder: the parallel stage
-/// only evaluates the full locator at each distinct candidate, and since
-/// deflation divides by `(x − r)`, the quotients' roots are a subset of the
-/// original locator's — a candidate evaluating nonzero up front can never
-/// become a root later, so prefiltering loses nothing.
-pub(crate) fn decode_difference_parallel<F: Field>(
-    power_sums: &[F],
-    count: u32,
-    log: &[u64],
-    workspace: &NewtonWorkspace<F>,
-    threads: usize,
-) -> Result<DecodedQuack, DecodeError> {
-    hooks::attempt();
-    let mut coeffs = Vec::new();
-    let result = decode_difference_inner(
-        power_sums,
-        count,
-        log,
-        workspace,
-        &mut coeffs,
-        threads.max(1),
-    );
-    hooks::outcome(&result);
-    result
-}
-
-/// Allocation-free variant of [`decode_difference`]: the Newton workspace
-/// and the coefficient buffer are checked out of `pool`, so steady-state
-/// decoding performs no heap allocation for the locator.
-pub(crate) fn decode_difference_pooled<F: Field>(
-    power_sums: &[F],
-    count: u32,
-    log: &[u64],
-    pool: &WorkspacePool<F>,
-    threads: usize,
-) -> Result<DecodedQuack, DecodeError> {
-    hooks::attempt();
-    hooks::pool_checkout(pool.idle_len() > 0);
-    let mut guard = pool.get();
-    let (workspace, coeffs) = guard.split();
-    let result = decode_difference_inner(power_sums, count, log, workspace, coeffs, threads.max(1));
-    hooks::outcome(&result);
-    result
-}
-
-/// The number of worker threads the parallel decode paths use by default.
-///
-/// With the `parallel` feature disabled this is always 1, giving the
-/// deterministic single-thread fallback.
-pub fn default_decode_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-}
-
-/// Evaluates the monic locator at every key, `flags[i] = (locator(keys[i])
-/// == 0)`, splitting the keys across `threads` scoped workers.
-#[cfg(feature = "parallel")]
-fn eval_candidates<F: Field>(coeffs: &[F], keys: &[u64], threads: usize) -> Vec<bool> {
-    let mut flags = vec![false; keys.len()];
-    let chunk = keys.len().div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for (ks, fs) in keys.chunks(chunk).zip(flags.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (k, flag) in ks.iter().zip(fs.iter_mut()) {
-                    *flag = eval_monic(coeffs, F::from_u64(*k)) == F::ZERO;
-                }
-            });
-        }
-    });
-    flags
 }
 
 fn decode_difference_inner<F: Field>(
@@ -326,8 +221,6 @@ fn decode_difference_inner<F: Field>(
     count: u32,
     log: &[u64],
     workspace: &NewtonWorkspace<F>,
-    coeffs: &mut Vec<F>,
-    threads: usize,
 ) -> Result<DecodedQuack, DecodeError> {
     let m = count as usize;
     let threshold = power_sums.len();
@@ -347,7 +240,7 @@ fn decode_difference_inner<F: Field>(
     }
 
     // Error-locator coefficients from the first m power sums.
-    workspace.coefficients_into(&power_sums[..m], coeffs);
+    let mut coeffs = workspace.coefficients(&power_sums[..m]);
 
     // Group log indices by field image, preserving first-appearance order.
     let mut groups: HashMap<u64, Vec<usize>> = HashMap::with_capacity(log.len());
@@ -361,40 +254,20 @@ fn decode_difference_inner<F: Field>(
         entry.push(i);
     }
 
-    // Parallel prefilter: evaluate the *full* locator at every distinct
-    // candidate concurrently. Sound to skip nonzero candidates in the
-    // serial pass below because deflation only ever removes roots.
-    #[cfg(feature = "parallel")]
-    let root_flags = if threads > 1 && order.len().saturating_mul(m) >= PARALLEL_MIN_WORK {
-        Some(eval_candidates(coeffs, &order, threads))
-    } else {
-        None
-    };
-    #[cfg(not(feature = "parallel"))]
-    let root_flags: Option<Vec<bool>> = {
-        let _ = threads; // single-thread fallback: prefilter disabled
-        None
-    };
-
     let mut decoded = DecodedQuack {
         num_missing: m,
         ..DecodedQuack::default()
     };
 
-    for (pos, key) in order.into_iter().enumerate() {
+    for key in order {
         if coeffs.is_empty() {
             break; // all roots accounted for
-        }
-        if let Some(flags) = &root_flags {
-            if !flags[pos] {
-                continue; // not a root of the full locator ⇒ never a root
-            }
         }
         let x = F::from_u64(key);
         // Multiplicity of x as a locator root, dividing each instance out.
         let mut multiplicity = 0usize;
-        while !coeffs.is_empty() && eval_monic(coeffs, x) == F::ZERO {
-            let rem = deflate_monic(coeffs, x);
+        while !coeffs.is_empty() && eval_monic(&coeffs, x) == F::ZERO {
+            let rem = deflate_monic(&mut coeffs, x);
             debug_assert_eq!(rem, F::ZERO);
             multiplicity += 1;
         }

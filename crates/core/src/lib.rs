@@ -70,9 +70,7 @@ pub mod sha256;
 pub mod strawman;
 pub mod wire;
 
-pub use decode::{
-    default_decode_threads, DecodeError, DecodedQuack, IndeterminateGroup, PacketFate,
-};
+pub use decode::{DecodeError, DecodedQuack, IndeterminateGroup, PacketFate};
 pub use dynamic::{DynError, DynQuack};
 pub use power_sum::{PowerSumQuack, Quack16, Quack24, Quack32, Quack64, QuackMonty64};
 pub use wire::{WireError, WireFormat, DEFAULT_COUNT_BITS};

@@ -9,7 +9,7 @@
 //! `b` bits.
 
 use crate::decode::{self, decode_difference, DecodeError, DecodedQuack};
-use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, Monty64, NewtonWorkspace, WorkspacePool};
+use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, Monty64, NewtonWorkspace};
 
 /// A power-sum quACK over the field `F` (identifier width `F::BITS`).
 ///
@@ -194,53 +194,6 @@ impl<F: Field> PowerSumQuack<F> {
         workspace: &NewtonWorkspace<F>,
     ) -> Result<DecodedQuack, DecodeError> {
         decode_difference(&self.power_sums, self.count, log, workspace)
-    }
-
-    /// Like [`decode_with_log`](Self::decode_with_log) but fanning the
-    /// candidate-root evaluation — the `O(n·m)` dominant decode cost (paper
-    /// §3.2) — out over all available cores.
-    ///
-    /// The result is bit-identical to the serial decoder: the threads only
-    /// evaluate the full locator at each distinct candidate (deflation
-    /// divides by `(x − r)`, so quotient roots are a subset of the
-    /// original's — a candidate rejected up front can never become a root),
-    /// and the deflation/classification pass stays serial and ordered.
-    /// With the `parallel` feature disabled (or on one-core machines) this
-    /// *is* the serial decoder.
-    pub fn decode_with_log_parallel(&self, log: &[u64]) -> Result<DecodedQuack, DecodeError> {
-        let ws = NewtonWorkspace::new(self.threshold().min(self.count as usize));
-        decode::decode_difference_parallel(
-            &self.power_sums,
-            self.count,
-            log,
-            &ws,
-            decode::default_decode_threads(),
-        )
-    }
-
-    /// Like [`decode_with_log_parallel`](Self::decode_with_log_parallel)
-    /// but drawing the Newton workspace *and* the locator coefficient
-    /// buffer from a shared [`WorkspacePool`], so steady-state decoding
-    /// allocates nothing. This is the hot-path decoder: batch consumers
-    /// (and the bench harness) decode thousands of differences against one
-    /// pool sized for the negotiated threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool's `max_m` is smaller than
-    /// `min(self.threshold(), self.count())`.
-    pub fn decode_with_log_pooled(
-        &self,
-        log: &[u64],
-        pool: &WorkspacePool<F>,
-    ) -> Result<DecodedQuack, DecodeError> {
-        decode::decode_difference_pooled(
-            &self.power_sums,
-            self.count,
-            log,
-            pool,
-            decode::default_decode_threads(),
-        )
     }
 
     /// Like [`decode_with_log`](Self::decode_with_log) but finding the
@@ -735,7 +688,7 @@ mod tests {
 
     #[test]
     fn parallel_and_pooled_decode_match_serial() {
-        // Log large enough (n·m = 2000·20) to cross the threading cutoff.
+        // A paper-scale log (n = 2000, t = 20) through the one decoder.
         let sent: Vec<u64> = (0..2000u64).map(|i| i * 2_654_435_761 + 17).collect();
         let mut sender = Quack64::new(20);
         let mut receiver = Quack64::new(20);
@@ -746,18 +699,17 @@ mod tests {
             }
         }
         let diff = sender.difference(&receiver);
-        let serial = diff.decode_with_log(&sent).unwrap();
-        assert!(!serial.missing().is_empty());
-        assert_eq!(diff.decode_with_log_parallel(&sent).unwrap(), serial);
-        let pool = WorkspacePool::new(20);
-        assert_eq!(diff.decode_with_log_pooled(&sent, &pool).unwrap(), serial);
-        assert_eq!(pool.idle_len(), 1);
-        // Error paths agree too.
+        let decoded = diff.decode_with_log(&sent).unwrap();
+        let dropped: Vec<usize> = (0..sent.len()).filter(|i| i % 157 == 3).collect();
+        assert_eq!(decoded.missing(), dropped);
         let mut over = Quack64::new(2);
         over.insert_batch(&sent[..5]);
         assert_eq!(
-            over.decode_with_log_parallel(&sent[..5]).unwrap_err(),
-            over.decode_with_log(&sent[..5]).unwrap_err()
+            over.decode_with_log(&sent[..5]).unwrap_err(),
+            DecodeError::ThresholdExceeded {
+                missing: 5,
+                threshold: 2
+            }
         );
     }
 

@@ -55,7 +55,7 @@ pub use fp24::Fp24;
 pub use fp32::Fp32;
 pub use fp64::Fp64;
 pub use monty::Monty64;
-pub use newton::{power_sums_to_coefficients, NewtonWorkspace, PooledWorkspace, WorkspacePool};
+pub use newton::{power_sums_to_coefficients, NewtonWorkspace};
 pub use poly::Poly;
 
 /// The largest prime representable in 16 bits: `2^16 - 15`.

@@ -104,119 +104,6 @@ impl<F: Field> NewtonWorkspace<F> {
     }
 }
 
-/// A shared pool of [`NewtonWorkspace`]s for concurrent decoders.
-///
-/// The per-connection pattern (one workspace per `QuackConsumer`) covers the
-/// sidecar endpoints, but batch decoders — the parallel decode path and the
-/// bench harness — decode many differences with no connection to hang state
-/// off. The pool hands out workspaces on demand and takes them back when the
-/// guard drops, so steady-state decoding performs no inverse-sieve work and
-/// no coefficient-buffer allocation.
-#[derive(Debug)]
-pub struct WorkspacePool<F: Field> {
-    max_m: usize,
-    idle: std::sync::Mutex<Vec<PoolEntry<F>>>,
-}
-
-#[derive(Debug)]
-struct PoolEntry<F: Field> {
-    workspace: NewtonWorkspace<F>,
-    coeffs: Vec<F>,
-}
-
-impl<F: Field> WorkspacePool<F> {
-    /// Creates a pool whose workspaces support locators of degree up to
-    /// `max_m` (the quACK threshold `t`). No workspaces are built until
-    /// first checkout.
-    pub fn new(max_m: usize) -> Self {
-        WorkspacePool {
-            max_m,
-            idle: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The maximum locator degree supported by pooled workspaces.
-    pub fn max_m(&self) -> usize {
-        self.max_m
-    }
-
-    /// Number of workspaces currently checked in (idle).
-    pub fn idle_len(&self) -> usize {
-        self.idle.lock().expect("workspace pool poisoned").len()
-    }
-
-    /// Checks a workspace out of the pool, building one only if the pool is
-    /// empty. Dropping the guard returns it.
-    pub fn get(&self) -> PooledWorkspace<'_, F> {
-        let entry = self
-            .idle
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_else(|| PoolEntry {
-                workspace: NewtonWorkspace::new(self.max_m),
-                coeffs: Vec::with_capacity(self.max_m),
-            });
-        PooledWorkspace {
-            pool: self,
-            entry: Some(entry),
-        }
-    }
-}
-
-/// A checked-out workspace; dereferences to [`NewtonWorkspace`] and returns
-/// itself (and its coefficient buffer) to the pool on drop.
-#[derive(Debug)]
-pub struct PooledWorkspace<'a, F: Field> {
-    pool: &'a WorkspacePool<F>,
-    entry: Option<PoolEntry<F>>,
-}
-
-impl<F: Field> PooledWorkspace<'_, F> {
-    /// Converts power-sum differences into locator coefficients using the
-    /// pooled scratch buffer, then clones out of it.
-    ///
-    /// For allocation-free use, pair [`NewtonWorkspace::coefficients_into`]
-    /// with [`Self::split`] instead.
-    pub fn coefficients(&mut self, power_sums: &[F]) -> Vec<F> {
-        let entry = self.entry.as_mut().expect("pooled workspace taken");
-        entry
-            .workspace
-            .coefficients_into(power_sums, &mut entry.coeffs);
-        entry.coeffs.clone()
-    }
-
-    /// Borrows the workspace and its reusable coefficient buffer together.
-    pub fn split(&mut self) -> (&NewtonWorkspace<F>, &mut Vec<F>) {
-        let entry = self.entry.as_mut().expect("pooled workspace taken");
-        (&entry.workspace, &mut entry.coeffs)
-    }
-}
-
-impl<F: Field> std::ops::Deref for PooledWorkspace<'_, F> {
-    type Target = NewtonWorkspace<F>;
-
-    fn deref(&self) -> &Self::Target {
-        &self
-            .entry
-            .as_ref()
-            .expect("pooled workspace taken")
-            .workspace
-    }
-}
-
-impl<F: Field> Drop for PooledWorkspace<'_, F> {
-    fn drop(&mut self) {
-        if let Some(entry) = self.entry.take() {
-            // A poisoned pool just drops the workspace instead of panicking
-            // in drop.
-            if let Ok(mut idle) = self.pool.idle.lock() {
-                idle.push(entry);
-            }
-        }
-    }
-}
-
 /// One-shot convenience wrapper around [`NewtonWorkspace::coefficients`].
 pub fn power_sums_to_coefficients<F: Field>(power_sums: &[F]) -> Vec<F> {
     NewtonWorkspace::new(power_sums.len()).coefficients(power_sums)
@@ -336,47 +223,5 @@ mod tests {
             ws.coefficients_into(&sums, &mut buf);
             assert_eq!(buf, ws.coefficients(&sums));
         }
-    }
-
-    #[test]
-    fn pool_checkout_and_return() {
-        let pool = WorkspacePool::<Fp32>::new(6);
-        assert_eq!(pool.max_m(), 6);
-        assert_eq!(pool.idle_len(), 0);
-        let sums: Vec<Fp32> = (1..=4u64).map(|i| Fp32::from_u64(i * 17)).collect();
-        let expected = power_sums_to_coefficients(&sums);
-        {
-            let mut a = pool.get();
-            let mut b = pool.get();
-            assert_eq!(a.coefficients(&sums), expected);
-            let (ws, buf) = b.split();
-            ws.coefficients_into(&sums, buf);
-            assert_eq!(*buf, expected);
-            assert_eq!(pool.idle_len(), 0);
-        }
-        assert_eq!(pool.idle_len(), 2);
-        {
-            // Reuse does not grow the pool.
-            let _guard = pool.get();
-            assert_eq!(pool.idle_len(), 1);
-        }
-        assert_eq!(pool.idle_len(), 2);
-    }
-
-    #[test]
-    fn pool_is_shareable_across_threads() {
-        let pool = WorkspacePool::<Fp64>::new(10);
-        std::thread::scope(|scope| {
-            for seed in 0..4u64 {
-                let pool = &pool;
-                scope.spawn(move || {
-                    let sums: Vec<Fp64> =
-                        (1..=10u64).map(|i| Fp64::from_u64(i * seed + 1)).collect();
-                    let mut guard = pool.get();
-                    assert_eq!(guard.coefficients(&sums), power_sums_to_coefficients(&sums));
-                });
-            }
-        });
-        assert!(pool.idle_len() >= 1);
     }
 }

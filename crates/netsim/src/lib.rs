@@ -72,7 +72,6 @@ pub use obs::WorldObs;
 pub use packet::{AckInfo, FlowId, Packet, PacketKind, Payload};
 pub use rng::SimRng;
 pub use router::FlowRouter;
-pub use sched::{set_thread_scheduler, SchedulerKind};
 #[cfg(feature = "obs")]
 pub use telemetry::run_sampled;
 pub use time::{transmission_time, SimDuration, SimTime};

@@ -1,11 +1,9 @@
-//! Event-queue backends: the calendar-queue timer wheel and the legacy
-//! binary heap it replaced.
+//! The world's event queue: a calendar-queue timer wheel.
 //!
 //! The world processes events in `(time, insertion sequence)` order — a
-//! total order, since sequences are unique. Both backends implement exactly
-//! that order, so a `(topology, seed)` pair replays bit-identically under
-//! either; the scheduler-equivalence tests pin this with the heap as the
-//! oracle.
+//! total order, since sequences are unique, so a `(topology, seed)` pair
+//! replays bit-identically. The tests below pin that order against a plain
+//! `BinaryHeap` of the same keys.
 //!
 //! # Wheel layout
 //!
@@ -38,10 +36,8 @@
 //! cursor advances skip empty regions a word at a time.
 
 use crate::time::SimTime;
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 /// log2 of the slot width in nanoseconds (2^13 ns ≈ 8.2 µs per slot).
 const SLOT_BITS: u32 = 13;
@@ -51,63 +47,6 @@ const WHEEL_BITS: u32 = 14;
 const NSLOTS: u64 = 1 << WHEEL_BITS;
 /// Occupancy-bitmap words (64 slots per word).
 const WORDS: usize = (NSLOTS / 64) as usize;
-
-/// Which event-queue backend a [`crate::world::World`] runs on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The calendar-queue timer wheel (default; O(1) amortized).
-    Wheel,
-    /// The legacy engine, preserved whole: binary-heap scheduling
-    /// (O(log n) pops that move full event payloads) *and* the pre-wheel
-    /// dispatch-loop behavior (fresh action buffer per dispatch,
-    /// string-keyed per-event counter lookups). Event order, traces, and
-    /// metric values are identical to [`SchedulerKind::Wheel`] — the
-    /// equivalence suite pins that — so this mode serves as both the
-    /// determinism oracle and the A/B baseline `exp_simscale` measures
-    /// the modern engine against.
-    Heap,
-}
-
-impl SchedulerKind {
-    /// Parses `"wheel"` / `"heap"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        if s.eq_ignore_ascii_case("wheel") {
-            Some(SchedulerKind::Wheel)
-        } else if s.eq_ignore_ascii_case("heap") {
-            Some(SchedulerKind::Heap)
-        } else {
-            None
-        }
-    }
-}
-
-thread_local! {
-    static THREAD_SCHED: Cell<Option<SchedulerKind>> = const { Cell::new(None) };
-}
-
-/// Overrides the scheduler used by [`crate::world::World::new`] on this
-/// thread (`None` clears the override). Equivalence tests and benches use
-/// this to run the same scenario code under both backends without plumbing
-/// a knob through every scenario constructor.
-pub fn set_thread_scheduler(kind: Option<SchedulerKind>) {
-    THREAD_SCHED.with(|c| c.set(kind));
-}
-
-/// The scheduler [`crate::world::World::new`] will pick on this thread:
-/// the thread override if set, else the `SIDECAR_SCHED` environment
-/// variable (`wheel`/`heap`, read once per process), else the wheel.
-pub fn thread_scheduler() -> SchedulerKind {
-    if let Some(kind) = THREAD_SCHED.with(|c| c.get()) {
-        return kind;
-    }
-    static ENV: OnceLock<SchedulerKind> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("SIDECAR_SCHED")
-            .ok()
-            .and_then(|v| SchedulerKind::parse(&v))
-            .unwrap_or(SchedulerKind::Wheel)
-    })
-}
 
 /// A 24-byte wheel entry: full ordering key plus the slab index of the
 /// event payload.
@@ -138,8 +77,7 @@ impl Ord for Entry {
     }
 }
 
-/// A heap entry carrying its payload inline — the legacy representation,
-/// also used for wheel overflow.
+/// A heap entry carrying its payload inline (wheel overflow).
 struct HeapEntry<T> {
     at: SimTime,
     seq: u64,
@@ -176,7 +114,7 @@ struct SlabNode<T> {
 }
 
 /// The calendar-queue timer wheel (see the module docs for the layout).
-pub(crate) struct WheelQueue<T> {
+pub(crate) struct EventQueue<T> {
     /// Pooled event nodes; `free` recycles vacated cells.
     slab: Vec<SlabNode<T>>,
     free: Vec<u32>,
@@ -199,9 +137,9 @@ pub(crate) struct WheelQueue<T> {
     len: usize,
 }
 
-impl<T> WheelQueue<T> {
-    fn new() -> Self {
-        WheelQueue {
+impl<T> EventQueue<T> {
+    pub(crate) fn new() -> Self {
+        EventQueue {
             slab: Vec::new(),
             free: Vec::new(),
             slots: vec![NIL; NSLOTS as usize],
@@ -214,7 +152,7 @@ impl<T> WheelQueue<T> {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
@@ -244,7 +182,9 @@ impl<T> WheelQueue<T> {
         kind
     }
 
-    fn push(&mut self, at: SimTime, seq: u64, kind: T) {
+    /// Queues `kind` at `(at, seq)`. `seq` must be unique and increasing
+    /// across pushes (the world's event sequence).
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, kind: T) {
         self.len += 1;
         let slot = at.tick(SLOT_BITS);
         if slot >= self.cur_slot + NSLOTS {
@@ -304,7 +244,9 @@ impl<T> WheelQueue<T> {
         unreachable!("find_occupied on an empty wheel");
     }
 
-    fn pop_due(&mut self, limit: Option<SimTime>) -> Option<(SimTime, T)> {
+    /// Pops the earliest event by `(at, seq)`; with `limit`, only if it
+    /// fires at or before the limit.
+    pub(crate) fn pop_due(&mut self, limit: Option<SimTime>) -> Option<(SimTime, T)> {
         loop {
             self.migrate_overflow();
             if let Some(head) = self.due.last() {
@@ -358,84 +300,6 @@ impl<T> WheelQueue<T> {
     }
 }
 
-/// The legacy scheduler: one binary heap of `(time, seq, payload)` events.
-pub(crate) struct HeapQueue<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-}
-
-impl<T> HeapQueue<T> {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    fn push(&mut self, at: SimTime, seq: u64, kind: T) {
-        self.heap.push(HeapEntry { at, seq, kind });
-    }
-
-    fn pop_due(&mut self, limit: Option<SimTime>) -> Option<(SimTime, T)> {
-        if limit.is_some_and(|d| self.heap.peek().is_none_or(|e| e.at > d)) {
-            return None;
-        }
-        self.heap.pop().map(|e| (e.at, e.kind))
-    }
-}
-
-/// The world's event queue: one of the two backends behind a common API.
-///
-/// The size skew is deliberate: the wheel variant carries its occupancy
-/// bitmap inline (2 KiB) so cursor scans stay pointer-chase-free, and
-/// there is exactly one `EventQueue` per `World` — never a collection of
-/// them — so boxing the large variant would buy nothing and cost an
-/// indirection on every scheduler call.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum EventQueue<T> {
-    Wheel(WheelQueue<T>),
-    Heap(HeapQueue<T>),
-}
-
-impl<T> EventQueue<T> {
-    pub(crate) fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Wheel => EventQueue::Wheel(WheelQueue::new()),
-            SchedulerKind::Heap => EventQueue::Heap(HeapQueue::new()),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::Wheel(_) => SchedulerKind::Wheel,
-            EventQueue::Heap(_) => SchedulerKind::Heap,
-        }
-    }
-
-    /// Queues `kind` at `(at, seq)`. `seq` must be unique and increasing
-    /// across pushes (the world's event sequence).
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, kind: T) {
-        match self {
-            EventQueue::Wheel(q) => q.push(at, seq, kind),
-            EventQueue::Heap(q) => q.push(at, seq, kind),
-        }
-    }
-
-    /// Pops the earliest event by `(at, seq)`; with `limit`, only if it
-    /// fires at or before the limit.
-    pub(crate) fn pop_due(&mut self, limit: Option<SimTime>) -> Option<(SimTime, T)> {
-        match self {
-            EventQueue::Wheel(q) => q.pop_due(limit),
-            EventQueue::Heap(q) => q.pop_due(limit),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(q) => q.len(),
-            EventQueue::Heap(q) => q.heap.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,27 +314,42 @@ mod tests {
         out
     }
 
+    /// `pop_due` on the reference model: a plain binary heap of the same keys.
+    fn heap_pop_due(
+        heap: &mut BinaryHeap<HeapEntry<u64>>,
+        limit: Option<SimTime>,
+    ) -> Option<(SimTime, u64)> {
+        if limit.is_some_and(|d| heap.peek().is_none_or(|e| e.at > d)) {
+            return None;
+        }
+        heap.pop().map(|e| (e.at, e.kind))
+    }
+
     #[test]
     fn fifo_tie_break_at_equal_times() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut q = EventQueue::new(kind);
-            let t = SimTime::from_nanos(5_000);
-            for seq in 0..100u64 {
-                q.push(t, seq, seq);
-            }
-            let got: Vec<u64> = drain(&mut q).into_iter().map(|(_, v)| v).collect();
-            assert_eq!(got, (0..100).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(5_000);
+        for seq in 0..100u64 {
+            q.push(t, seq, seq);
         }
+        let got: Vec<u64> = drain(&mut q).into_iter().map(|(_, v)| v).collect();
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn wheel_matches_heap_on_random_workloads() {
         // Interleaved pushes and pops with times spanning sub-slot gaps,
-        // multi-slot gaps, and beyond-horizon jumps (overflow path).
+        // multi-slot gaps, and beyond-horizon jumps (overflow path). Half of
+        // the pops carry a limit — `World::run_until`'s path — a sub-slot
+        // step, a millisecond, or a second (past the 134 ms horizon) ahead.
         for seed in 0..8u64 {
             let mut rng = SimRng::new(seed);
-            let mut ops = Vec::new();
+            let mut q = EventQueue::new();
+            let mut heap = BinaryHeap::new();
             let mut t = 0u64;
+            // The world's clock: nothing is scheduled before it.
+            let mut floor = 0u64;
+            let (mut granted, mut refused) = (0u32, 0u32);
             for seq in 0..4_000u64 {
                 t += match rng.below(4) {
                     0 => rng.below(1 << 10), // same slot
@@ -478,86 +357,81 @@ mod tests {
                     2 => rng.below(1 << 24), // far slots
                     _ => rng.below(1 << 29), // often past horizon
                 };
-                // Schedule relative to a base that trails the pops.
-                ops.push((t, seq, rng.below(3) == 0));
-            }
-            let run = |kind: SchedulerKind| {
-                let mut q = EventQueue::new(kind);
-                let mut out = Vec::new();
-                let mut floor = 0u64; // delivered events never precede this
-                for &(at, seq, pop_now) in &ops {
-                    q.push(SimTime::from_nanos(floor + at), seq, seq);
-                    if pop_now {
-                        if let Some((at, v)) = q.pop_due(None) {
-                            out.push((at, v));
-                            floor = floor.max(at.as_nanos());
-                        }
+                let at = SimTime::from_nanos(floor + t);
+                q.push(at, seq, seq);
+                heap.push(HeapEntry { at, seq, kind: seq });
+                if rng.below(3) != 0 {
+                    continue;
+                }
+                let limit = match rng.below(6) {
+                    0 => Some(floor + rng.below(1 << 12)),
+                    1 => Some(floor + rng.below(1 << 20)),
+                    2 => Some(floor + rng.below(1 << 30)),
+                    _ => None,
+                }
+                .map(SimTime::from_nanos);
+                let got = q.pop_due(limit);
+                assert_eq!(got, heap_pop_due(&mut heap, limit), "seed {seed} seq {seq}");
+                assert_eq!(q.len(), heap.len(), "seed {seed} seq {seq}");
+                match (got, limit) {
+                    (Some((at, _)), _) => {
+                        floor = at.as_nanos();
+                        granted += u32::from(limit.is_some());
                     }
+                    (None, Some(limit)) => {
+                        // Refused: asking again changes nothing, and the
+                        // clock clamps forward as `run_until` does.
+                        assert_eq!(q.pop_due(Some(limit)), None);
+                        assert_eq!(q.len(), heap.len());
+                        floor = floor.max(limit.as_nanos());
+                        refused += 1;
+                    }
+                    (None, None) => unreachable!("an event was just pushed"),
                 }
-                while let Some(ev) = q.pop_due(None) {
-                    out.push(ev);
-                }
-                out
-            };
-            assert_eq!(
-                run(SchedulerKind::Wheel),
-                run(SchedulerKind::Heap),
-                "seed {seed}"
+            }
+            assert!(
+                granted > 50 && refused > 50,
+                "{granted} granted, {refused} refused"
             );
+            let rest: Vec<_> = std::iter::from_fn(|| heap_pop_due(&mut heap, None)).collect();
+            assert_eq!(drain(&mut q), rest, "seed {seed}");
         }
     }
 
     #[test]
     fn pop_due_respects_limit() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut q = EventQueue::new(kind);
-            q.push(SimTime::from_nanos(10), 0, "a");
-            q.push(SimTime::from_nanos(20_000_000), 1, "b"); // later slot
-            q.push(
-                SimTime::ZERO + SimDuration::from_secs(10), // overflow
-                2,
-                "c",
-            );
-            let lim = Some(SimTime::from_nanos(100));
-            assert_eq!(q.pop_due(lim), Some((SimTime::from_nanos(10), "a")));
-            assert_eq!(q.pop_due(lim), None);
-            assert_eq!(q.pop_due(lim), None, "limit check must not consume");
-            assert_eq!(
-                q.pop_due(None),
-                Some((SimTime::from_nanos(20_000_000), "b"))
-            );
-            assert_eq!(
-                q.pop_due(None),
-                Some((SimTime::ZERO + SimDuration::from_secs(10), "c"))
-            );
-            assert_eq!(q.pop_due(None), None);
-            assert_eq!(q.len(), 0);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(10), 0, "a");
+        q.push(SimTime::from_nanos(20_000_000), 1, "b"); // later slot
+        q.push(
+            SimTime::ZERO + SimDuration::from_secs(10), // overflow
+            2,
+            "c",
+        );
+        let lim = Some(SimTime::from_nanos(100));
+        assert_eq!(q.pop_due(lim), Some((SimTime::from_nanos(10), "a")));
+        assert_eq!(q.pop_due(lim), None);
+        assert_eq!(q.pop_due(lim), None, "limit check must not consume");
+        assert_eq!(
+            q.pop_due(None),
+            Some((SimTime::from_nanos(20_000_000), "b"))
+        );
+        assert_eq!(
+            q.pop_due(None),
+            Some((SimTime::ZERO + SimDuration::from_secs(10), "c"))
+        );
+        assert_eq!(q.pop_due(None), None);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn far_future_events_overflow_and_return() {
-        let mut q = EventQueue::new(SchedulerKind::Wheel);
+        let mut q = EventQueue::new();
         // 10 s apart: every event lives in overflow until the cursor jumps.
         for i in 0..20u64 {
             q.push(SimTime::ZERO + SimDuration::from_secs(10 * (20 - i)), i, i);
         }
         let got: Vec<u64> = drain(&mut q).into_iter().map(|(_, v)| v).collect();
         assert_eq!(got, (0..20u64).rev().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn env_parse() {
-        assert_eq!(SchedulerKind::parse("wheel"), Some(SchedulerKind::Wheel));
-        assert_eq!(SchedulerKind::parse("HEAP"), Some(SchedulerKind::Heap));
-        assert_eq!(SchedulerKind::parse("calendar"), None);
-    }
-
-    #[test]
-    fn thread_override_wins() {
-        set_thread_scheduler(Some(SchedulerKind::Heap));
-        assert_eq!(thread_scheduler(), SchedulerKind::Heap);
-        set_thread_scheduler(None);
-        // Default (no SIDECAR_SCHED in the test environment) is the wheel.
     }
 }

@@ -9,12 +9,10 @@
 use crate::fault::{ControlAction, FaultPlan, LinkTarget};
 use crate::link::{Link, LinkConfig, LinkOutcome, LinkStats};
 use crate::node::{Action, Context, IfaceId, LinkId, Node, NodeId, TimerHandle};
-#[cfg(feature = "obs")]
-use crate::obs::HotCounters;
 use crate::obs::WorldObs;
 use crate::packet::{FlowId, Packet, Payload};
 use crate::rng::SimRng;
-use crate::sched::{thread_scheduler, EventQueue, SchedulerKind};
+use crate::sched::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropReason, Trace, TraceEvent};
 #[cfg(feature = "obs")]
@@ -107,14 +105,6 @@ pub struct World {
     action_pool: Vec<Action>,
     /// Handles of cancelled-but-not-yet-popped timers.
     cancelled: HashSet<u64>,
-    /// True on [`SchedulerKind::Heap`]: besides the heap scheduler itself,
-    /// the dispatch loop reproduces the pre-wheel engine's allocation
-    /// behavior — a fresh action buffer per dispatch and string-keyed
-    /// registry lookups for the per-event counters — so heap-mode runs
-    /// measure the engine that actually shipped, not a hybrid. Behavior
-    /// (event order, traces, metric values) is identical either way; the
-    /// equivalence suite pins that.
-    legacy_dispatch: bool,
     /// Next [`TimerHandle`] value to hand out (starts at 1; 0 is the
     /// world-less unit-test base and never reaches this queue).
     timer_handle_seq: u64,
@@ -125,22 +115,13 @@ pub struct World {
 }
 
 impl World {
-    /// Creates an empty world with the given determinism seed, scheduled by
-    /// [`thread_scheduler`] (the timer wheel unless overridden per thread
-    /// or via `SIDECAR_SCHED`).
+    /// Creates an empty world with the given determinism seed.
     pub fn new(seed: u64) -> Self {
-        Self::new_with_scheduler(seed, thread_scheduler())
-    }
-
-    /// Creates an empty world on an explicit scheduler backend. Event order
-    /// is identical across backends (the equivalence tests pin this); the
-    /// heap exists as the oracle and for A/B benching.
-    pub fn new_with_scheduler(seed: u64, scheduler: SchedulerKind) -> Self {
         World {
             nodes: Vec::new(),
             node_ifaces: Vec::new(),
             links: Vec::new(),
-            queue: EventQueue::new(scheduler),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng: SimRng::new(seed),
             event_seq: 0,
@@ -151,20 +132,22 @@ impl World {
             faults: None,
             action_pool: Vec::new(),
             cancelled: HashSet::new(),
-            legacy_dispatch: scheduler == SchedulerKind::Heap,
             timer_handle_seq: 1,
             obs: WorldObs::new(),
         }
     }
 
-    /// Which scheduler backend this world runs on.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.queue.kind()
-    }
-
     /// Events currently queued (scheduler-load metric for benches).
     pub fn events_pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Cancellations recorded but not yet matched to a popped timer. With an
+    /// empty queue this must be zero: anything left names a handle that had
+    /// already fired, and keeps `step` off its no-cancellation fast path.
+    #[doc(hidden)]
+    pub fn cancellations_pending(&self) -> usize {
+        self.cancelled.len()
     }
 
     /// This world's observability state: a fresh metrics registry and event
@@ -451,7 +434,7 @@ impl World {
                     });
                     #[cfg(feature = "obs")]
                     {
-                        self.bump(|h| &h.drop_node_down, "netsim.drop.node_down");
+                        self.obs.hot.drop_node_down.inc();
                         self.obs.trace.record(
                             self.now.as_nanos(),
                             ObsEvent::LinkDrop {
@@ -520,9 +503,9 @@ impl World {
                 #[cfg(feature = "obs")]
                 {
                     if up {
-                        self.bump(|h| &h.fault_restore, "netsim.fault.restore");
+                        self.obs.hot.fault_restore.inc();
                     } else {
-                        self.bump(|h| &h.fault_outage, "netsim.fault.outage");
+                        self.obs.hot.fault_outage.inc();
                     }
                     self.obs.trace.record(
                         self.now.as_nanos(),
@@ -536,7 +519,7 @@ impl World {
                 if up {
                     #[cfg(feature = "obs")]
                     {
-                        self.bump(|h| &h.restart, "netsim.restart");
+                        self.obs.hot.restart.inc();
                         self.obs.trace.record(
                             self.now.as_nanos(),
                             ObsEvent::Restart {
@@ -590,13 +573,8 @@ impl World {
     {
         let mut node = self.nodes[id.0].take().expect("re-entrant dispatch");
         // Reuse the pooled buffer: after warmup the steady-state dispatch
-        // loop performs no heap allocation for actions. Legacy (heap) mode
-        // keeps the old engine's fresh-buffer-per-dispatch behavior.
-        let mut actions = if self.legacy_dispatch {
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.action_pool)
-        };
+        // loop performs no heap allocation for actions.
+        let mut actions = std::mem::take(&mut self.action_pool);
         debug_assert!(actions.is_empty());
         {
             #[cfg(feature = "obs")]
@@ -634,23 +612,7 @@ impl World {
                 }
             }
         }
-        if !self.legacy_dispatch {
-            self.action_pool = actions;
-        }
-    }
-
-    /// Bumps one of the per-event hot counters: through the pre-interned
-    /// atomic handle on the modern engine, or through the registry's
-    /// string-keyed lookup (mutex + hash per event) when reproducing the
-    /// legacy engine — the cost the tentpole's key interning removed.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn bump(&mut self, pick: fn(&HotCounters) -> &sidecar_obs::Counter, name: &'static str) {
-        if self.legacy_dispatch {
-            self.obs.metrics.inc(name);
-        } else {
-            pick(&self.obs.hot).inc();
-        }
+        self.action_pool = actions;
     }
 
     /// Pushes a packet into the link behind `(node, iface)`, applying any
@@ -678,7 +640,7 @@ impl World {
                 });
                 #[cfg(feature = "obs")]
                 {
-                    self.bump(|h| &h.drop_blackout, "netsim.drop.blackout");
+                    self.obs.hot.drop_blackout.inc();
                     self.obs.trace.record(
                         self.now.as_nanos(),
                         ObsEvent::LinkDrop {
@@ -711,7 +673,7 @@ impl World {
                         #[cfg(feature = "obs")]
                         {
                             self.record_control_fault(node, ObsControlKind::Firewall);
-                            self.bump(|h| &h.drop_injected, "netsim.drop.injected");
+                            self.obs.hot.drop_injected.inc();
                             self.obs.trace.record(
                                 self.now.as_nanos(),
                                 ObsEvent::LinkDrop {
@@ -742,7 +704,7 @@ impl World {
                     });
                     #[cfg(feature = "obs")]
                     {
-                        self.bump(|h| &h.drop_injected, "netsim.drop.injected");
+                        self.obs.hot.drop_injected.inc();
                         self.obs.trace.record(
                             self.now.as_nanos(),
                             ObsEvent::LinkDrop {
@@ -827,7 +789,7 @@ impl World {
             LinkOutcome::Deliver(at) => {
                 #[cfg(feature = "obs")]
                 {
-                    self.bump(|h| &h.delivered, "netsim.delivered");
+                    self.obs.hot.delivered.inc();
                     if let Some((class, flow, pseq)) = Self::hop_identity(&packet) {
                         self.obs.trace.record(
                             self.now.as_nanos(),
@@ -870,10 +832,10 @@ impl World {
                 #[cfg(feature = "obs")]
                 {
                     let cause = if outcome == LinkOutcome::DropQueue {
-                        self.bump(|h| &h.drop_queue, "netsim.drop.queue");
+                        self.obs.hot.drop_queue.inc();
                         ObsDropCause::Queue
                     } else {
-                        self.bump(|h| &h.drop_loss, "netsim.drop.loss");
+                        self.obs.hot.drop_loss.inc();
                         ObsDropCause::Loss
                     };
                     self.obs.trace.record(

@@ -78,7 +78,8 @@ proptest! {
         prop_assert!(sender.stats().sent_packets >= total);
     }
 
-    /// Determinism: identical parameters and seed give identical stats.
+    /// Determinism: identical parameters and seed give identical stats,
+    /// clock, event count and (with `obs`) rendered trace and metrics.
     #[test]
     fn identical_seeds_reproduce_exactly(
         seed in any::<u64>(),
@@ -92,6 +93,8 @@ proptest! {
                 w.node_as::<SenderNode>(s).stats().clone(),
                 w.now(),
                 w.events_processed(),
+                #[cfg(feature = "obs")]
+                (w.obs().trace.render(), w.obs().metrics.snapshot().encode()),
             )
         };
         prop_assert_eq!(run(), run());

@@ -28,13 +28,13 @@
 //!   eviction triggers — the idle deadline and LRU-under-pressure — pop
 //!   from the tail in O(1) per eviction.
 //!
-//! The eviction *policy* is unchanged from the original scan-based table
-//! (kept verbatim in [`legacy`] as an equivalence oracle): a fixed shard
-//! count, a per-shard capacity cap, idle reclamation before LRU pressure.
-//! Eviction is deliberately *safe*: sidecar state is an accelerator, never
-//! the source of truth, so a reclaimed session costs one epoch
-//! resynchronization round (the existing `Reset`/`Hello` machinery) and the
-//! flow falls back to its end-to-end transport in the meantime.
+//! The eviction *policy* is a fixed shard count, a per-shard capacity cap,
+//! and idle reclamation before LRU pressure (`flow_mux_prop.rs` checks it
+//! against a `Vec`-scan model of exactly that policy). Eviction is
+//! deliberately *safe*: sidecar state is an accelerator, never the source
+//! of truth, so a reclaimed session costs one epoch resynchronization round
+//! (the existing `Reset`/`Hello` machinery) and the flow falls back to its
+//! end-to-end transport in the meantime.
 //!
 //! Interleaved multi-flow arrival is the realistic input at a shared
 //! vantage point, and it defeats the producer's lane-parallel
@@ -279,8 +279,7 @@ impl<S> FlowTable<S> {
 
     /// Fibonacci multiplicative mix of the flow id: cheap, stateless, and
     /// well-distributed even for sequential ids. Shard selection uses the
-    /// upper-middle bits (exactly as the legacy table did, so shard
-    /// placement is bit-identical); the index uses the top bits.
+    /// upper-middle bits; the index uses the top bits.
     fn mix(flow: FlowId) -> u64 {
         (flow.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
@@ -490,8 +489,7 @@ impl<S> FlowTable<S> {
         }
         let shard = self.shard_index(flow);
         // Touch times are monotone, so idle entries are a contiguous
-        // suffix at the LRU tail: reclaim them all before LRU pressure
-        // (identical policy to the legacy table's idle `retain`).
+        // suffix at the LRU tail: reclaim them all before LRU pressure.
         loop {
             let tail = self.shards[shard].tail;
             if tail == NIL || !self.is_idle(tail, now) {
@@ -755,217 +753,6 @@ impl FoldBuffer {
             return None;
         }
         Some(core::mem::take(&mut self.stats))
-    }
-}
-
-pub mod legacy {
-    //! The original scan-based flow table (PR 4), kept verbatim as the
-    //! equivalence oracle for the slab engine — the same role the legacy
-    //! binary-heap scheduler plays for the netsim timer wheel. The property
-    //! suite drives both tables with identical operation streams and
-    //! requires identical surviving flows, session state, and stats; the
-    //! many-flow benchmark uses it as the A/B baseline that the
-    //! `manyflow_insert_speedup` headline is measured against.
-    //!
-    //! Policy (shared with the slab engine): a fixed shard count keyed by
-    //! the Fibonacci multiplicative hash, a per-shard capacity cap, idle
-    //! reclamation before LRU pressure. The difference is purely
-    //! mechanical: lookups scan the shard `Vec` (O(shard size)), evictions
-    //! `retain`/`remove` with element shifts, and per-call batch stat
-    //! accounting — the costs and the mid-sweep accounting drift the slab
-    //! engine exists to remove.
-
-    use super::{FlowTableConfig, FlowTableStats};
-    use sidecar_netsim::packet::FlowId;
-    use sidecar_netsim::time::SimTime;
-
-    struct Entry<S> {
-        flow: FlowId,
-        last_used: SimTime,
-        session: S,
-    }
-
-    /// A sharded `FlowId → session` map with bounded capacity,
-    /// LRU-within-shard eviction, and idle-deadline reclamation — the
-    /// original `Vec`-scan implementation. See the module docs for why it
-    /// is retained.
-    pub struct FlowTable<S> {
-        cfg: FlowTableConfig,
-        shards: Vec<Vec<Entry<S>>>,
-        stats: FlowTableStats,
-    }
-
-    impl<S> FlowTable<S> {
-        /// Builds an empty table. Zero `shards`/`per_shard` are clamped
-        /// to 1.
-        pub fn new(cfg: FlowTableConfig) -> Self {
-            let cfg = FlowTableConfig {
-                shards: cfg.shards.max(1),
-                per_shard: cfg.per_shard.max(1),
-                ..cfg
-            };
-            let mut shards = Vec::with_capacity(cfg.shards);
-            shards.resize_with(cfg.shards, Vec::new);
-            FlowTable {
-                cfg,
-                shards,
-                stats: FlowTableStats::default(),
-            }
-        }
-
-        /// The table's configuration.
-        pub fn config(&self) -> &FlowTableConfig {
-            &self.cfg
-        }
-
-        /// Maximum number of live sessions.
-        pub fn capacity(&self) -> usize {
-            self.cfg.shards * self.cfg.per_shard
-        }
-
-        /// Number of live sessions.
-        pub fn len(&self) -> usize {
-            self.shards.iter().map(Vec::len).sum()
-        }
-
-        /// Whether the table holds no sessions.
-        pub fn is_empty(&self) -> bool {
-            self.shards.iter().all(Vec::is_empty)
-        }
-
-        /// Fibonacci multiplicative spread of the flow id over the shards
-        /// (bit-identical to the slab engine's shard placement).
-        fn shard_index(&self, flow: FlowId) -> usize {
-            let mixed = (flow.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            ((mixed >> 32) as usize) % self.cfg.shards
-        }
-
-        /// Looks up `flow`, refreshing its LRU/idle clock to `now`.
-        pub fn get_mut(&mut self, flow: FlowId, now: SimTime) -> Option<&mut S> {
-            let shard = self.shard_index(flow);
-            let entry = self.shards[shard].iter_mut().find(|e| e.flow == flow)?;
-            entry.last_used = now;
-            Some(&mut entry.session)
-        }
-
-        /// Whether a session for `flow` is live (no LRU refresh).
-        pub fn contains(&self, flow: FlowId) -> bool {
-            let shard = self.shard_index(flow);
-            self.shards[shard].iter().any(|e| e.flow == flow)
-        }
-
-        /// Looks up `flow` *without* refreshing its LRU/idle clock.
-        pub fn peek_mut(&mut self, flow: FlowId) -> Option<&mut S> {
-            let shard = self.shard_index(flow);
-            self.shards[shard]
-                .iter_mut()
-                .find(|e| e.flow == flow)
-                .map(|e| &mut e.session)
-        }
-
-        /// Removes and returns `flow`'s session iff it is idle past the
-        /// deadline.
-        pub fn evict_if_idle(&mut self, flow: FlowId, now: SimTime) -> Option<S> {
-            let deadline = self.cfg.idle_timeout;
-            let shard = self.shard_index(flow);
-            let pos = self.shards[shard]
-                .iter()
-                .position(|e| e.flow == flow && e.last_used + deadline <= now)?;
-            self.stats.evicted_idle += 1;
-            Some(self.shards[shard].remove(pos).session)
-        }
-
-        /// Looks up `flow`, creating its session with `init` if absent;
-        /// returns `(created, session)`. Creation first reclaims idle
-        /// sessions in the target shard, then — if the shard is still full
-        /// — evicts its least recently used entry.
-        pub fn get_or_insert_with(
-            &mut self,
-            flow: FlowId,
-            now: SimTime,
-            init: impl FnOnce() -> S,
-        ) -> (bool, &mut S) {
-            let shard = self.shard_index(flow);
-            if let Some(pos) = self.shards[shard].iter().position(|e| e.flow == flow) {
-                let entry = &mut self.shards[shard][pos];
-                entry.last_used = now;
-                return (false, &mut entry.session);
-            }
-            // Reclaim idle entries before applying LRU pressure.
-            let deadline = self.cfg.idle_timeout;
-            let before = self.shards[shard].len();
-            self.shards[shard].retain(|e| e.last_used + deadline > now);
-            self.stats.evicted_idle += (before - self.shards[shard].len()) as u64;
-            if self.shards[shard].len() >= self.cfg.per_shard {
-                let lru = self.shards[shard]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(i, _)| i)
-                    .expect("full shard is non-empty");
-                self.shards[shard].remove(lru);
-                self.stats.evicted_capacity += 1;
-            }
-            if !self.shards[shard].is_empty() {
-                self.stats.shard_collisions += 1;
-            }
-            self.stats.created += 1;
-            self.shards[shard].push(Entry {
-                flow,
-                last_used: now,
-                session: init(),
-            });
-            let entry = self.shards[shard].last_mut().expect("just pushed");
-            (true, &mut entry.session)
-        }
-
-        /// Removes and returns `flow`'s session.
-        pub fn remove(&mut self, flow: FlowId) -> Option<S> {
-            let shard = self.shard_index(flow);
-            let pos = self.shards[shard].iter().position(|e| e.flow == flow)?;
-            Some(self.shards[shard].remove(pos).session)
-        }
-
-        /// Reclaims every session idle past the deadline.
-        pub fn sweep_idle(&mut self, now: SimTime) -> Vec<(FlowId, S)> {
-            let deadline = self.cfg.idle_timeout;
-            let mut evicted = Vec::new();
-            for shard in &mut self.shards {
-                let mut kept = Vec::with_capacity(shard.len());
-                for entry in shard.drain(..) {
-                    if entry.last_used + deadline <= now {
-                        evicted.push((entry.flow, entry.session));
-                    } else {
-                        kept.push(entry);
-                    }
-                }
-                *shard = kept;
-            }
-            self.stats.evicted_idle += evicted.len() as u64;
-            evicted
-        }
-
-        /// Iterates live sessions (shard index, then insertion order).
-        pub fn iter(&self) -> impl Iterator<Item = (FlowId, &S)> {
-            self.shards
-                .iter()
-                .flat_map(|shard| shard.iter().map(|e| (e.flow, &e.session)))
-        }
-
-        /// Mutable twin of [`FlowTable::iter`], same order.
-        pub fn iter_mut(&mut self) -> impl Iterator<Item = (FlowId, &mut S)> {
-            self.shards
-                .iter_mut()
-                .flat_map(|shard| shard.iter_mut().map(|e| (e.flow, &mut e.session)))
-        }
-
-        /// Drains the counters accumulated since the last call.
-        pub fn take_stats(&mut self) -> Option<FlowTableStats> {
-            if self.stats == FlowTableStats::default() {
-                return None;
-            }
-            Some(core::mem::take(&mut self.stats))
-        }
     }
 }
 
@@ -1314,26 +1101,5 @@ mod tests {
             per_flow <= ceiling,
             "bytes/flow {per_flow} exceeded ceiling {ceiling}"
         );
-    }
-
-    #[test]
-    fn legacy_table_still_behaves() {
-        // The oracle itself gets a smoke test: same policy outcomes as the
-        // slab engine on the canonical LRU script.
-        let mut table: legacy::FlowTable<u32> = legacy::FlowTable::new(FlowTableConfig {
-            shards: 1,
-            per_shard: 2,
-            idle_timeout: SimDuration::from_millis(1_000_000),
-        });
-        table.get_or_insert_with(FlowId(1), t(0), || 1);
-        table.get_or_insert_with(FlowId(2), t(1), || 2);
-        table.get_mut(FlowId(1), t(5));
-        table.get_or_insert_with(FlowId(3), t(6), || 3);
-        assert!(table.contains(FlowId(1)));
-        assert!(!table.contains(FlowId(2)));
-        assert!(table.contains(FlowId(3)));
-        let stats = table.take_stats().unwrap();
-        assert_eq!(stats.created, 3);
-        assert_eq!(stats.evicted_capacity, 1);
     }
 }

@@ -95,10 +95,16 @@ impl GuardedTimer {
         }
     }
 
-    /// Disarms the guard, cancelling the pending chain if any.
+    /// Disarms the guard, cancelling the pending chain if any. A deadline
+    /// strictly before now has already left the queue (timers pop in time
+    /// order; one that fell inside an outage was discarded by the host), so
+    /// its handle is dropped without a cancellation that nothing would
+    /// ever collect.
     pub(crate) fn disarm(&mut self, ctx: &mut Context) {
-        if let Some((_, handle)) = self.armed.take() {
-            ctx.cancel_timer(handle);
+        if let Some((at, handle)) = self.armed.take() {
+            if at >= ctx.now() {
+                ctx.cancel_timer(handle);
+            }
         }
     }
 }

@@ -474,6 +474,7 @@ mod short_outage {
     use super::*;
     use sidecar_netsim::fault::FaultPlan;
     use sidecar_netsim::link::LinkConfig;
+    use sidecar_netsim::node::NodeId;
     use sidecar_netsim::transport::{CcAlgorithm, ReceiverConfig, SenderConfig};
     use sidecar_netsim::world::World;
     use sidecar_proto::protocols::ack_reduction::AckRedProxy;
@@ -550,11 +551,9 @@ mod short_outage {
         );
     }
 
-    /// Events an otherwise idle `AckRedProxy` processes in 10 s around a
-    /// crash: nothing but its periodic idle sweep (every 20 ms here) and the
-    /// two fault edges. The sweep sends nothing, so the chain count shows in
-    /// the event total rather than in `sidecar_messages`.
-    fn sweep_events(outage_ms: u64) -> u64 {
+    /// A world holding one otherwise idle `AckRedProxy` (its periodic idle
+    /// sweep, every 20 ms here, is the only traffic) under `faults`.
+    fn sweep_world(faults: impl FnOnce(NodeId) -> FaultPlan) -> World {
         let mut w = World::new(9);
         let proxy = w.add_node(Box::new(AckRedProxy::with_flow_table(
             SidecarConfig::paper_default(),
@@ -563,10 +562,38 @@ mod short_outage {
                 ..FlowTableConfig::default()
             },
         )));
+        w.install_faults(faults(proxy));
+        w
+    }
+
+    /// Events the idle proxy processes in 10 s around a crash: nothing but
+    /// its sweeps and the two fault edges. The sweep sends nothing, so the
+    /// chain count shows in the event total rather than in
+    /// `sidecar_messages`.
+    fn sweep_events(outage_ms: u64) -> u64 {
         // Sweeps land on multiples of 20 ms; the outage starts between two.
-        w.install_faults(FaultPlan::new(1).crash_restart(proxy, at(1_005), at(1_005 + outage_ms)));
+        let mut w = sweep_world(|proxy| {
+            FaultPlan::new(1).crash_restart(proxy, at(1_005), at(1_005 + outage_ms))
+        });
         w.run_until(at(10_000));
         w.events_processed()
+    }
+
+    /// The sweep due at 1.020 s falls inside the outage, so the world has
+    /// discarded it by the time `on_restart` disarms its guard: cancelling
+    /// that handle would leave a record nothing collects, and `World::step`
+    /// off its no-cancellation fast path for the rest of the run. The final
+    /// kill lets the periodic chain, and so the queue, drain.
+    #[test]
+    fn no_cancellation_outlives_the_queue_after_a_crash() {
+        let mut w = sweep_world(|proxy| {
+            FaultPlan::new(1)
+                .crash_restart(proxy, at(1_005), at(1_055))
+                .kill(proxy, at(2_000))
+        });
+        w.run_until_idle(10_000);
+        assert_eq!(w.events_pending(), 0);
+        assert_eq!(w.cancellations_pending(), 0);
     }
 
     #[test]

@@ -16,19 +16,18 @@
 //!   packet lands on a different slot than its predecessor), bursty
 //!   per-flow runs (the fold-bucketing fast path), and eviction-and-return
 //!   (slot recycling through the free list while neighbours keep state);
-//! * a slab-vs-legacy equivalence oracle: the PR 4 scan table survives as
-//!   [`sidecar_proto::flows::legacy`], and an arbitrary op soup (touch /
-//!   remove / evict-if-idle / sweep, strictly increasing timestamps) must
-//!   leave both tables with identical surviving flows, per-flow quACK
-//!   state, eviction results, and stats.
+//! * a policy oracle: an arbitrary op soup (touch / remove / evict-if-idle
+//!   / sweep, strictly increasing timestamps) must leave the slab and a
+//!   `Vec`-scan model of the eviction policy ([`ScanTable`]) with identical
+//!   surviving flows, per-flow quACK state, eviction results, and stats.
 
 use proptest::prelude::*;
 use sidecar_galois::Fp32;
 use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_netsim::FlowId;
 use sidecar_proto::{
-    FlowTable, FlowTableConfig, ProcessError, QuackConsumer, QuackProducer, SidecarConfig,
-    SidecarMessage,
+    FlowTable, FlowTableConfig, FlowTableStats, ProcessError, QuackConsumer, QuackProducer,
+    SidecarConfig, SidecarMessage,
 };
 use sidecar_quack::PowerSumQuack;
 use std::collections::{BTreeMap, BTreeSet};
@@ -427,13 +426,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Slab-vs-legacy equivalence oracle
+// Slab-vs-model policy oracle
 // ---------------------------------------------------------------------------
 
 /// One flow-table operation. Timestamps increase strictly monotonically
-/// across the op sequence, which makes LRU order well-defined (the legacy
-/// table breaks recency ties by scan order, the slab by list position —
-/// with distinct timestamps there are no ties to break).
+/// across the op sequence, which makes LRU order well-defined (the model
+/// breaks recency ties by scan order, the slab by list position — with
+/// distinct timestamps there are no ties to break).
 #[derive(Clone, Copy, Debug)]
 enum TableOp {
     /// Ensure the flow exists (possibly capacity-evicting the shard's LRU)
@@ -467,18 +466,104 @@ fn snapshot(table: &FlowTable<Sketch>) -> BTreeMap<u32, Sketch> {
     table.iter().map(|(f, s)| (f.0, s.clone())).collect()
 }
 
-fn snapshot_legacy(
-    table: &sidecar_proto::flows::legacy::FlowTable<Sketch>,
-) -> BTreeMap<u32, Sketch> {
-    table.iter().map(|(f, s)| (f.0, s.clone())).collect()
+/// The flow table's policy with none of its mechanism: per-shard `Vec`s of
+/// `(flow, last used, session)`, scanned. Same shard placement, per-shard
+/// cap, idle reclamation before LRU pressure, and counters as the slab.
+struct ScanTable {
+    cfg: FlowTableConfig,
+    shards: Vec<Vec<(u32, SimTime, Sketch)>>,
+    stats: FlowTableStats,
+}
+
+impl ScanTable {
+    fn new(cfg: FlowTableConfig) -> Self {
+        ScanTable {
+            cfg,
+            shards: vec![Vec::new(); cfg.shards],
+            stats: FlowTableStats::default(),
+        }
+    }
+
+    fn shard_of(&self, flow: u32) -> usize {
+        let mixed = (flow as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (mixed >> 32) as usize % self.cfg.shards
+    }
+
+    fn get_or_insert_with(
+        &mut self,
+        flow: u32,
+        now: SimTime,
+        init: impl FnOnce() -> Sketch,
+    ) -> (bool, &mut Sketch) {
+        let (idle, cap) = (self.cfg.idle_timeout, self.cfg.per_shard);
+        let at = self.shard_of(flow);
+        let (shard, stats) = (&mut self.shards[at], &mut self.stats);
+        let created = !shard.iter().any(|e| e.0 == flow);
+        if created {
+            let before = shard.len();
+            shard.retain(|e| e.1 + idle > now);
+            stats.evicted_idle += (before - shard.len()) as u64;
+            if shard.len() >= cap {
+                let lru = (0..shard.len()).min_by_key(|&i| shard[i].1).unwrap();
+                shard.remove(lru);
+                stats.evicted_capacity += 1;
+            }
+            stats.shard_collisions += u64::from(!shard.is_empty());
+            stats.created += 1;
+            shard.push((flow, now, init()));
+        }
+        let entry = shard.iter_mut().find(|e| e.0 == flow).unwrap();
+        entry.1 = now;
+        (created, &mut entry.2)
+    }
+
+    fn remove(&mut self, flow: u32) -> Option<Sketch> {
+        let at = self.shard_of(flow);
+        let pos = self.shards[at].iter().position(|e| e.0 == flow)?;
+        Some(self.shards[at].remove(pos).2)
+    }
+
+    fn evict_if_idle(&mut self, flow: u32, now: SimTime) -> Option<Sketch> {
+        let (idle, at) = (self.cfg.idle_timeout, self.shard_of(flow));
+        let pos = self.shards[at]
+            .iter()
+            .position(|e| e.0 == flow && e.1 + idle <= now)?;
+        self.stats.evicted_idle += 1;
+        Some(self.shards[at].remove(pos).2)
+    }
+
+    fn sweep_idle(&mut self, now: SimTime) -> Vec<(u32, Sketch)> {
+        let idle = self.cfg.idle_timeout;
+        let mut evicted = Vec::new();
+        for shard in &mut self.shards {
+            let (gone, kept): (Vec<_>, Vec<_>) = shard.drain(..).partition(|e| e.1 + idle <= now);
+            *shard = kept;
+            evicted.extend(gone.into_iter().map(|e| (e.0, e.2)));
+        }
+        self.stats.evicted_idle += evicted.len() as u64;
+        evicted
+    }
+
+    fn len(&self) -> usize {
+        self.shards.iter().map(Vec::len).sum()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u32, &Sketch)> {
+        self.shards.iter().flatten().map(|e| (e.0, &e.2))
+    }
+
+    fn take_stats(&mut self) -> Option<FlowTableStats> {
+        let stats = std::mem::take(&mut self.stats);
+        (stats != FlowTableStats::default()).then_some(stats)
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The slab engine and the PR 4 scan table are the same policy: an
-    /// arbitrary op soup leaves identical surviving flows, per-flow quACK
-    /// state, eviction results, and lifetime stats.
+    /// The slab engine and the scan model are the same policy: an arbitrary
+    /// op soup leaves identical surviving flows, per-flow quACK state,
+    /// eviction results, and lifetime stats.
     #[test]
     fn slab_matches_legacy_oracle(
         ops in proptest::collection::vec(table_op(), 1..250),
@@ -493,8 +578,7 @@ proptest! {
             idle_timeout: SimDuration::from_millis(80),
         };
         let mut slab: FlowTable<Sketch> = FlowTable::new(cfg);
-        let mut legacy: sidecar_proto::flows::legacy::FlowTable<Sketch> =
-            sidecar_proto::flows::legacy::FlowTable::new(cfg);
+        let mut model = ScanTable::new(cfg);
         let mut next_id = 0u64;
         for (i, op) in ops.iter().enumerate() {
             // Strictly increasing, never-equal timestamps (see enum doc).
@@ -506,18 +590,18 @@ proptest! {
                     let (c_slab, s_slab) =
                         slab.get_or_insert_with(FlowId(f), t, || Sketch::new(threshold));
                     s_slab.insert(id);
-                    let (c_leg, s_leg) =
-                        legacy.get_or_insert_with(FlowId(f), t, || Sketch::new(threshold));
-                    s_leg.insert(id);
-                    prop_assert_eq!(c_slab, c_leg, "created flag diverged on flow {}", f);
+                    let (c_model, s_model) =
+                        model.get_or_insert_with(f, t, || Sketch::new(threshold));
+                    s_model.insert(id);
+                    prop_assert_eq!(c_slab, c_model, "created flag diverged on flow {}", f);
                 }
                 TableOp::Remove(f) => {
-                    prop_assert_eq!(slab.remove(FlowId(f)), legacy.remove(FlowId(f)));
+                    prop_assert_eq!(slab.remove(FlowId(f)), model.remove(f));
                 }
                 TableOp::EvictIfIdle(f) => {
                     prop_assert_eq!(
                         slab.evict_if_idle(FlowId(f), t),
-                        legacy.evict_if_idle(FlowId(f), t)
+                        model.evict_if_idle(f, t)
                     );
                 }
                 TableOp::Sweep => {
@@ -525,16 +609,16 @@ proptest! {
                     // them in different orders (tail-walk vs scan).
                     let mut a: Vec<(u32, Sketch)> =
                         slab.sweep_idle(t).into_iter().map(|(f, s)| (f.0, s)).collect();
-                    let mut b: Vec<(u32, Sketch)> =
-                        legacy.sweep_idle(t).into_iter().map(|(f, s)| (f.0, s)).collect();
+                    let mut b = model.sweep_idle(t);
                     a.sort_by_key(|(f, _)| *f);
                     b.sort_by_key(|(f, _)| *f);
                     prop_assert_eq!(a, b);
                 }
             }
-            prop_assert_eq!(slab.len(), legacy.len(), "live count diverged after op {}", i);
+            prop_assert_eq!(slab.len(), model.len(), "live count diverged after op {}", i);
         }
-        prop_assert_eq!(snapshot(&slab), snapshot_legacy(&legacy));
-        prop_assert_eq!(slab.take_stats(), legacy.take_stats());
+        let survivors: BTreeMap<u32, Sketch> = model.iter().map(|(f, s)| (f, s.clone())).collect();
+        prop_assert_eq!(snapshot(&slab), survivors);
+        prop_assert_eq!(slab.take_stats(), model.take_stats());
     }
 }
