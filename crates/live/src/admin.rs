@@ -19,11 +19,13 @@
 //!   `--sample-ms`).
 //!
 //! Zero dependencies by design: `TcpListener`, a hand-rolled request-line
-//! parser, and `Connection: close` responses. The server never blocks the
-//! datapath — it reads from [`MetricsRegistry`] / [`FlowScoreboard`]
-//! handles that are `Clone`-shared with the driver, both of which are
-//! lock-free (scoreboard) or lock-cheap (registry snapshot) on the read
-//! side.
+//! parser, and `Connection: close` responses. Requests are input from
+//! outside the program: each is read under one size bound and one deadline
+//! (`431` / `408` past them), so no client can hold the single admin thread.
+//! The server never blocks the datapath — it reads from [`MetricsRegistry`]
+//! / [`FlowScoreboard`] handles that are `Clone`-shared with the driver,
+//! both of which are lock-free (scoreboard) or lock-cheap (registry
+//! snapshot) on the read side.
 //!
 //! The sampler thread is the wall-clock twin of
 //! [`sidecar_netsim::telemetry::run_sampled`]: same
@@ -33,7 +35,7 @@
 //! for golden tests.
 
 use sidecar_obs::{render_prometheus, FlowScoreboard, MetricsRegistry, Sampler};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,6 +49,15 @@ pub const FLOWS_TOP_K: usize = 32;
 /// How long the accept loop sleeps when no connection is pending (bounds
 /// shutdown latency, like the datapath reader threads' `READ_TIMEOUT`).
 const ACCEPT_IDLE: Duration = Duration::from_millis(25);
+
+/// Most bytes of request line plus header block `serve_one` reads before it
+/// answers `431`: any scraper's `GET` fits many times over.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+
+/// Wall-clock budget for reading one whole request. Requests are served
+/// inline on the one admin thread, so this also bounds how long a stalled
+/// client can hold the other endpoints and `AdminServer::shutdown`.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Time-series ring capacity for the wall-clock sampler: at the default
 /// 1 s interval this retains over an hour of history.
@@ -176,25 +187,59 @@ fn sample_at(sampler: &Mutex<Sampler>, registry: &MetricsRegistry, at_ns: u64) {
         .sample(at_ns, snap);
 }
 
+/// Reads the request head (request line and header block, up to the blank
+/// line or the client's close) under one size bound and one deadline; `Err`
+/// is the status to refuse with.
+fn read_head(conn: &TcpStream) -> Result<String, &'static str> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let mut limited = conn.take(MAX_REQUEST_BYTES);
+    let mut head = Vec::new();
+    let mut chunk = [0u8; 1024];
+    while !head.windows(2).any(|w| w == b"\n\n") && !head.windows(3).any(|w| w == b"\n\r\n") {
+        // The deadline covers the whole request, so each read may wait only
+        // for what is left of it: a client that trickles bytes just inside a
+        // per-read timeout would otherwise hold the only admin thread.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            return Err("408 Request Timeout");
+        }
+        match limited.read(&mut chunk) {
+            Ok(0) if limited.limit() == 0 => return Err("431 Request Header Fields Too Large"),
+            Ok(0) => break,
+            Ok(n) => head.extend_from_slice(&chunk[..n]),
+            // Timed out, or the peer is gone and the reply will go nowhere.
+            Err(_) => return Err("408 Request Timeout"),
+        }
+    }
+    Ok(String::from_utf8_lossy(&head).into_owned())
+}
+
+fn respond(
+    mut conn: TcpStream,
+    status: &str,
+    content_type: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    write!(
+        conn,
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )?;
+    conn.flush()
+}
+
 /// Reads one HTTP request off `conn` and writes the matching response.
 fn serve_one(
     conn: TcpStream,
     handles: &AdminHandles,
     series: &Mutex<Sampler>,
 ) -> std::io::Result<()> {
-    conn.set_read_timeout(Some(Duration::from_secs(2)))?;
-    conn.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(conn);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain the header block so well-behaved clients see a clean close.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 0 {
-        if header == "\r\n" || header == "\n" {
-            break;
-        }
-        header.clear();
-    }
+    conn.set_write_timeout(Some(REQUEST_DEADLINE))?;
+    let head = match read_head(&conn) {
+        Ok(head) => head,
+        Err(status) => return respond(conn, status, "text/plain; charset=utf-8", "refused\n"),
+    };
+    let request_line = head.lines().next().unwrap_or("");
 
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
@@ -240,13 +285,7 @@ fn serve_one(
         }
     };
 
-    let mut conn = reader.into_inner();
-    write!(
-        conn,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    conn.flush()
+    respond(conn, status, content_type, &body)
 }
 
 /// `/healthz`: liveness plus session health. The protocols publish the
@@ -275,7 +314,6 @@ fn healthz(registry: &MetricsRegistry) -> (&'static str, &'static str, String) {
 mod tests {
     use super::*;
     use sidecar_obs::{parse_prometheus, HealthDim, ScoreboardSnapshot, TimeSeries};
-    use std::io::Read;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut conn = TcpStream::connect(addr).expect("connect admin");
@@ -338,6 +376,41 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 503"), "{head}");
         assert_eq!(body, "degraded\n");
         server.shutdown();
+    }
+
+    #[test]
+    fn hostile_requests_cannot_hold_the_admin_thread() {
+        let server = AdminServer::spawn("127.0.0.1:0", test_handles(), None).unwrap();
+        let addr = server.local_addr();
+        let started = Instant::now();
+        // A newline-free megabyte is refused at the size bound (the write may
+        // fail once the server has hung up, and the reset may beat the reply).
+        let mut big = TcpStream::connect(addr).unwrap();
+        let _ = big.write_all(&vec![b'A'; 1 << 20]);
+        let mut reply = [0u8; 12];
+        assert!(big.read_exact(&mut reply).is_err() || reply == *b"HTTP/1.1 431");
+        // A client that never finishes its request line, trickling inside any
+        // per-read timeout, is cut off at the request deadline. It connects
+        // first, so the scrape below queues behind it.
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let trickle = std::thread::spawn(move || {
+            for _ in 0..100 {
+                if slow.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let (head, body) = get(addr, "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body, "ok\n");
+        let waited = started.elapsed();
+        assert!(
+            waited < REQUEST_DEADLINE + Duration::from_secs(2),
+            "{waited:?}"
+        );
+        server.shutdown();
+        trickle.join().unwrap();
     }
 
     #[test]
