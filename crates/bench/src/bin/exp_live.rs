@@ -88,7 +88,7 @@ struct LiveRun {
 /// for per-packet dispatch cost instead of pass/fail.
 fn run_live(seed: u64, total: u64) -> LiveRun {
     let mut driver = LiveDriver::new(seed);
-    driver.set_trace_capacity(1 << 18);
+    driver.obs_mut().resize_trace(1 << 18);
 
     let server = driver.install(Box::new(SenderNode::new(sender_cfg(seed, total))));
     let proxy_a = driver.install(Box::new(SenderSideProxy::new(
@@ -156,7 +156,7 @@ struct SimRun {
 /// at the live run's drop rate, and wall-clock timing of `run_until`.
 fn run_netsim(seed: u64, total: u64) -> SimRun {
     let mut w = World::new(seed);
-    w.obs_mut().trace = sidecar_obs::EventTrace::with_capacity(1 << 21);
+    w.obs_mut().resize_trace(1 << 21);
 
     let server = w.add_node(SenderNode::boxed(sender_cfg(seed, total)));
     let proxy_a = w.add_node(Box::new(SenderSideProxy::new(

@@ -21,10 +21,11 @@
 //!   `(deadline, arm order)` fires each timer *at its armed deadline* even
 //!   when the OS wakes the loop late — `GuardedTimer` and friends compare
 //!   fire time to deadline by equality, per the [`Driver`] dispatch rules.
-//! * **Flight recorder parity.** Egress records `HopEnqueue`, ingress
-//!   `HopDeliver`, and policy losses `HopDrop`, exactly like the
-//!   simulator's link layer — so [`sidecar_obs::Lifecycle`] reconstructs
-//!   and certifies a live run with the same code path as a simulated one.
+//! * **Flight recorder parity.** Egress, ingress and policy losses go
+//!   through the same [`WorldObs`] hop taps the simulator's link layer
+//!   calls (`hop_enqueue`, `hop_deliver`, `hop_drop`) — so
+//!   [`sidecar_obs::Lifecycle`] reconstructs and certifies a live run with
+//!   the same code path as a simulated one.
 //!
 //! What a live host *cannot* promise (see the [`Driver`] module docs):
 //! FIFO delivery, loss-free links, or bit-exact reproducibility. The
@@ -39,12 +40,11 @@ pub mod cli;
 pub mod wire;
 
 use sidecar_netsim::node::{Action, Context, IfaceId, Node, NodeId};
-use sidecar_netsim::obs::WorldObs;
+use sidecar_netsim::obs::{DropCause, WorldObs};
 use sidecar_netsim::packet::{Packet, PacketKind};
 use sidecar_netsim::rng::SimRng;
 use sidecar_netsim::time::SimTime;
 use sidecar_netsim::Driver;
-use sidecar_obs::{DropCause, Event, TraceClass};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -186,14 +186,6 @@ impl LiveDriver {
             actions: Vec::new(),
             stats: DriverStats::default(),
         }
-    }
-
-    /// Replaces the flight-recorder ring with one holding `capacity`
-    /// events. Lifecycle certification refuses truncated rings, so size
-    /// this to the run (the simulator's scenario runners expose the same
-    /// knob).
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.obs.trace = sidecar_obs::EventTrace::with_capacity(capacity);
     }
 
     /// This driver's observability state (metrics + event trace).
@@ -376,16 +368,6 @@ impl LiveDriver {
         self.actions = actions;
     }
 
-    /// Flight-recorder identity of a traceable packet (data and sidecar
-    /// control; ACKs are untraced) — same convention as the simulator.
-    fn hop_identity(packet: &Packet) -> Option<(TraceClass, u32, u64)> {
-        match packet.kind {
-            PacketKind::Data => Some((TraceClass::Data, packet.flow.0, packet.seq)),
-            PacketKind::Sidecar => Some((TraceClass::Ctrl, packet.flow.0, packet.seq)),
-            _ => None,
-        }
-    }
-
     /// Encodes and sends one packet out of `(node, iface)`'s attached
     /// socket, applying the deterministic loss policy and recording the
     /// hop exactly as the simulator's link layer would: `HopEnqueue` only
@@ -400,19 +382,8 @@ impl LiveDriver {
             if let Some(every) = port.drop_every {
                 if port.data_seen.is_multiple_of(every) {
                     self.stats.dropped_by_policy += 1;
-                    if let Some((class, flow, seq)) = Self::hop_identity(&packet) {
-                        self.obs.trace.record(
-                            self.now.as_nanos(),
-                            Event::HopDrop {
-                                node: node.0 as u32,
-                                iface: iface.0 as u32,
-                                class,
-                                flow,
-                                seq,
-                                cause: DropCause::Loss,
-                            },
-                        );
-                    }
+                    self.obs
+                        .hop_drop(self.now, node, iface, &packet, DropCause::Loss);
                     return;
                 }
             }
@@ -421,36 +392,14 @@ impl LiveDriver {
         match port.socket.send_to(&image, port.peer) {
             Ok(_) => {
                 self.stats.packets_out += 1;
-                if let Some((class, flow, seq)) = Self::hop_identity(&packet) {
-                    self.obs.trace.record(
-                        self.now.as_nanos(),
-                        Event::HopEnqueue {
-                            node: node.0 as u32,
-                            iface: iface.0 as u32,
-                            class,
-                            flow,
-                            seq,
-                        },
-                    );
-                }
+                self.obs.hop_enqueue(self.now, node, iface, &packet);
             }
             Err(_) => {
                 // The kernel refused the datagram (buffer full): the live
                 // twin of a queue-overflow drop.
                 self.stats.send_errors += 1;
-                if let Some((class, flow, seq)) = Self::hop_identity(&packet) {
-                    self.obs.trace.record(
-                        self.now.as_nanos(),
-                        Event::HopDrop {
-                            node: node.0 as u32,
-                            iface: iface.0 as u32,
-                            class,
-                            flow,
-                            seq,
-                            cause: DropCause::Queue,
-                        },
-                    );
-                }
+                self.obs
+                    .hop_drop(self.now, node, iface, &packet, DropCause::Queue);
             }
         }
     }
@@ -473,18 +422,7 @@ impl LiveDriver {
             } => (node, iface, packet),
         };
         self.stats.packets_in += 1;
-        if let Some((class, flow, seq)) = Self::hop_identity(&packet) {
-            self.obs.trace.record(
-                at.max(self.now).as_nanos(),
-                Event::HopDeliver {
-                    node: node.0 as u32,
-                    iface: iface.0 as u32,
-                    class,
-                    flow,
-                    seq,
-                },
-            );
-        }
+        self.obs.hop_deliver(at.max(self.now), node, iface, &packet);
         self.dispatch(node, at, |n, ctx| n.on_packet(iface, packet, ctx));
     }
 }

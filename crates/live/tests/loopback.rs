@@ -54,7 +54,7 @@ fn run_retx_chain(seed: u64, auth: Option<AuthConfig>) -> RunOutcome {
     let subpath_rtt = SimDuration::from_millis(4);
 
     let mut driver = LiveDriver::new(seed);
-    driver.set_trace_capacity(1 << 17);
+    driver.obs_mut().resize_trace(1 << 17);
 
     let server = driver.install(Box::new(SenderNode::new(SenderConfig {
         flow: FlowId(1),
@@ -191,7 +191,7 @@ fn admin_endpoint_serves_a_live_run() {
         ..SidecarConfig::paper_default()
     };
     let mut driver = LiveDriver::new(21);
-    driver.set_trace_capacity(1 << 17);
+    driver.obs_mut().resize_trace(1 << 17);
     let server = driver.install(Box::new(SenderNode::new(SenderConfig {
         flow: FlowId(1),
         total_packets: Some(TOTAL_PACKETS),

@@ -59,7 +59,6 @@ pub mod sched;
 #[cfg(feature = "obs")]
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 pub mod transport;
 pub mod world;
 

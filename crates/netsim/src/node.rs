@@ -6,6 +6,7 @@
 //! keeps nodes unit-testable without a world, and makes every effect of a
 //! callback observable in tests.
 
+use crate::obs::WorldObs;
 use crate::packet::Packet;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -88,48 +89,30 @@ pub struct Context<'a> {
     handle_base: u64,
     /// Timers armed so far in this callback.
     timers_armed: u64,
-    #[cfg(feature = "obs")]
-    obs: Option<&'a mut crate::obs::WorldObs>,
+    // Only the `obs`-feature methods below read it.
+    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
+    obs: Option<&'a mut WorldObs>,
 }
 
 impl<'a> Context<'a> {
-    /// Builds a context; used by node unit tests (and by the world when the
-    /// `obs` feature is off). Carries no observability handle — obs calls
-    /// through such a context are no-ops.
+    /// Builds a context without an observability handle — obs calls through
+    /// it are no-ops. Node unit tests use this.
     pub fn new(
         now: SimTime,
         node: NodeId,
         rng: &'a mut SimRng,
         actions: &'a mut Vec<Action>,
     ) -> Self {
-        Context {
-            now,
-            node,
-            rng,
-            actions,
-            handle_base: 0,
-            timers_armed: 0,
-            #[cfg(feature = "obs")]
-            obs: None,
-        }
+        Self::with_obs(now, node, rng, actions, None)
     }
 
-    /// Sets the first [`TimerHandle`] value this callback allocates. A
-    /// driver (the world, or a live-socket host) passes its monotone handle
-    /// counter here so handles are unique across the whole run; unit-test
-    /// contexts keep the 0 default.
-    pub fn set_handle_base(&mut self, base: u64) {
-        self.handle_base = base;
-    }
-
-    /// Builds a context carrying the world's observability handle.
-    #[cfg(feature = "obs")]
+    /// Builds a context carrying the host's observability handle.
     pub fn with_obs(
         now: SimTime,
         node: NodeId,
         rng: &'a mut SimRng,
         actions: &'a mut Vec<Action>,
-        obs: Option<&'a mut crate::obs::WorldObs>,
+        obs: Option<&'a mut WorldObs>,
     ) -> Self {
         Context {
             now,
@@ -142,81 +125,12 @@ impl<'a> Context<'a> {
         }
     }
 
-    /// The world's observability handle, when this callback runs inside a
-    /// world built with the `obs` feature ([`Context::new`] contexts return
-    /// `None`).
-    #[cfg(feature = "obs")]
-    pub fn obs(&mut self) -> Option<&mut crate::obs::WorldObs> {
-        self.obs.as_deref_mut()
-    }
-
-    /// Adds one to a world-scoped counter (no-op without a world handle).
-    #[cfg(feature = "obs")]
-    pub fn obs_inc(&mut self, name: &'static str) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.metrics.inc(name);
-        }
-    }
-
-    /// Adds `n` to a world-scoped counter (no-op without a world handle).
-    #[cfg(feature = "obs")]
-    pub fn obs_add(&mut self, name: &'static str, n: u64) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.metrics.add(name, n);
-        }
-    }
-
-    /// Records `value` into a world-scoped histogram (no-op without a world
-    /// handle).
-    #[cfg(feature = "obs")]
-    pub fn obs_observe(&mut self, name: &'static str, bounds: &[u64], value: u64) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.metrics.observe(name, bounds, value);
-        }
-    }
-
-    /// Sets a world-scoped gauge to `value` (no-op without a world handle).
-    #[cfg(feature = "obs")]
-    pub fn obs_gauge(&mut self, name: &'static str, value: f64) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.metrics.gauge_set(name, value);
-        }
-    }
-
-    /// Appends `event` to the world's trace, stamped with the current sim
-    /// time (no-op without a world handle).
-    #[cfg(feature = "obs")]
-    pub fn obs_event(&mut self, event: sidecar_obs::Event) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.trace.record(self.now.as_nanos(), event);
-        }
-    }
-
-    /// Records one unhealthy event for `flow` on the world's per-flow health
-    /// scoreboard (no-op without a world handle). One lock-free atomic add
-    /// on the packet path; the scoreboard ranks flows for `/flows` and the
-    /// health proptests.
-    #[cfg(feature = "obs")]
-    pub fn obs_flow_health(&mut self, flow: u32, dim: sidecar_obs::HealthDim) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.scoreboard.record(flow, dim);
-        }
-    }
-
-    /// Allocates the next world-scoped control-datagram sequence for
-    /// flight-recorder stamping. Sequences start at 1 so a stamped control
-    /// packet is distinguishable from the obs-off default of 0; without a
-    /// world handle (unit tests) every call returns 0, matching the obs-off
-    /// wire image.
-    #[cfg(feature = "obs")]
-    pub fn next_ctrl_seq(&mut self) -> u64 {
-        match self.obs.as_deref_mut() {
-            Some(obs) => {
-                obs.ctrl_seq += 1;
-                obs.ctrl_seq
-            }
-            None => 0,
-        }
+    /// Sets the first [`TimerHandle`] value this callback allocates. A
+    /// driver (the world, or a live-socket host) passes its monotone handle
+    /// counter here so handles are unique across the whole run; unit-test
+    /// contexts keep the 0 default.
+    pub fn set_handle_base(&mut self, base: u64) {
+        self.handle_base = base;
     }
 
     /// Current simulated time.
@@ -260,6 +174,75 @@ impl<'a> Context<'a> {
     /// that already fired is a no-op.
     pub fn cancel_timer(&mut self, handle: TimerHandle) {
         self.actions.push(Action::CancelTimer { handle });
+    }
+}
+
+/// What a node may say to its host's observability handle. Every method is a
+/// no-op through a context built without one ([`Context::new`]).
+#[cfg(feature = "obs")]
+impl Context<'_> {
+    /// The host's observability handle, if this callback runs inside one.
+    pub fn obs(&mut self) -> Option<&mut WorldObs> {
+        self.obs.as_deref_mut()
+    }
+
+    /// Adds one to a host-scoped counter.
+    pub fn obs_inc(&mut self, name: &'static str) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.metrics.inc(name);
+        }
+    }
+
+    /// Adds `n` to a host-scoped counter.
+    pub fn obs_add(&mut self, name: &'static str, n: u64) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.metrics.add(name, n);
+        }
+    }
+
+    /// Records `value` into a host-scoped histogram.
+    pub fn obs_observe(&mut self, name: &'static str, bounds: &[u64], value: u64) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.metrics.observe(name, bounds, value);
+        }
+    }
+
+    /// Sets a host-scoped gauge to `value`.
+    pub fn obs_gauge(&mut self, name: &'static str, value: f64) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.metrics.gauge_set(name, value);
+        }
+    }
+
+    /// Appends `event` to the host's trace, stamped with the current time.
+    pub fn obs_event(&mut self, event: sidecar_obs::Event) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.trace.record(self.now.as_nanos(), event);
+        }
+    }
+
+    /// Records one unhealthy event for `flow` on the host's per-flow health
+    /// scoreboard. One lock-free atomic add on the packet path; the
+    /// scoreboard ranks flows for `/flows` and the health proptests.
+    pub fn obs_flow_health(&mut self, flow: u32, dim: sidecar_obs::HealthDim) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.scoreboard.record(flow, dim);
+        }
+    }
+
+    /// Allocates the next host-scoped control-datagram sequence for
+    /// flight-recorder stamping. Sequences start at 1 so a stamped control
+    /// packet is distinguishable from the obs-off default of 0; without a
+    /// handle (unit tests) every call returns 0, matching the obs-off wire
+    /// image.
+    pub fn next_ctrl_seq(&mut self) -> u64 {
+        match self.obs.as_deref_mut() {
+            Some(obs) => {
+                obs.ctrl_seq += 1;
+                obs.ctrl_seq
+            }
+            None => 0,
+        }
     }
 }
 

@@ -9,16 +9,11 @@
 use crate::fault::{ControlAction, FaultPlan, LinkTarget};
 use crate::link::{Link, LinkConfig, LinkOutcome, LinkStats};
 use crate::node::{Action, Context, IfaceId, LinkId, Node, NodeId, TimerHandle};
-use crate::obs::WorldObs;
+use crate::obs::{DropCause, FaultKind, WorldObs};
 use crate::packet::{FlowId, Packet, Payload};
 use crate::rng::SimRng;
 use crate::sched::EventQueue;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{DropReason, Trace, TraceEvent};
-#[cfg(feature = "obs")]
-use sidecar_obs::{
-    ControlKind as ObsControlKind, DropCause as ObsDropCause, Event as ObsEvent, TraceClass,
-};
 use std::collections::{HashMap, HashSet};
 
 /// One end of a duplex attachment: which link an interface transmits into
@@ -97,7 +92,6 @@ pub struct World {
     event_seq: u64,
     started: bool,
     events_processed: u64,
-    trace: Trace,
     node_down: Vec<bool>,
     faults: Option<ActiveFaults>,
     /// Reused per-dispatch action buffer: the steady-state loop allocates
@@ -108,9 +102,6 @@ pub struct World {
     /// Next [`TimerHandle`] value to hand out (starts at 1; 0 is the
     /// world-less unit-test base and never reaches this queue).
     timer_handle_seq: u64,
-    // Zero-sized when the `obs` feature is off (see crate::obs), hence never
-    // read in that configuration.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     obs: WorldObs,
 }
 
@@ -127,7 +118,6 @@ impl World {
             event_seq: 0,
             started: false,
             events_processed: 0,
-            trace: Trace::disabled(),
             node_down: Vec::new(),
             faults: None,
             action_pool: Vec::new(),
@@ -151,8 +141,8 @@ impl World {
     }
 
     /// This world's observability state: a fresh metrics registry and event
-    /// trace, scoped to this world (see [`crate::obs`]).
-    #[cfg(feature = "obs")]
+    /// trace, scoped to this world (see [`crate::obs`]; the zero-sized unit
+    /// when the `obs` feature is off).
     pub fn obs(&self) -> &WorldObs {
         &self.obs
     }
@@ -160,20 +150,8 @@ impl World {
     /// Mutable access to this world's observability state — scenario runners
     /// use it to fold protocol-level stats into the registry before
     /// snapshotting.
-    #[cfg(feature = "obs")]
     pub fn obs_mut(&mut self) -> &mut WorldObs {
         &mut self.obs
-    }
-
-    /// Enables event tracing, keeping the most recent `capacity` events
-    /// (see [`crate::trace`]).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::with_capacity(capacity);
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Adds a node, returning its id.
@@ -424,51 +402,11 @@ impl World {
                 if self.node_down[node.0] {
                     // The receiver is crashed: the packet evaporates at its
                     // door.
-                    self.trace.record(TraceEvent::Drop {
-                        at: self.now,
-                        node,
-                        iface,
-                        kind: packet.kind,
-                        id: packet.id,
-                        reason: DropReason::NodeDown,
-                    });
-                    #[cfg(feature = "obs")]
-                    {
-                        self.obs.hot.drop_node_down.inc();
-                        self.obs.trace.record(
-                            self.now.as_nanos(),
-                            ObsEvent::LinkDrop {
-                                node: node.0 as u32,
-                                iface: iface.0 as u32,
-                                cause: ObsDropCause::NodeDown,
-                            },
-                        );
-                        self.record_hop_drop(node, iface, &packet, ObsDropCause::NodeDown);
-                    }
+                    self.obs
+                        .link_drop(self.now, node, iface, &packet, DropCause::NodeDown);
                     return;
                 }
-                self.trace.record(TraceEvent::Arrival {
-                    at: self.now,
-                    node,
-                    iface,
-                    kind: packet.kind,
-                    id: packet.id,
-                    seq: packet.seq,
-                    size: packet.size,
-                });
-                #[cfg(feature = "obs")]
-                if let Some((class, flow, seq)) = Self::hop_identity(&packet) {
-                    self.obs.trace.record(
-                        self.now.as_nanos(),
-                        ObsEvent::HopDeliver {
-                            node: node.0 as u32,
-                            iface: iface.0 as u32,
-                            class,
-                            flow,
-                            seq,
-                        },
-                    );
-                }
+                self.obs.hop_deliver(self.now, node, iface, &packet);
                 self.dispatch(node, |n, ctx| n.on_packet(iface, packet, ctx));
             }
             EventKind::Timer {
@@ -487,46 +425,13 @@ impl World {
                     // re-arms what it needs from `on_restart`.
                     return;
                 }
-                self.trace.record(TraceEvent::Timer {
-                    at: self.now,
-                    node,
-                    token,
-                });
                 self.dispatch(node, |n, ctx| n.on_timer(token, ctx));
             }
             EventKind::Fault { node, up } => {
-                self.trace.record(TraceEvent::Fault {
-                    at: self.now,
-                    node,
-                    up,
-                });
-                #[cfg(feature = "obs")]
-                {
-                    if up {
-                        self.obs.hot.fault_restore.inc();
-                    } else {
-                        self.obs.hot.fault_outage.inc();
-                    }
-                    self.obs.trace.record(
-                        self.now.as_nanos(),
-                        ObsEvent::Outage {
-                            node: node.0 as u32,
-                            up,
-                        },
-                    );
-                }
+                self.obs.outage(self.now, node, up);
                 self.node_down[node.0] = !up;
                 if up {
-                    #[cfg(feature = "obs")]
-                    {
-                        self.obs.hot.restart.inc();
-                        self.obs.trace.record(
-                            self.now.as_nanos(),
-                            ObsEvent::Restart {
-                                node: node.0 as u32,
-                            },
-                        );
-                    }
+                    self.obs.restart(self.now, node);
                     self.dispatch(node, |n, ctx| n.on_restart(ctx));
                 }
             }
@@ -577,16 +482,8 @@ impl World {
         let mut actions = std::mem::take(&mut self.action_pool);
         debug_assert!(actions.is_empty());
         {
-            #[cfg(feature = "obs")]
-            let mut ctx = Context::with_obs(
-                self.now,
-                id,
-                &mut self.rng,
-                &mut actions,
-                Some(&mut self.obs),
-            );
-            #[cfg(not(feature = "obs"))]
-            let mut ctx = Context::new(self.now, id, &mut self.rng, &mut actions);
+            let obs = Some(&mut self.obs);
+            let mut ctx = Context::with_obs(self.now, id, &mut self.rng, &mut actions, obs);
             ctx.set_handle_base(self.timer_handle_seq);
             f(node.as_mut(), &mut ctx);
         }
@@ -630,27 +527,8 @@ impl World {
         let mut replicas: Vec<(Packet, SimDuration)> = Vec::new();
         if let Some(faults) = self.faults.as_mut() {
             if faults.blacked_out(end.link, self.now) {
-                self.trace.record(TraceEvent::Drop {
-                    at: self.now,
-                    node,
-                    iface,
-                    kind: packet.kind,
-                    id: packet.id,
-                    reason: DropReason::Blackout,
-                });
-                #[cfg(feature = "obs")]
-                {
-                    self.obs.hot.drop_blackout.inc();
-                    self.obs.trace.record(
-                        self.now.as_nanos(),
-                        ObsEvent::LinkDrop {
-                            node: node.0 as u32,
-                            iface: iface.0 as u32,
-                            cause: ObsDropCause::Blackout,
-                        },
-                    );
-                    self.record_hop_drop(node, iface, &packet, ObsDropCause::Blackout);
-                }
+                self.obs
+                    .link_drop(self.now, node, iface, &packet, DropCause::Blackout);
                 return;
             }
             // Stateful firewall: a control flow idle past the timeout loses
@@ -662,28 +540,9 @@ impl World {
                 let prior = faults.ctrl_seen.insert(packet.flow, self.now);
                 if let Some(prev) = prior {
                     if self.now - prev >= idle {
-                        self.trace.record(TraceEvent::Drop {
-                            at: self.now,
-                            node,
-                            iface,
-                            kind: packet.kind,
-                            id: packet.id,
-                            reason: DropReason::Injected,
-                        });
-                        #[cfg(feature = "obs")]
-                        {
-                            self.record_control_fault(node, ObsControlKind::Firewall);
-                            self.obs.hot.drop_injected.inc();
-                            self.obs.trace.record(
-                                self.now.as_nanos(),
-                                ObsEvent::LinkDrop {
-                                    node: node.0 as u32,
-                                    iface: iface.0 as u32,
-                                    cause: ObsDropCause::Injected,
-                                },
-                            );
-                            self.record_hop_drop(node, iface, &packet, ObsDropCause::Injected);
-                        }
+                        self.obs.control_fault(self.now, node, FaultKind::Firewall);
+                        self.obs
+                            .link_drop(self.now, node, iface, &packet, DropCause::Injected);
                         return;
                     }
                 }
@@ -694,43 +553,21 @@ impl World {
                 .cloned()
             {
                 Some(ControlAction::Drop) => {
-                    self.trace.record(TraceEvent::Drop {
-                        at: self.now,
-                        node,
-                        iface,
-                        kind: packet.kind,
-                        id: packet.id,
-                        reason: DropReason::Injected,
-                    });
-                    #[cfg(feature = "obs")]
-                    {
-                        self.obs.hot.drop_injected.inc();
-                        self.obs.trace.record(
-                            self.now.as_nanos(),
-                            ObsEvent::LinkDrop {
-                                node: node.0 as u32,
-                                iface: iface.0 as u32,
-                                cause: ObsDropCause::Injected,
-                            },
-                        );
-                        self.record_hop_drop(node, iface, &packet, ObsDropCause::Injected);
-                    }
+                    self.obs
+                        .link_drop(self.now, node, iface, &packet, DropCause::Injected);
                     return;
                 }
                 Some(ControlAction::Duplicate) => {
                     copies = 2;
-                    #[cfg(feature = "obs")]
-                    self.record_control_fault(node, ObsControlKind::Duplicate);
+                    self.obs.control_fault(self.now, node, FaultKind::Duplicate);
                 }
                 Some(ControlAction::Delay(extra)) => {
                     extra_delay = extra;
-                    #[cfg(feature = "obs")]
-                    self.record_control_fault(node, ObsControlKind::Delay);
+                    self.obs.control_fault(self.now, node, FaultKind::Delay);
                 }
                 Some(ControlAction::Corrupt { max_flips }) => {
                     faults.corrupt(&mut packet, max_flips);
-                    #[cfg(feature = "obs")]
-                    self.record_control_fault(node, ObsControlKind::Corrupt);
+                    self.obs.control_fault(self.now, node, FaultKind::Corrupt);
                 }
                 Some(ControlAction::Forge { proto, body }) => {
                     // The adversary crafts its own datagram from whole cloth
@@ -740,22 +577,19 @@ impl World {
                     let size = (28 + body.len()) as u32;
                     let forged = Packet::sidecar(packet.flow, proto, body, size, self.now);
                     replicas.push((forged, SimDuration::ZERO));
-                    #[cfg(feature = "obs")]
-                    self.record_control_fault(node, ObsControlKind::Forge);
+                    self.obs.control_fault(self.now, node, FaultKind::Forge);
                 }
                 Some(ControlAction::Replay { copies: n, delay }) => {
                     for i in 0..n {
                         replicas.push((packet.clone(), delay * (i as u64 + 1)));
                     }
-                    #[cfg(feature = "obs")]
-                    self.record_control_fault(node, ObsControlKind::Replay);
+                    self.obs.control_fault(self.now, node, FaultKind::Replay);
                 }
                 Some(ControlAction::Tamper { max_flips }) => {
                     let mut evil = packet.clone();
                     faults.corrupt(&mut evil, max_flips);
                     replicas.push((evil, SimDuration::ZERO));
-                    #[cfg(feature = "obs")]
-                    self.record_control_fault(node, ObsControlKind::Tamper);
+                    self.obs.control_fault(self.now, node, FaultKind::Tamper);
                 }
                 None => {}
             }
@@ -785,24 +619,10 @@ impl World {
         extra_delay: SimDuration,
     ) {
         let link = &mut self.links[end.link.0];
-        match link.offer(self.now, packet.size, &mut self.rng) {
+        let cause = match link.offer(self.now, packet.size, &mut self.rng) {
             LinkOutcome::Deliver(at) => {
-                #[cfg(feature = "obs")]
-                {
-                    self.obs.hot.delivered.inc();
-                    if let Some((class, flow, pseq)) = Self::hop_identity(&packet) {
-                        self.obs.trace.record(
-                            self.now.as_nanos(),
-                            ObsEvent::HopEnqueue {
-                                node: node.0 as u32,
-                                iface: iface.0 as u32,
-                                class,
-                                flow,
-                                seq: pseq,
-                            },
-                        );
-                    }
-                }
+                self.obs.delivered();
+                self.obs.hop_enqueue(self.now, node, iface, &packet);
                 let seq = self.next_seq();
                 self.queue.push(
                     at + extra_delay,
@@ -813,103 +633,13 @@ impl World {
                         packet,
                     },
                 );
+                return;
             }
-            outcome @ (LinkOutcome::DropQueue | LinkOutcome::DropLoss) => {
-                // The packet evaporates; link stats recorded it, and the
-                // trace (if enabled) remembers what and why.
-                self.trace.record(TraceEvent::Drop {
-                    at: self.now,
-                    node,
-                    iface,
-                    kind: packet.kind,
-                    id: packet.id,
-                    reason: if outcome == LinkOutcome::DropQueue {
-                        DropReason::QueueFull
-                    } else {
-                        DropReason::Loss
-                    },
-                });
-                #[cfg(feature = "obs")]
-                {
-                    let cause = if outcome == LinkOutcome::DropQueue {
-                        self.obs.hot.drop_queue.inc();
-                        ObsDropCause::Queue
-                    } else {
-                        self.obs.hot.drop_loss.inc();
-                        ObsDropCause::Loss
-                    };
-                    self.obs.trace.record(
-                        self.now.as_nanos(),
-                        ObsEvent::LinkDrop {
-                            node: node.0 as u32,
-                            iface: iface.0 as u32,
-                            cause,
-                        },
-                    );
-                    self.record_hop_drop(node, iface, &packet, cause);
-                }
-            }
-        }
-    }
-
-    /// Flight-recorder identity of a packet: data packets are traced by
-    /// their packet number, sidecar control datagrams by the world-scoped
-    /// control sequence stamped at send time. ACKs are not traced — they all
-    /// share seq 0 and the recorder has nothing per-packet to say about
-    /// them.
-    #[cfg(feature = "obs")]
-    fn hop_identity(packet: &Packet) -> Option<(TraceClass, u32, u64)> {
-        use crate::packet::PacketKind;
-        match packet.kind {
-            PacketKind::Data => Some((TraceClass::Data, packet.flow.0, packet.seq)),
-            PacketKind::Sidecar => Some((TraceClass::Ctrl, packet.flow.0, packet.seq)),
-            _ => None,
-        }
-    }
-
-    /// Records a flight-recorder hop-drop for a traceable packet.
-    #[cfg(feature = "obs")]
-    fn record_hop_drop(
-        &mut self,
-        node: NodeId,
-        iface: IfaceId,
-        packet: &Packet,
-        cause: ObsDropCause,
-    ) {
-        if let Some((class, flow, seq)) = Self::hop_identity(packet) {
-            self.obs.trace.record(
-                self.now.as_nanos(),
-                ObsEvent::HopDrop {
-                    node: node.0 as u32,
-                    iface: iface.0 as u32,
-                    class,
-                    flow,
-                    seq,
-                    cause,
-                },
-            );
-        }
-    }
-
-    /// Counts a fault-plan control rule firing and traces it.
-    #[cfg(feature = "obs")]
-    fn record_control_fault(&mut self, node: NodeId, kind: ObsControlKind) {
-        self.obs.metrics.inc(match kind {
-            ObsControlKind::Duplicate => "netsim.fault.duplicate",
-            ObsControlKind::Delay => "netsim.fault.delay",
-            ObsControlKind::Corrupt => "netsim.fault.corrupt",
-            ObsControlKind::Forge => "netsim.fault.forge",
-            ObsControlKind::Replay => "netsim.fault.replay",
-            ObsControlKind::Tamper => "netsim.fault.tamper",
-            ObsControlKind::Firewall => "netsim.fault.firewall",
-        });
-        self.obs.trace.record(
-            self.now.as_nanos(),
-            ObsEvent::ControlFault {
-                node: node.0 as u32,
-                kind,
-            },
-        );
+            LinkOutcome::DropQueue => DropCause::Queue,
+            LinkOutcome::DropLoss => DropCause::Loss,
+        };
+        // The packet evaporates; the link's stats recorded it.
+        self.obs.link_drop(self.now, node, iface, &packet, cause);
     }
 
     fn next_seq(&mut self) -> u64 {

@@ -373,14 +373,6 @@ pub(crate) mod obs {
     /// The windowed metrics series a sampled run produces.
     pub(crate) type Series = sidecar_obs::TimeSeries;
 
-    /// Resizes the world's flight-recorder ring when a scenario asks for a
-    /// capacity other than the obs default.
-    pub(crate) fn resize_trace(w: &mut World, capacity: Option<usize>) {
-        if let Some(cap) = capacity {
-            w.obs_mut().trace = sidecar_obs::EventTrace::with_capacity(cap);
-        }
-    }
-
     /// Runs `w` to `deadline`, sampling the world registry every `sample`
     /// (on the sim clock) when asked to.
     pub(crate) fn run(w: &mut World, deadline: SimTime, sample: Option<SimDuration>) -> Series {
@@ -507,8 +499,6 @@ pub(crate) mod obs {
     #[derive(Default)]
     pub(crate) struct Series;
 
-    pub(crate) fn resize_trace(_w: &mut World, _capacity: Option<usize>) {}
-
     pub(crate) fn run(w: &mut World, deadline: SimTime, _sample: Option<SimDuration>) -> Series {
         w.run_until(deadline);
         Series
@@ -598,7 +588,9 @@ impl Harness {
     /// A fresh seeded world, its trace ring resized when asked.
     pub(crate) fn new(seed: u64, trace_capacity: Option<usize>) -> Self {
         let mut w = World::new(seed);
-        obs::resize_trace(&mut w, trace_capacity);
+        if let Some(capacity) = trace_capacity {
+            w.obs_mut().resize_trace(capacity);
+        }
         Harness {
             w,
             sample: None,

@@ -730,11 +730,11 @@ pub struct RetxScenario {
     /// feature is off.
     pub trace_capacity: Option<usize>,
     /// Metrics time-series sampling interval on the sim clock. `Some(i)`
-    /// drives the run through [`sidecar_netsim::telemetry::run_sampled`],
-    /// attaching a windowed [`sidecar_obs::TimeSeries`] to the report —
+    /// drives the run through `sidecar_netsim::telemetry::run_sampled`,
+    /// attaching a windowed `sidecar_obs::TimeSeries` to the report —
     /// deterministic for a given `(scenario, seed)`, so the series is
     /// golden-testable. `None` (the default) skips sampling entirely.
-    #[cfg(feature = "obs")]
+    /// Ignored when the `obs` feature is off.
     pub sample_interval: Option<SimDuration>,
 }
 
@@ -778,7 +778,6 @@ impl Default for RetxScenario {
             supervision: SupervisionConfig::default(),
             auth: None,
             trace_capacity: None,
-            #[cfg(feature = "obs")]
             sample_interval: None,
         }
     }
@@ -837,10 +836,7 @@ impl RetxScenario {
             )
         };
         let client = h.w.add_node(ReceiverNode::boxed(self.client.clone()));
-        #[cfg(feature = "obs")]
-        {
-            h.sample = self.sample_interval;
-        }
+        h.sample = self.sample_interval;
         // The crash hits the sender-side proxy, the blackout the subpath.
         h.run_line(
             &[server, proxy_a, proxy_b, client],

@@ -1,19 +1,20 @@
 //! Observability: trace every packet of a small lossy transfer.
 //!
-//! The simulator can record a bounded, tcpdump-flavoured event trace
-//! (arrivals, drops with reasons, timer firings) — the debugging loop for
-//! building new sidecar protocols.
+//! Every world carries a flight recorder — a bounded ring of timestamped
+//! events (hop enqueues and deliveries, drops with their cause, fault
+//! edges) — next to its metrics registry: the debugging loop for building
+//! new sidecar protocols.
 //!
 //! Run: `cargo run --release --example packet_trace`
 
 use sidecar_repro::netsim::link::{LinkConfig, LossModel};
-use sidecar_repro::netsim::trace::TraceEvent;
+use sidecar_repro::netsim::time::SimTime;
 use sidecar_repro::netsim::transport::{ReceiverConfig, ReceiverNode, SenderConfig, SenderNode};
 use sidecar_repro::netsim::world::World;
 
 fn main() {
     let mut world = World::new(2024);
-    world.enable_trace(10_000);
+    world.obs_mut().resize_trace(10_000);
 
     let sender = world.add_node(SenderNode::boxed(SenderConfig {
         total_packets: Some(30),
@@ -31,22 +32,21 @@ fn main() {
     );
     world.run_until_idle(1_000_000);
 
-    let trace = world.trace();
+    let obs = world.obs();
     println!("--- first 25 events ---");
-    for line in trace.render().lines().take(25) {
+    for line in obs.trace.render().lines().take(25) {
         println!("{line}");
     }
-    let (loss, queue) = trace.drop_counts();
-    let drops: Vec<&TraceEvent> = trace
-        .filtered(|e| matches!(e, TraceEvent::Drop { .. }))
-        .collect();
     println!("--- summary ---");
     println!(
-        "{} events recorded; {loss} loss drops, {queue} queue drops",
-        trace.total_recorded
+        "{} events recorded; {} loss drops, {} queue drops",
+        obs.trace.len(),
+        obs.metrics.counter_value("netsim.drop.loss"),
+        obs.metrics.counter_value("netsim.drop.queue"),
     );
-    if let Some(first_drop) = drops.first() {
-        println!("first casualty at {}", first_drop.at());
+    let mut drops = obs.trace.events().filter(|(_, e)| e.kind() == "link_drop");
+    if let Some(&(at, _)) = drops.next() {
+        println!("first casualty at {}", SimTime::from_nanos(at));
     }
     let stats = world.node_as::<SenderNode>(sender).stats();
     println!(
