@@ -112,11 +112,6 @@ impl Iblt {
         }
     }
 
-    /// Total number of cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Size of the sketch on the wire: 20 bytes per cell (8-byte id sum,
     /// 8-byte checksum sum, 4-byte count) plus a 2-byte element count.
     pub fn wire_bytes(&self) -> usize {
@@ -230,7 +225,7 @@ impl Iblt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::IdentifierGenerator;
+    use sidecar_quack::id::IdentifierGenerator;
 
     #[test]
     fn roundtrip_small_difference() {
@@ -303,10 +298,10 @@ mod tests {
         a.insert(12_345);
         assert_eq!(a.difference(&b).decode(), None);
         // The power-sum quACK handles the identical case exactly.
-        let mut ps = crate::power_sum::Quack32::new(20);
+        let mut ps = sidecar_quack::Quack32::new(20);
         ps.insert(12_345);
         ps.insert(12_345);
-        let empty = crate::power_sum::Quack32::new(20);
+        let empty = sidecar_quack::Quack32::new(20);
         assert_eq!(
             ps.difference(&empty).decode_missing_identifiers().unwrap(),
             vec![(12_345, 2)]

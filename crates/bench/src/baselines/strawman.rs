@@ -14,7 +14,7 @@
 //! tests can exercise it at small `n`), and both expose the cost model used
 //! to regenerate Table 2.
 
-use crate::sha256::Sha256;
+use sidecar_quack::sha256::Sha256;
 use std::collections::HashMap;
 
 /// Strawman 1: the receiver echoes every received identifier verbatim.

@@ -20,6 +20,10 @@
 //!   its way to the wire and back: the paper-format wire codec (`t = 20`,
 //!   `b = 32`, `c = 16`, 82 bytes) and the HMAC envelope over that quACK
 //!   (seal, open, and the refusal of a tampered copy).
+//! * **field multiplications and inversions/sec** per arithmetic backend —
+//!   the EXPERIMENTS.md ablation (table-driven vs widening 16-bit,
+//!   Montgomery vs `u128`-remainder 64-bit). Informational: these cells
+//!   have no row in `bench/baseline.json`, so the gate never reads them.
 //!
 //! Results go to stdout (table) and `BENCH_quack.json`
 //! (`sidecar-bench/v1` schema, compared against `bench/baseline.json` by
@@ -28,10 +32,10 @@
 //! Regenerate: `cargo run -p sidecar-bench --release --bin exp_hotpath`
 
 use sidecar_bench::{
-    calibration_ops_per_sec, measure_mean_with, ops_per_sec, BenchReport, IdentifierGenerator,
-    Table,
+    calibration_ops_per_sec, measure_best_of, measure_mean_with, ops_per_sec, BenchReport,
+    IdentifierGenerator, Table,
 };
-use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, Monty64};
+use sidecar_galois::{Field, Fp16, Fp16Table, Fp24, Fp32, Fp64, Monty64};
 use sidecar_proto::{AuthConfig, ChannelAuth, SidecarMessage};
 use sidecar_quack::{PowerSumQuack, WireFormat};
 use std::time::Duration;
@@ -221,6 +225,37 @@ fn control_cells(cells: &mut Vec<Cell>) {
     }
 }
 
+/// Raw field arithmetic for one backend: a chain of 1024 dependent
+/// multiplications over pseudo-random operands (the same 64-bit draws for
+/// every backend) and 64 Fermat inversions.
+fn field_ops<F: Field>(backend: &'static str, table: &mut Table, report: &mut BenchReport) {
+    let draws = IdentifierGenerator::new(64, 0xF1E1D).take_ids(1024);
+    let operands: Vec<F> = draws.into_iter().map(F::from_u64).collect();
+    let mul = measure_best_of(REPS, TRIALS, WARMUP, &mut |_| {
+        operands
+            .iter()
+            .fold(F::ONE, |acc, &x| acc * std::hint::black_box(x))
+    });
+    let invertible: Vec<F> = (1..=64u64).map(|v| F::from_u64(v * 7919)).collect();
+    let inv = measure_best_of(REPS, TRIALS, WARMUP, &mut |_| {
+        invertible
+            .iter()
+            .fold(F::ONE, |acc, &x| acc + std::hint::black_box(x).inv())
+    });
+    let mul_ops = ops_per_sec(mul, operands.len());
+    let inv_ops = ops_per_sec(inv, invertible.len());
+    table.row(&[
+        backend.to_string(),
+        format!("{mul_ops:.2e}"),
+        format!("{:.2}", 1e9 / mul_ops),
+        format!("{inv_ops:.2e}"),
+        format!("{:.0}", 1e9 / inv_ops),
+    ]);
+    let params = &[("backend", backend)];
+    report.push("field_mul_ops_per_sec", params, mul_ops, "ops/s");
+    report.push("field_inv_ops_per_sec", params, inv_ops, "ops/s");
+}
+
 fn main() {
     println!("Hot-path throughput: inserts/sec, decodes/sec, control datagrams/sec\n");
 
@@ -327,6 +362,16 @@ fn main() {
         report.push(cell.mode, params, ops, "ops/s");
     }
     control_table.print();
+
+    println!();
+    let mut field_table = Table::new(&["backend", "mul/sec", "ns/mul", "inv/sec", "ns/inv"]);
+    field_ops::<Fp16>("Fp16", &mut field_table, &mut report);
+    field_ops::<Fp16Table>("Fp16Table", &mut field_table, &mut report);
+    field_ops::<Fp24>("Fp24", &mut field_table, &mut report);
+    field_ops::<Fp32>("Fp32", &mut field_table, &mut report);
+    field_ops::<Fp64>("Fp64", &mut field_table, &mut report);
+    field_ops::<Monty64>("Monty64", &mut field_table, &mut report);
+    field_table.print();
 
     // The acceptance headline: batched 64-bit inserts at t = 20.
     let headline = report

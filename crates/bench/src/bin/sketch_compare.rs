@@ -11,8 +11,8 @@
 //!
 //! Regenerate: `cargo run -p sidecar-bench --release --bin sketch_compare`
 
+use sidecar_bench::baselines::iblt::Iblt;
 use sidecar_bench::{fmt_duration, measure_mean, workload, BenchReport, Table};
-use sidecar_quack::iblt::Iblt;
 use sidecar_quack::{Quack32, WireFormat};
 
 const N: usize = 1000;

@@ -15,8 +15,10 @@
 //!
 //! Regenerate: `cargo run -p sidecar-bench --release --bin table2`
 
+use sidecar_bench::baselines::strawman::{
+    estimated_decode_days, hash_sorted, EchoQuack, HashQuack,
+};
 use sidecar_bench::{fmt_days, fmt_duration, measure_mean, workload, BenchReport, Table};
-use sidecar_quack::strawman::{estimated_decode_days, hash_sorted, EchoQuack, HashQuack};
 use sidecar_quack::{PowerSumQuack, Quack32, WireFormat};
 use std::time::Instant;
 

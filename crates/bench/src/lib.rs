@@ -1,16 +1,32 @@
 //! Harness utilities for regenerating the paper's tables and figures.
 //!
 //! The binaries in `src/bin/` print the rows/series of each table and
-//! figure in the Sidecar (HotNets '22) evaluation; the Criterion benches in
-//! `benches/` provide statistically rigorous versions of the same
-//! measurements. This library holds the shared pieces: a trial runner
-//! matching the paper's methodology ("average of 100 trials with warmup"),
-//! workload generation, and table formatting.
+//! figure in the Sidecar (HotNets '22) evaluation. This library holds the
+//! shared pieces: a trial runner matching the paper's methodology ("average
+//! of 100 trials with warmup"), workload generation, table formatting, and
+//! the [`baselines`] the paper compares the quACK against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;
+
+// Declared at the crate root so their unit tests keep the `iblt::tests::*`
+// / `strawman::tests::*` names they had in `sidecar-quack`; the public path
+// is [`baselines`].
+#[doc(hidden)]
+#[path = "baselines/iblt.rs"]
+pub mod iblt;
+#[doc(hidden)]
+#[path = "baselines/strawman.rs"]
+pub mod strawman;
+
+/// The sketches the power-sum quACK is measured against: paper Table 2's
+/// two strawmen and the invertible Bloom lookup table. Experiment code —
+/// no protocol or datapath uses them.
+pub mod baselines {
+    pub use crate::{iblt, strawman};
+}
 
 use std::time::{Duration, Instant};
 

@@ -42,20 +42,18 @@
 //!   over the identifier width via `sidecar_galois::Field`.
 //! * [`decode`] — the decoder output ([`DecodedQuack`]) with
 //!   missing/indeterminate classification (paper §3.2).
-//! * [`strawman`] — the two strawman quACKs the paper compares against
-//!   (§1, Table 2): echo-everything and hash-and-search.
-//! * [`sha256`] — from-scratch SHA-256 backing Strawman 2 (no hash crate in
-//!   the offline dependency set).
+//! * [`sha256`] — from-scratch SHA-256 under the sidecar control channel's
+//!   HMAC (no hash crate in the offline dependency set).
 //! * [`wire`] — the bit-exact wire codec (`b·t + c` bits, §4.2 "QuACK
 //!   Size").
 //! * [`collision`] — collision/indeterminacy probability math (§4.2,
 //!   Table 3).
 //! * [`id`] — extracting pseudo-random identifiers from opaque header bytes.
 //! * [`dynamic`] — runtime-width quACKs for negotiated identifier widths.
-//! * [`iblt`] — an invertible Bloom lookup table, the alternative
-//!   set-difference sketch from the paper's straggler-identification
-//!   citation (an answer to §5's "what similar protocol-agnostic digests
-//!   could we design?").
+//!
+//! The sketches the paper compares the quACK against (Table 2's two
+//! strawmen, the invertible Bloom lookup table) are experiment code and
+//! live in `sidecar-bench` (`sidecar_bench::baselines`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,11 +61,9 @@
 pub mod collision;
 pub mod decode;
 pub mod dynamic;
-pub mod iblt;
 pub mod id;
 pub mod power_sum;
 pub mod sha256;
-pub mod strawman;
 pub mod wire;
 
 pub use decode::{DecodeError, DecodedQuack, IndeterminateGroup, PacketFate};

@@ -1,13 +1,13 @@
 //! A from-scratch SHA-256 (FIPS 180-4).
 //!
-//! Two users. The paper's second strawman returns "a hash of a sorted
-//! concatenation of all the received packets" (§1) — 256 bits on the wire
-//! (Table 2). And it is the core of the control channel's HMAC (DESIGN.md
-//! §12): every authenticated control datagram is hashed once to seal and
-//! once to open, so what this module spends around the compression
-//! function — copies in [`Sha256::update`], padding in
-//! [`Sha256::finalize`] — is part of what a quACK costs, not only of
-//! Table 2's construction-time row.
+//! Two users. The paper's second strawman (`sidecar_bench::baselines`)
+//! returns "a hash of a sorted concatenation of all the received packets"
+//! (§1) — 256 bits on the wire (Table 2). And it is the core of the
+//! control channel's HMAC (DESIGN.md §12): every authenticated control
+//! datagram is hashed once to seal and once to open, so what this module
+//! spends around the compression function — copies in [`Sha256::update`],
+//! padding in [`Sha256::finalize`] — is part of what a quACK costs, not
+//! only of Table 2's construction-time row.
 //!
 //! The approved offline dependency set has no hash crate, so SHA-256 is
 //! implemented here directly and validated against the FIPS test vectors

@@ -65,14 +65,13 @@ fn main() {
     let seed: u64 = args.parse_or("seed", 3);
     let max_secs: f64 = args.parse_or("max-secs", 3600.0);
     let drop_every: u64 = args.parse_or("drop-every", 0);
-    let auth_secret: Option<u64> = args.get("auth-secret").map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("bad --auth-secret {raw:?}");
-            std::process::exit(2);
-        })
-    });
-    let nonce: u64 = args.parse_or("nonce", 1);
-    let auth = auth_secret.map(|secret| AuthConfig::from_secret(secret, 1).with_nonce(nonce));
+    let auth_secret: Option<u64> = args.parse_opt("auth-secret");
+    let auth = match args.parse_opt::<u64>("nonce") {
+        Some(0) => args.fail("--nonce must be nonzero"),
+        Some(_) if auth_secret.is_none() => args.fail("--nonce needs --auth-secret"),
+        nonce => auth_secret
+            .map(|secret| AuthConfig::from_secret(secret, 1).with_nonce(nonce.unwrap_or(1))),
+    };
     let admin_addr = args.get("admin").map(str::to_string);
     let sample_ms: u64 = args.parse_or("sample-ms", 1000);
 

@@ -50,40 +50,37 @@ impl Args {
         self.values.get(key).map(|s| s.as_str())
     }
 
+    /// Reports a usage error (`program: msg` on stderr) and exits 2.
+    pub fn fail(&self, msg: &str) -> ! {
+        eprintln!("{}: {msg}", self.program);
+        std::process::exit(2);
+    }
+
     /// A required `--key value`; exits if missing.
     pub fn require(&self, key: &str) -> &str {
-        match self.get(key) {
-            Some(v) => v,
-            None => {
-                eprintln!("{}: missing required --{key}", self.program);
-                std::process::exit(2);
-            }
-        }
+        self.get(key)
+            .unwrap_or_else(|| self.fail(&format!("missing required --{key}")))
+    }
+
+    /// `--key` parsed as `T` when present; exits on a malformed value.
+    pub fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.get(key).map(|raw| {
+            raw.parse()
+                .unwrap_or_else(|_| self.fail(&format!("bad value for --{key}: {raw:?}")))
+        })
     }
 
     /// `--key` parsed as `T`, or `default` when absent; exits on a
     /// malformed value.
     pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(raw) => match raw.parse() {
-                Ok(v) => v,
-                Err(_) => {
-                    eprintln!("{}: bad value for --{key}: {raw:?}", self.program);
-                    std::process::exit(2);
-                }
-            },
-        }
+        self.parse_opt(key).unwrap_or(default)
     }
 
     /// Errors out if any provided key was never consumed (catches typos).
     pub fn finish(&self) {
         let taken = self.taken.borrow();
-        for key in self.values.keys() {
-            if !taken.iter().any(|t| t == key) {
-                eprintln!("{}: unknown option --{key}", self.program);
-                std::process::exit(2);
-            }
+        if let Some(key) = self.values.keys().find(|key| !taken.contains(key)) {
+            self.fail(&format!("unknown option --{key}"));
         }
     }
 }

@@ -90,20 +90,6 @@ impl Default for LinkConfig {
     }
 }
 
-impl LinkConfig {
-    /// The paper's §4.3 reference segment: "a 60ms RTT on a 200 Mbps link"
-    /// with a 2% worst-case loss rate — as a one-way link of 30 ms.
-    pub fn paper_reference() -> Self {
-        LinkConfig {
-            rate_bps: 200_000_000,
-            delay: SimDuration::from_millis(30),
-            queue_packets: 1024,
-            loss: LossModel::Bernoulli { p: 0.02 },
-            jitter: SimDuration::ZERO,
-        }
-    }
-}
-
 /// Per-link transfer statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
@@ -117,17 +103,6 @@ pub struct LinkStats {
     pub delivered: u64,
     /// Bytes delivered.
     pub delivered_bytes: u64,
-}
-
-impl LinkStats {
-    /// Fraction of offered packets that were dropped (any cause).
-    pub fn drop_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            (self.dropped_queue + self.dropped_loss) as f64 / self.offered as f64
-        }
-    }
 }
 
 /// The outcome of offering one packet to a link.

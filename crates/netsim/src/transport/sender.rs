@@ -529,11 +529,6 @@ impl SenderCore {
             }
         }
     }
-
-    /// Name of the congestion controller.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
 }
 
 #[cfg(test)]

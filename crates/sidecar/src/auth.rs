@@ -35,29 +35,20 @@
 //!   simulator's adversary can only capture in-run traffic anyway).
 //! * `mac` is the first 16 bytes of `HMAC-SHA256(session_key, domain ||
 //!   auth_tag || key_id || nonce || seq || inner_body)` with the
-//!   domain-separation string in this module's `DOMAIN`. (The literal is
-//!   deliberately
-//!   not spelled out in any doc comment: rustc embeds docs in rlib
-//!   metadata, and CI greps the auth-off rlib to prove the string — and
-//!   with it the MAC machinery — compiled out.)
+//!   domain-separation string in this module's `DOMAIN`.
 //!
 //! The per-session key is `HMAC-SHA256(psk, domain || key_id || nonce)` —
 //! derived independently by any receiver holding the same pre-shared
 //! secret, but distinct per direction because each sender owns its nonce.
 //!
-//! With the `auth` cargo feature disabled the module compiles down to a
-//! passthrough twin: [`ChannelAuth`] keeps its API but seals to the plain
-//! flow encoding and opens with the plain decoder (no authentication), and
-//! none of the cryptographic machinery — including the domain-separation
-//! literal — reaches the binary.
+//! Authentication is chosen per node at run time (`with_auth`, from the
+//! scenario's `auth: Option<AuthConfig>`); there is no build of this crate
+//! that cannot authenticate, so a node built `with_auth` never accepts a
+//! forgery.
 
 use crate::config::AuthConfig;
-#[cfg(feature = "auth")]
-use crate::messages::tag;
-use crate::messages::{MessageError, SidecarMessage};
-#[cfg(feature = "auth")]
+use crate::messages::{tag, MessageError, SidecarMessage};
 use sidecar_quack::sha256::Sha256;
-#[cfg(feature = "auth")]
 use std::collections::HashMap;
 
 /// Truncated MAC length carried on the wire (bytes).
@@ -93,7 +84,9 @@ pub enum AuthError {
 }
 
 impl AuthError {
-    /// Stable short label for metrics counters (`auth.rejected.<kind>`).
+    /// Stable short label: the suffix of this rejection's metrics counter.
+    /// (The counter prefix is not spelled out here: rustc embeds docs in rlib
+    /// metadata, and CI greps the obs-off rlib to prove no tap name survives.)
     pub fn kind(&self) -> &'static str {
         match self {
             AuthError::NotAuthenticated(_) => "unauthenticated",
@@ -140,14 +133,12 @@ pub struct AuthStats {
 /// the SHA-256 states after `key ^ ipad` and after `key ^ opad`. A MAC then
 /// costs only the message's own blocks plus the outer finish, which is what
 /// makes it worth holding one of these per session instead of the raw key.
-#[cfg(feature = "auth")]
 #[derive(Clone)]
 struct HmacKey {
     inner: Sha256,
     outer: Sha256,
 }
 
-#[cfg(feature = "auth")]
 impl HmacKey {
     fn new(key: &[u8]) -> Self {
         const BLOCK: usize = 64;
@@ -181,7 +172,6 @@ impl HmacKey {
 }
 
 /// Key material stays out of `{:?}` output.
-#[cfg(feature = "auth")]
 impl core::fmt::Debug for HmacKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str("HmacKey(..)")
@@ -189,21 +179,19 @@ impl core::fmt::Debug for HmacKey {
 }
 
 /// HMAC-SHA256 (RFC 2104) over the crate's own SHA-256 core.
-#[cfg(feature = "auth")]
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     HmacKey::new(key).mac(&[message])
 }
 
 /// Domain-separation string for every MAC and key derivation in this
-/// module (also the literal the CI auth-off compile-out check greps for).
-#[cfg(feature = "auth")]
+/// module (also the literal CI greps both rlibs for, to prove every build
+/// carries the MAC code).
 const DOMAIN: &[u8] = b"sidecar-auth-v1";
 
 /// Derives the per-session key for `(key_id, nonce)` from the pre-shared
 /// secret. Any endpoint holding `psk` can derive any session's key, which
 /// is what makes decoding stateless; directions differ because each sender
 /// owns its nonce.
-#[cfg(feature = "auth")]
 fn session_key(psk: &[u8; 32], key_id: u32, nonce: u64) -> HmacKey {
     HmacKey::new(&HmacKey::new(psk).mac(&[DOMAIN, &key_id.to_be_bytes(), &nonce.to_be_bytes()]))
 }
@@ -211,7 +199,6 @@ fn session_key(psk: &[u8; 32], key_id: u32, nonce: u64) -> HmacKey {
 /// Computes the truncated envelope MAC. The authenticated tag byte and the
 /// full envelope header are folded in, so nothing outside the (unprotected)
 /// link headers is malleable.
-#[cfg(feature = "auth")]
 fn mac16(
     key: &HmacKey,
     auth_tag: u8,
@@ -234,7 +221,6 @@ fn mac16(
 }
 
 /// Constant-time byte comparison (single accumulated difference bit).
-#[cfg(feature = "auth")]
 fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     a.len() == b.len() && a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
 }
@@ -242,7 +228,6 @@ fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 /// RFC 4303-style sliding replay window: highest accepted sequence number
 /// plus a 64-bit bitmap of recently accepted ones. Sequence numbers start
 /// at 1 (0 is never valid on the wire).
-#[cfg(feature = "auth")]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayWindow {
     /// Highest sequence number accepted so far (0 = nothing yet).
@@ -251,16 +236,10 @@ pub struct ReplayWindow {
     bitmap: u64,
 }
 
-#[cfg(feature = "auth")]
 impl ReplayWindow {
     /// A fresh window that has accepted nothing.
     pub fn new() -> Self {
         ReplayWindow::default()
-    }
-
-    /// Highest sequence number accepted so far (0 = none).
-    pub fn max_seq(&self) -> u64 {
-        self.max
     }
 
     /// Checks `seq` against the window and, when acceptable, marks it
@@ -293,7 +272,6 @@ impl ReplayWindow {
 }
 
 /// One receive session: the derived key and its replay window.
-#[cfg(feature = "auth")]
 #[derive(Clone, Debug)]
 struct RxSession {
     key: HmacKey,
@@ -307,7 +285,6 @@ struct RxSession {
 /// Receive sessions are only cached *after* a MAC verifies, so an attacker
 /// spraying bogus nonces cannot grow the session map: every entry proves
 /// knowledge of the pre-shared secret.
-#[cfg(feature = "auth")]
 #[derive(Clone, Debug)]
 pub struct ChannelAuth {
     cfg: AuthConfig,
@@ -318,7 +295,6 @@ pub struct ChannelAuth {
     pub stats: AuthStats,
 }
 
-#[cfg(feature = "auth")]
 impl ChannelAuth {
     /// Creates an endpoint. `cfg.nonce` is this sender's session nonce and
     /// must be unique among the peers sharing `cfg.psk` within a run.
@@ -419,56 +395,7 @@ impl ChannelAuth {
     }
 }
 
-/// Passthrough twin compiled when the `auth` feature is off: same API, no
-/// authentication — seals to the plain flow encoding and opens with the
-/// plain decoder. The adversarial scenarios and their guarantees require
-/// the real implementation (the default build).
-#[cfg(not(feature = "auth"))]
-#[derive(Clone, Debug)]
-pub struct ChannelAuth {
-    #[allow(dead_code)]
-    cfg: AuthConfig,
-    /// Seal/open counters.
-    pub stats: AuthStats,
-}
-
-#[cfg(not(feature = "auth"))]
-impl ChannelAuth {
-    /// Creates a passthrough endpoint (no authentication in this build).
-    pub fn new(cfg: AuthConfig) -> Self {
-        ChannelAuth {
-            cfg,
-            stats: AuthStats::default(),
-        }
-    }
-
-    /// Number of datagrams sealed so far.
-    pub fn tx_seq(&self) -> u64 {
-        self.stats.sealed
-    }
-
-    /// Plain flow encoding (no envelope in this build).
-    pub fn seal(&mut self, msg: &SidecarMessage, flow: u32) -> (u8, Vec<u8>) {
-        self.stats.sealed += 1;
-        msg.encode_for_flow(flow)
-    }
-
-    /// Plain flow decoding (no verification in this build).
-    pub fn open(&mut self, tag_byte: u8, body: &[u8]) -> Result<(u32, SidecarMessage), AuthError> {
-        match SidecarMessage::decode_flow(tag_byte, body) {
-            Ok(ok) => {
-                self.stats.accepted += 1;
-                Ok(ok)
-            }
-            Err(e) => {
-                self.stats.rejected += 1;
-                Err(AuthError::Malformed(e))
-            }
-        }
-    }
-}
-
-#[cfg(all(test, feature = "auth"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

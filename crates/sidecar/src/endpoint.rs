@@ -344,29 +344,6 @@ impl<F: Field> QuackConsumer<F> {
         });
     }
 
-    /// Records a burst of sent packets `(id, tag)` sharing one send time,
-    /// equivalent to calling [`record_sent`](Self::record_sent) per packet
-    /// but folding the mirror sums through the lane-batched hot path.
-    pub fn record_sent_batch(&mut self, packets: &[(u64, u64)], now: SimTime) {
-        let mut ids = [0u64; LANES];
-        for chunk in packets.chunks(LANES) {
-            for (slot, &(id, _)) in ids.iter_mut().zip(chunk) {
-                *slot = id;
-            }
-            self.mirror.insert_batch(&ids[..chunk.len()]);
-        }
-        self.log.reserve(packets.len());
-        for &(id, tag) in packets {
-            self.log.push_back(LogEntry {
-                id,
-                tag,
-                sent_at: now,
-                limbo_deadline: None,
-                ambiguous: false,
-            });
-        }
-    }
-
     /// Masks a count difference to the configured `c` bits.
     fn mask_count(&self, diff: u32) -> u32 {
         match self.cfg.count_bits {
@@ -1002,23 +979,6 @@ mod tests {
         let (_, a) = quack_bytes(one_by_one.emit());
         let (_, b) = quack_bytes(batched.emit());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn record_sent_batch_matches_loop() {
-        let (mut prod, mut cons) = pair();
-        let packets: Vec<(u64, u64)> = (0..80u64).map(|i| (i * 13 + 7, i)).collect();
-        cons.record_sent_batch(&packets, t(0));
-        assert_eq!(cons.log_len(), 80);
-        for &(id, _) in &packets {
-            if id != packets[17].0 {
-                prod.observe(id);
-            }
-        }
-        let (epoch, bytes) = quack_bytes(prod.emit());
-        let report = cons.process_quack(t(100), epoch, &bytes).unwrap();
-        assert_eq!(report.received.len(), 79);
-        assert_eq!(report.newly_missing, vec![packets[17]]);
     }
 
     #[test]

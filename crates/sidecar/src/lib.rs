@@ -41,9 +41,10 @@ pub mod negotiate;
 pub mod protocols;
 pub mod supervise;
 
-#[cfg(feature = "auth")]
-pub use auth::{hmac_sha256, ReplayWindow};
-pub use auth::{AuthError, AuthStats, ChannelAuth, AUTH_OVERHEAD, MAC_LEN, REPLAY_WINDOW};
+pub use auth::{
+    hmac_sha256, AuthError, AuthStats, ChannelAuth, ReplayWindow, AUTH_OVERHEAD, MAC_LEN,
+    REPLAY_WINDOW,
+};
 pub use config::{AuthConfig, QuackFrequency, SidecarConfig, SupervisionConfig};
 pub use endpoint::{
     ConfirmedLoss, ConsumerStats, LogEntry, ProcessError, QuackConsumer, QuackProducer, QuackReport,

@@ -334,16 +334,12 @@ impl Default for AckReductionScenario {
 impl AckReductionScenario {
     /// The sidecar run: reduced client ACKs + proxy quACKs.
     pub fn run_sidecar(&self, seed: u64) -> ScenarioReport {
-        self.run_sidecar_inner(seed, None)
+        self.run_sidecar_faulted(seed, &FaultScript::default())
     }
 
     /// Sidecar run with scripted faults (crash hits the proxy; blackout
     /// hits the proxy↔client segment).
     pub fn run_sidecar_faulted(&self, seed: u64, faults: &FaultScript) -> ScenarioReport {
-        self.run_sidecar_inner(seed, Some(faults))
-    }
-
-    fn run_sidecar_inner(&self, seed: u64, faults: Option<&FaultScript>) -> ScenarioReport {
         let mut h = Harness::new(seed, self.trace_capacity);
         let mut server_node = AckRedServer::new(
             SenderConfig {
@@ -396,7 +392,7 @@ impl AckReductionScenario {
     /// A baseline run with a plain forwarder and the given client ACK
     /// frequency.
     pub fn run_baseline(&self, seed: u64, ack_every: u32) -> ScenarioReport {
-        self.run_baseline_inner(seed, ack_every, None)
+        self.run_baseline_faulted(seed, ack_every, &FaultScript::default())
     }
 
     /// Baseline twin under the identical fault script.
@@ -405,15 +401,6 @@ impl AckReductionScenario {
         seed: u64,
         ack_every: u32,
         faults: &FaultScript,
-    ) -> ScenarioReport {
-        self.run_baseline_inner(seed, ack_every, Some(faults))
-    }
-
-    fn run_baseline_inner(
-        &self,
-        seed: u64,
-        ack_every: u32,
-        faults: Option<&FaultScript>,
     ) -> ScenarioReport {
         let mut h = Harness::new(seed, None);
         let reduced = ack_every >= self.reduced_ack_every;
@@ -564,7 +551,6 @@ mod tests {
         assert_eq!(scenario.run_sidecar(8), scenario.run_sidecar(8));
     }
 
-    #[cfg(feature = "auth")]
     #[test]
     fn authenticated_run_completes_without_rejects() {
         let scenario = AckReductionScenario {

@@ -357,11 +357,6 @@ impl CcdProxy {
         self
     }
 
-    /// The current paced rate (bits/s).
-    pub fn pacing_rate_bps(&self) -> f64 {
-        self.pacer.rate.rate_bps
-    }
-
     /// Live per-flow sessions.
     pub fn live_flows(&self) -> usize {
         self.table.len()
@@ -855,15 +850,11 @@ impl Default for CcdScenario {
 impl CcdScenario {
     /// Runs the sidecar (division) variant.
     pub fn run_sidecar(&self, seed: u64) -> ScenarioReport {
-        self.run_sidecar_inner(seed, None)
+        self.run_sidecar_faulted(seed, &FaultScript::default())
     }
 
     /// Runs the sidecar variant under a fault script.
     pub fn run_sidecar_faulted(&self, seed: u64, faults: &FaultScript) -> ScenarioReport {
-        self.run_sidecar_inner(seed, Some(faults))
-    }
-
-    fn run_sidecar_inner(&self, seed: u64, faults: Option<&FaultScript>) -> ScenarioReport {
         let mut h = Harness::new(seed, self.trace_capacity);
         let mut server_node = CcdServer::new(
             SenderConfig {
@@ -917,15 +908,11 @@ impl CcdScenario {
 
     /// Runs the baseline: plain forwarder, e2e congestion control.
     pub fn run_baseline(&self, seed: u64) -> ScenarioReport {
-        self.run_baseline_inner(seed, None)
+        self.run_baseline_faulted(seed, &FaultScript::default())
     }
 
     /// Runs the baseline under the same fault script as the sidecar run.
     pub fn run_baseline_faulted(&self, seed: u64, faults: &FaultScript) -> ScenarioReport {
-        self.run_baseline_inner(seed, Some(faults))
-    }
-
-    fn run_baseline_inner(&self, seed: u64, faults: Option<&FaultScript>) -> ScenarioReport {
         let mut h = Harness::new(seed, None);
         let server = h.w.add_node(SenderNode::boxed(SenderConfig {
             total_packets: Some(self.total_packets),
@@ -1030,7 +1017,6 @@ mod tests {
         assert_eq!(scenario.run_baseline(9), scenario.run_baseline(9));
     }
 
-    #[cfg(feature = "auth")]
     #[test]
     fn authenticated_run_completes_without_rejects() {
         let scenario = CcdScenario {

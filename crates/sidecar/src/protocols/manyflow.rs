@@ -506,7 +506,6 @@ mod tests {
         assert_eq!(s.run(), s.run());
     }
 
-    #[cfg(feature = "auth")]
     #[test]
     fn authenticated_mux_completes_for_all_protocols() {
         for protocol in [

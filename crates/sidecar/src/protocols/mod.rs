@@ -619,11 +619,11 @@ impl Harness {
         &mut self,
         line: &[NodeId],
         links: &[&LinkConfig],
-        faults: Option<&FaultScript>,
+        faults: &FaultScript,
     ) {
         self.connect_line(line, links);
-        let plan = faults.map(|script| script.lower(line[1], (line[1], line[2])));
-        if let Some(plan) = plan.filter(|plan| !plan.is_empty()) {
+        let plan = faults.lower(line[1], (line[1], line[2]));
+        if !plan.is_empty() {
             self.w.install_faults(plan);
         }
         self.run(Self::DEADLINE);

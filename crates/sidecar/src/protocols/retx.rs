@@ -249,11 +249,6 @@ impl SenderSideProxy {
         self
     }
 
-    /// Consumer statistics for one flow's live session.
-    pub fn consumer_stats(&self, flow: FlowId) -> Option<&crate::endpoint::ConsumerStats> {
-        self.table.peek(flow).map(|s| &s.half.consumer.stats)
-    }
-
     /// Live per-flow sessions.
     pub fn live_flows(&self) -> usize {
         self.table.len()
@@ -786,26 +781,26 @@ impl Default for RetxScenario {
 impl RetxScenario {
     /// Runs the scenario with sidecar proxies.
     pub fn run_sidecar(&self, seed: u64) -> ScenarioReport {
-        self.run(seed, true, None)
+        self.run_sidecar_faulted(seed, &FaultScript::default())
     }
 
     /// Runs the baseline: identical topology with plain forwarders.
     pub fn run_baseline(&self, seed: u64) -> ScenarioReport {
-        self.run(seed, false, None)
+        self.run_baseline_faulted(seed, &FaultScript::default())
     }
 
     /// Sidecar run with scripted faults (crash hits the sender-side proxy;
     /// blackout hits the subpath between the proxies).
     pub fn run_sidecar_faulted(&self, seed: u64, faults: &FaultScript) -> ScenarioReport {
-        self.run(seed, true, Some(faults))
+        self.run(seed, true, faults)
     }
 
     /// Baseline twin under the identical fault script.
     pub fn run_baseline_faulted(&self, seed: u64, faults: &FaultScript) -> ScenarioReport {
-        self.run(seed, false, Some(faults))
+        self.run(seed, false, faults)
     }
 
-    fn run(&self, seed: u64, sidecar: bool, faults: Option<&FaultScript>) -> ScenarioReport {
+    fn run(&self, seed: u64, sidecar: bool, faults: &FaultScript) -> ScenarioReport {
         let mut h = Harness::new(seed, self.trace_capacity);
         let server = h.w.add_node(SenderNode::boxed(SenderConfig {
             total_packets: Some(self.total_packets),
@@ -987,7 +982,6 @@ mod tests {
         assert_eq!(scenario.run_sidecar(5), scenario.run_sidecar(5));
     }
 
-    #[cfg(feature = "auth")]
     #[test]
     fn authenticated_run_completes_without_rejects() {
         let scenario = RetxScenario {

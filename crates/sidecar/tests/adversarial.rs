@@ -8,8 +8,12 @@
 //! tests pin that contract down.
 
 use sidecar_galois::Fp32;
+use sidecar_netsim::link::LinkConfig;
+use sidecar_netsim::node::{Context, IfaceId, Node};
+use sidecar_netsim::packet::{FlowId, Packet};
 use sidecar_netsim::rng::SimRng;
 use sidecar_netsim::time::{SimDuration, SimTime};
+use sidecar_netsim::World;
 use sidecar_proto::{ProcessError, QuackConsumer, QuackProducer, SidecarConfig, SidecarMessage};
 
 fn cfg() -> SidecarConfig {
@@ -172,7 +176,6 @@ fn random_bit_flips_never_panic_and_never_fabricate_losses_silently() {
 /// With the authenticated channel, replayed quACKs die at the envelope:
 /// the replay window rejects the duplicate sequence number before the
 /// power-sum payload is ever decoded, so the consumer never even sees it.
-#[cfg(feature = "auth")]
 #[test]
 fn replayed_sealed_quack_rejected_before_decode() {
     use sidecar_proto::{AuthConfig, AuthError, ChannelAuth};
@@ -210,7 +213,6 @@ fn replayed_sealed_quack_rejected_before_decode() {
 /// A forged plain-wire quACK (the strongest thing an attacker without the
 /// PSK can build) is rejected as unauthenticated by an authenticated
 /// receiver — again without touching the quACK decoder.
-#[cfg(feature = "auth")]
 #[test]
 fn forged_and_tampered_datagrams_rejected_at_the_envelope() {
     use sidecar_proto::{AuthConfig, AuthError, ChannelAuth, AUTH_OVERHEAD};
@@ -234,6 +236,82 @@ fn forged_and_tampered_datagrams_rejected_at_the_envelope() {
     assert_eq!(rx.open(tag, &sealed), Err(AuthError::BadMac));
     assert_eq!(rx.stats.rejected, 2);
     assert_eq!(rx.stats.accepted, 0);
+}
+
+/// Sends its scripted control datagrams, one per timer, and counts what
+/// comes back.
+struct ControlPeer {
+    script: Vec<(SimDuration, u8, Vec<u8>)>,
+    replies: usize,
+}
+
+impl Node for ControlPeer {
+    fn on_start(&mut self, ctx: &mut Context) {
+        for (token, (at, ..)) in self.script.iter().enumerate() {
+            ctx.set_timer_after(*at, token as u64);
+        }
+    }
+
+    fn on_packet(&mut self, _iface: IfaceId, _packet: Packet, _ctx: &mut Context) {
+        self.replies += 1;
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Context) {
+        let (_, proto, body) = self.script[token as usize].clone();
+        let size = body.len() as u32;
+        ctx.send(
+            IfaceId(0),
+            Packet::sidecar(FlowId(5), proto, body, size, ctx.now()),
+        );
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A node built `with_auth` never acts on a forgery, in whatever
+/// configuration this test binary was compiled: a `Hello` sealed under the
+/// wrong pre-shared secret and a plain (unsealed) `Reset` create no session
+/// and draw no reply, while the same `Hello` under the right secret does
+/// both.
+#[test]
+fn node_built_with_auth_rejects_wrong_psk_and_unsealed_control() {
+    use sidecar_proto::protocols::retx::ReceiverSideProxy;
+    use sidecar_proto::{offer, AuthConfig, ChannelAuth};
+
+    let psk = AuthConfig::from_secret(0xD00D_F00D, 9);
+    let hello = offer(&cfg());
+    let wrong =
+        ChannelAuth::new(AuthConfig::from_secret(0xBAD_5EC2E7, 9).with_nonce(1)).seal(&hello, 5);
+    let plain = SidecarMessage::Reset { epoch: 3 }.encode_for_flow(5);
+    let honest = ChannelAuth::new(psk.with_nonce(1)).seal(&hello, 5);
+    let ms = SimDuration::from_millis;
+
+    let mut w = World::new(7);
+    let peer = w.add_node(Box::new(ControlPeer {
+        script: vec![
+            (ms(0), wrong.0, wrong.1),
+            (ms(1), plain.0, plain.1),
+            (ms(10), honest.0, honest.1),
+        ],
+        replies: 0,
+    }));
+    let proxy = w.add_node(Box::new(
+        ReceiverSideProxy::new(cfg()).with_auth(psk.with_nonce(2)),
+    ));
+    w.connect(peer, proxy, LinkConfig::default(), LinkConfig::default());
+
+    w.run_until(t(9));
+    assert_eq!(w.node_as::<ReceiverSideProxy>(proxy).live_flows(), 0);
+    assert_eq!(w.node_as::<ControlPeer>(peer).replies, 0);
+
+    w.run_until(t(15));
+    assert_eq!(w.node_as::<ReceiverSideProxy>(proxy).live_flows(), 1);
+    assert!(w.node_as::<ControlPeer>(peer).replies >= 1);
 }
 
 #[test]

@@ -14,7 +14,6 @@
 //! This file holds exactly one test: the harness runs test files in one
 //! process per file but multiple tests per process on worker threads, and a
 //! concurrent test's allocations would race the counter.
-#![cfg(feature = "auth")]
 
 use sidecar_proto::{AuthConfig, AuthError, ChannelAuth, SidecarMessage, AUTH_OVERHEAD};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -5,7 +5,6 @@
 //! every in-window sequence number is accepted exactly once, duplicates
 //! are rejected as replays, and anything older than the window is refused
 //! outright (`Stale`) rather than tracked forever.
-#![cfg(feature = "auth")]
 
 use proptest::prelude::*;
 use sidecar_proto::{AuthError, ReplayWindow, REPLAY_WINDOW};

@@ -320,7 +320,6 @@ fn forged_quacks_never_wedge_an_unauthenticated_flow() {
     assert!(c.completion.is_some(), "ccd wedged: {c:?}");
 }
 
-#[cfg(feature = "auth")]
 mod adversary {
     use super::*;
     use sidecar_proto::AuthConfig;

@@ -15,7 +15,7 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p sidecar-proto --test golden_protocols
 //! ```
-#![cfg(all(feature = "obs", feature = "auth"))]
+#![cfg(feature = "obs")]
 
 use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_obs::{EventTrace, MetricsSnapshot};

@@ -62,7 +62,6 @@ proptest! {
     /// Authenticated envelope: sealing any message for any flow under any
     /// session parameters opens to exactly the sealed message, and opening
     /// is total (no panics) over arbitrary byte soup at the auth tags.
-    #[cfg(feature = "auth")]
     #[test]
     fn sealed_messages_roundtrip_and_open_is_total(
         epoch in any::<u32>(),
@@ -87,7 +86,6 @@ proptest! {
     }
 
     /// Any single bit flip anywhere in a sealed body is rejected.
-    #[cfg(feature = "auth")]
     #[test]
     fn sealed_messages_reject_any_single_bit_flip(
         epoch in any::<u32>(),

@@ -12,7 +12,6 @@
 //!
 //! Regenerate only after an *intended* wire change:
 //! `UPDATE_GOLDEN=1 cargo test -p sidecar-proto --test sealed_envelope_golden`
-#![cfg(feature = "auth")]
 
 use sidecar_netsim::time::SimDuration;
 use sidecar_proto::{AuthConfig, ChannelAuth, SidecarMessage, AUTH_OVERHEAD};

@@ -4,7 +4,7 @@
 //! a single dependency:
 //!
 //! * [`galois`] — prime fields, polynomials, Newton's identities.
-//! * [`quack`] — the quACK power-sum sketch and the two strawmen.
+//! * [`quack`] — the quACK power-sum sketch, its decoders and wire codec.
 //! * [`netsim`] — deterministic discrete-event network simulator.
 //! * [`proto`] — sidecar endpoints and the three sidecar protocols.
 
