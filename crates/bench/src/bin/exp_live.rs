@@ -12,9 +12,12 @@
 //! * **live_ns_per_packet** — wall nanoseconds spent inside node callbacks
 //!   and action application on the [`LiveDriver`] (its `DriverStats`
 //!   separates compute from socket waits), divided by datagrams delivered
-//!   into nodes. Socket blocking, kernel copies, and reader-thread time
-//!   are deliberately excluded: this is the dispatch-loop overhead a
-//!   deployment pays per packet, not the link's latency.
+//!   into nodes. The egress `send_to` runs inside action application and
+//!   counts; the receive side (the run loop's non-blocking `recv` sweeps
+//!   and its parking in `ppoll`) is deliberately excluded: this is the
+//!   dispatch overhead a deployment pays per packet, not the link's
+//!   latency. The repository benchmark's `live_relay` prices the whole
+//!   host, receive side included.
 //! * **netsim_ns_per_packet** — wall time of the equivalent `World` run
 //!   (virtual time never sleeps, so the whole run is compute) divided by
 //!   `hop_deliver` events, the same "packet handed to a node" denominator.

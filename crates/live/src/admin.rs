@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 pub const FLOWS_TOP_K: usize = 32;
 
 /// How long the accept loop sleeps when no connection is pending (bounds
-/// shutdown latency, like the datapath reader threads' `READ_TIMEOUT`).
+/// shutdown latency).
 const ACCEPT_IDLE: Duration = Duration::from_millis(25);
 
 /// Most bytes of request line plus header block `serve_one` reads before it

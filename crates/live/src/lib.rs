@@ -1,42 +1,47 @@
 //! Live UDP datapath for the Sidecar reproduction.
 //!
-//! The protocols in this repo — the paranoid transport, the retx/ACK-
-//! reduction/CCD sidecars, supervision, auth, the slab flow table — are
-//! sans-IO [`Node`] state machines. The simulator hosts them behind
-//! [`sidecar_netsim::Driver`]; this crate provides the other host:
-//! [`LiveDriver`], which runs the *same unmodified state machines* over
-//! real `std::net::UdpSocket`s.
+//! The protocols in this repo (transport, sidecars, supervision, auth, the
+//! flow table) are sans-IO [`Node`] state machines. The simulator hosts them
+//! behind [`sidecar_netsim::Driver`]; [`LiveDriver`] is the other host, and
+//! runs the *same unmodified state machines* over real `UdpSocket`s.
 //!
 //! Design constraints (and how they are met):
 //!
-//! * **No async runtime.** One reader thread per attached socket blocks in
-//!   `recv_from` with a short read timeout and feeds a single mpsc channel;
-//!   the driver's run loop is the only place callbacks execute, so nodes
-//!   need no synchronization.
-//! * **One clock.** Wall time from a monotonic [`Instant`] epoch is mapped
-//!   onto the same nanosecond [`SimTime`] axis the simulator uses, so
-//!   every timestamp a protocol sees (RTT samples, grace deadlines, trace
-//!   stamps) lives in one domain.
+//! * **One thread, no async runtime.** Sockets are non-blocking; the run
+//!   loop fires due timers, delivers injected packets, then reads each
+//!   socket into one driver-owned buffer until `WouldBlock` (a few dozen
+//!   datagrams per turn, so a flooded socket cannot starve the rest) and
+//!   decodes in place. Callbacks run only there: nodes need no locks.
+//! * **Parking is one `ppoll(2)`.** A sweep that reads nothing blocks in
+//!   `ppoll` over every socket until one is readable or the next timer or
+//!   the deadline is due. std cannot wait on several sockets: reader
+//!   threads cannot share one with a draining loop (`O_NONBLOCK` and
+//!   `SO_RCVTIMEO` live on the open file description `try_clone` shares),
+//!   and a `yield_now` spin nearly doubled the CPU per packet. So the crate
+//!   is `deny(unsafe_code)` with one audited exception, `sys.rs`.
+//! * **One clock.** Wall time since a monotonic [`Instant`] epoch maps onto
+//!   the simulator's nanosecond [`SimTime`] axis, so every timestamp a
+//!   protocol sees (RTT samples, deadlines, trace stamps) is in one domain.
 //! * **Simulator-faithful timers.** A binary heap ordered by
 //!   `(deadline, arm order)` fires each timer *at its armed deadline* even
 //!   when the OS wakes the loop late — `GuardedTimer` and friends compare
 //!   fire time to deadline by equality, per the [`Driver`] dispatch rules.
 //! * **Flight recorder parity.** Egress, ingress and policy losses go
-//!   through the same [`WorldObs`] hop taps the simulator's link layer
-//!   calls (`hop_enqueue`, `hop_deliver`, `hop_drop`) — so
-//!   [`sidecar_obs::Lifecycle`] reconstructs and certifies a live run with
-//!   the same code path as a simulated one.
+//!   through the [`WorldObs`] hop taps the simulator's links call
+//!   (`hop_enqueue`, `hop_deliver`, `hop_drop`), so [`sidecar_obs::Lifecycle`]
+//!   certifies a live run with the same code path as a simulated one.
 //!
 //! What a live host *cannot* promise (see the [`Driver`] module docs):
 //! FIFO delivery, loss-free links, or bit-exact reproducibility. The
 //! loopback suite certifies causal invariants instead of byte-identical
 //! traces.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admin;
 pub mod cli;
+mod sys;
 pub mod wire;
 
 use sidecar_netsim::node::{Action, Context, IfaceId, Node, NodeId};
@@ -45,18 +50,14 @@ use sidecar_netsim::packet::{Packet, PacketKind};
 use sidecar_netsim::rng::SimRng;
 use sidecar_netsim::time::SimTime;
 use sidecar_netsim::Driver;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a reader thread blocks in `recv_from` before re-checking its
-/// stop flag. Bounds shutdown latency, not dispatch latency (arrivals wake
-/// the run loop through the channel immediately).
-const READ_TIMEOUT: Duration = Duration::from_millis(25);
+/// Most datagrams one socket's turn of a sweep reads.
+const BURST: usize = 32;
 
 /// Per-run counters the live driver keeps about itself (the bench reads
 /// these to price the per-packet dispatch overhead).
@@ -76,12 +77,14 @@ pub struct DriverStats {
     pub send_errors: u64,
     /// Ingress datagrams that failed [`wire::decode`].
     pub decode_errors: u64,
+    /// Receive errors other than `WouldBlock` (e.g. the ICMP refusal of an
+    /// earlier send, reported once); reading carries on past them.
+    pub recv_errors: u64,
 }
 
-/// One pending timer. Heap order is `(deadline, arm sequence)` so
-/// same-deadline timers fire in arm order, mirroring the simulator's
-/// stable event queue.
-#[derive(PartialEq, Eq)]
+/// One pending timer, ordered by `(deadline, unique arm sequence)`: equal
+/// deadlines fire in arm order, like the simulator's stable event queue.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct TimerEntry {
     at: SimTime,
     seq: u64,
@@ -90,50 +93,17 @@ struct TimerEntry {
     handle: u64,
 }
 
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// What reader threads and `inject` feed into the run loop.
-enum Ingress {
-    /// Raw bytes received on a node's attached socket.
-    Datagram {
-        node: NodeId,
-        iface: IfaceId,
-        bytes: Vec<u8>,
-    },
-    /// An already-decoded packet from [`Driver::inject`].
-    Packet {
-        node: NodeId,
-        iface: IfaceId,
-        packet: Packet,
-    },
-}
-
-/// Where a node's egress interface transmits to.
-struct EgressPort {
+/// A node interface bound to a (non-blocking) socket.
+struct Port {
+    node: NodeId,
+    iface: IfaceId,
     socket: UdpSocket,
     peer: SocketAddr,
-    /// `Some(n)`: deterministically drop every `n`-th data packet at this
-    /// port (the live twin of the simulator's loss models — deterministic
-    /// so the loopback suite is reproducible).
+    /// `Some(n)`: drop every `n`-th data packet here (the live twin of the
+    /// simulator's loss models, deterministic so tests reproduce).
     drop_every: Option<u64>,
     /// Data packets that reached this port (drives `drop_every`).
     data_seen: u64,
-}
-
-struct ReaderThread {
-    stop: Arc<AtomicBool>,
-    join: JoinHandle<()>,
 }
 
 /// Hosts sans-IO [`Node`] state machines over real UDP sockets. See the
@@ -148,16 +118,22 @@ pub struct LiveDriver {
     started: bool,
     rng: SimRng,
     obs: WorldObs,
-    timers: BinaryHeap<TimerEntry>,
+    timers: BinaryHeap<Reverse<TimerEntry>>,
     cancelled: HashSet<u64>,
     /// Next timer-handle value (run-unique, threaded through
     /// `Context::set_handle_base`). Starts at 1 so handle 0 never exists.
     handle_seq: u64,
     arm_seq: u64,
-    tx: Sender<Ingress>,
-    rx: Receiver<Ingress>,
-    egress: HashMap<(usize, usize), EgressPort>,
-    readers: Vec<ReaderThread>,
+    /// Two to four entries in practice: found by a linear scan.
+    ports: Vec<Port>,
+    /// `ports`' sockets, in the same order, as `ppoll` wants them.
+    poll_fds: Vec<sys::PollFd>,
+    /// Packets from [`Driver::inject`] not yet delivered.
+    injected: VecDeque<(NodeId, IfaceId, Packet)>,
+    /// Every datagram is received into, and decoded from, this buffer.
+    rx_buf: Vec<u8>,
+    /// Every datagram is encoded into, and sent from, this buffer.
+    tx_buf: Vec<u8>,
     /// Pooled action buffer (steady-state dispatch allocates nothing).
     actions: Vec<Action>,
     stats: DriverStats,
@@ -167,7 +143,6 @@ impl LiveDriver {
     /// Creates a driver whose clock starts at 0 now. `seed` feeds the
     /// deterministic RNG handed to node callbacks.
     pub fn new(seed: u64) -> Self {
-        let (tx, rx) = mpsc::channel();
         LiveDriver {
             epoch: Instant::now(),
             now: SimTime::ZERO,
@@ -179,10 +154,11 @@ impl LiveDriver {
             cancelled: HashSet::new(),
             handle_seq: 1,
             arm_seq: 0,
-            tx,
-            rx,
-            egress: HashMap::new(),
-            readers: Vec::new(),
+            ports: Vec::new(),
+            poll_fds: Vec::new(),
+            injected: VecDeque::new(),
+            rx_buf: vec![0; wire::MAX_DATAGRAM],
+            tx_buf: Vec::new(),
             actions: Vec::new(),
             stats: DriverStats::default(),
         }
@@ -203,10 +179,10 @@ impl LiveDriver {
         self.stats
     }
 
-    /// Binds `node`'s interface `iface` to a socket: datagrams arriving on
-    /// it are decoded and dispatched to the node, and the node's sends out
-    /// of `iface` are encoded and transmitted to `peer`. Must be called
-    /// before the first `run_until`.
+    /// Binds `node`'s interface `iface` to a socket, which the driver makes
+    /// non-blocking: datagrams arriving on it are decoded and dispatched to
+    /// the node, and the node's sends out of `iface` go to `peer`. Must be
+    /// called before the first `run_until`.
     pub fn attach_socket(
         &mut self,
         node: NodeId,
@@ -216,49 +192,16 @@ impl LiveDriver {
     ) -> std::io::Result<()> {
         assert!(!self.started, "attach sockets before the driver runs");
         assert!(node.0 < self.nodes.len(), "unknown {node:?}");
-        socket.set_read_timeout(Some(READ_TIMEOUT))?;
-        let reader = socket.try_clone()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let tx = self.tx.clone();
-        let flag = Arc::clone(&stop);
-        let join = std::thread::Builder::new()
-            .name(format!("live-rx-n{}i{}", node.0, iface.0))
-            .spawn(move || {
-                let mut buf = vec![0u8; wire::MAX_DATAGRAM];
-                while !flag.load(Ordering::Relaxed) {
-                    match reader.recv_from(&mut buf) {
-                        Ok((n, _)) => {
-                            if tx
-                                .send(Ingress::Datagram {
-                                    node,
-                                    iface,
-                                    bytes: buf[..n].to_vec(),
-                                })
-                                .is_err()
-                            {
-                                break; // driver gone
-                            }
-                        }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            continue
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })?;
-        self.egress.insert(
-            (node.0, iface.0),
-            EgressPort {
-                socket,
-                peer,
-                drop_every: None,
-                data_seen: 0,
-            },
-        );
-        self.readers.push(ReaderThread { stop, join });
+        socket.set_nonblocking(true)?;
+        self.poll_fds.push(sys::PollFd::readable(&socket));
+        self.ports.push(Port {
+            node,
+            iface,
+            socket,
+            peer,
+            drop_every: None,
+            data_seen: 0,
+        });
         Ok(())
     }
 
@@ -268,8 +211,9 @@ impl LiveDriver {
     pub fn set_egress_loss(&mut self, node: NodeId, iface: IfaceId, every: u64) {
         assert!(every > 0, "drop period must be positive");
         let port = self
-            .egress
-            .get_mut(&(node.0, iface.0))
+            .ports
+            .iter_mut()
+            .find(|p| p.node == node && p.iface == iface)
             .expect("attach the socket before configuring loss");
         port.drop_every = Some(every);
     }
@@ -294,7 +238,7 @@ impl LiveDriver {
 
     /// Earliest live (uncancelled) timer deadline.
     fn next_timer_at(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.timers.peek() {
+        while let Some(Reverse(entry)) = self.timers.peek() {
             if self.cancelled.remove(&entry.handle) {
                 self.timers.pop();
                 continue;
@@ -309,10 +253,10 @@ impl LiveDriver {
     fn fire_due_timers(&mut self, limit: SimTime) {
         loop {
             match self.timers.peek() {
-                Some(entry) if entry.at <= limit => {}
+                Some(Reverse(entry)) if entry.at <= limit => {}
                 _ => return,
             }
-            let entry = self.timers.pop().expect("peeked");
+            let Reverse(entry) = self.timers.pop().expect("peeked");
             if self.cancelled.remove(&entry.handle) {
                 continue;
             }
@@ -350,13 +294,13 @@ impl LiveDriver {
                 Action::Timer { at, token, handle } => {
                     self.handle_seq = handle.raw() + 1;
                     self.arm_seq += 1;
-                    self.timers.push(TimerEntry {
+                    self.timers.push(Reverse(TimerEntry {
                         at: at.max(self.now),
                         seq: self.arm_seq,
                         node: id,
                         token,
                         handle: handle.raw(),
-                    });
+                    }));
                 }
                 Action::CancelTimer { handle } => {
                     self.cancelled.insert(handle.raw());
@@ -374,8 +318,9 @@ impl LiveDriver {
     /// on a successful handoff, `HopDrop` (and no enqueue) otherwise.
     fn transmit(&mut self, node: NodeId, iface: IfaceId, packet: Packet) {
         let port = self
-            .egress
-            .get_mut(&(node.0, iface.0))
+            .ports
+            .iter_mut()
+            .find(|p| p.node == node && p.iface == iface)
             .unwrap_or_else(|| panic!("{node:?} {iface:?} has no attached socket"));
         if packet.kind == PacketKind::Data {
             port.data_seen += 1;
@@ -388,8 +333,8 @@ impl LiveDriver {
                 }
             }
         }
-        let image = wire::encode(&packet);
-        match port.socket.send_to(&image, port.peer) {
+        wire::encode_into(&packet, &mut self.tx_buf);
+        match port.socket.send_to(&self.tx_buf, port.peer) {
             Ok(_) => {
                 self.stats.packets_out += 1;
                 self.obs.hop_enqueue(self.now, node, iface, &packet);
@@ -404,26 +349,43 @@ impl LiveDriver {
         }
     }
 
-    /// Delivers one ingress item to its node at time `at`.
-    fn dispatch_ingress(&mut self, ingress: Ingress, at: SimTime) {
-        let (node, iface, packet) = match ingress {
-            Ingress::Datagram { node, iface, bytes } => match wire::decode(&bytes) {
-                Ok(packet) => (node, iface, packet),
-                Err(_) => {
-                    self.stats.decode_errors += 1;
-                    self.obs.metrics.inc("live.decode_errors");
-                    return;
-                }
-            },
-            Ingress::Packet {
-                node,
-                iface,
-                packet,
-            } => (node, iface, packet),
-        };
+    /// Delivers one packet now (at most at `deadline`). Timers due before
+    /// it fire first, each at its own deadline: the clock never runs back.
+    fn deliver(&mut self, node: NodeId, iface: IfaceId, packet: Packet, deadline: SimTime) {
+        let at = self.wall_now().min(deadline);
+        self.fire_due_timers(at);
         self.stats.packets_in += 1;
         self.obs.hop_deliver(at.max(self.now), node, iface, &packet);
         self.dispatch(node, at, |n, ctx| n.on_packet(iface, packet, ctx));
+    }
+
+    /// Reads each port until `WouldBlock` (at most `BURST` datagrams) and
+    /// delivers what decodes. Returns whether any datagram arrived.
+    fn sweep(&mut self, deadline: SimTime) -> bool {
+        let mut arrived = false;
+        for i in 0..self.ports.len() {
+            let (node, iface) = (self.ports[i].node, self.ports[i].iface);
+            for _ in 0..BURST {
+                let len = match self.ports[i].socket.recv(&mut self.rx_buf) {
+                    Ok(len) => len,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        self.stats.recv_errors += 1;
+                        self.obs.metrics.inc("live.recv_errors");
+                        continue;
+                    }
+                };
+                arrived = true;
+                match wire::decode(&self.rx_buf[..len]) {
+                    Ok(packet) => self.deliver(node, iface, packet, deadline),
+                    Err(_) => {
+                        self.stats.decode_errors += 1;
+                        self.obs.metrics.inc("live.decode_errors");
+                    }
+                }
+            }
+        }
+        arrived
     }
 }
 
@@ -441,13 +403,7 @@ impl Driver for LiveDriver {
 
     fn inject(&mut self, node: NodeId, iface: IfaceId, packet: Packet) {
         assert!(node.0 < self.nodes.len(), "unknown {node:?}");
-        self.tx
-            .send(Ingress::Packet {
-                node,
-                iface,
-                packet,
-            })
-            .expect("driver owns the receiver");
+        self.injected.push_back((node, iface, packet));
     }
 
     fn run_until(&mut self, deadline: SimTime) -> SimTime {
@@ -458,32 +414,18 @@ impl Driver for LiveDriver {
             if wall >= deadline {
                 break;
             }
-            // Sleep until the earliest timer or the deadline, whichever
-            // comes first; an arriving datagram wakes us immediately.
-            let next = match self.next_timer_at() {
-                Some(t) => t.min(deadline),
-                None => deadline,
-            };
-            let wait = Duration::from_nanos(next.as_nanos().saturating_sub(wall.as_nanos()));
-            match self.rx.recv_timeout(wait) {
-                Ok(first) => {
-                    let at = self.wall_now().min(deadline);
-                    // Timers due before this arrival fire first, each at
-                    // its own deadline — the clock never runs backwards.
-                    self.fire_due_timers(at);
-                    self.dispatch_ingress(first, at);
-                    // Drain whatever else queued while we worked.
-                    while let Ok(more) = self.rx.try_recv() {
-                        let at = self.wall_now().min(deadline);
-                        self.fire_due_timers(at);
-                        self.dispatch_ingress(more, at);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("driver holds a sender; channel cannot close")
-                }
+            while let Some((node, iface, packet)) = self.injected.pop_front() {
+                self.deliver(node, iface, packet, deadline);
             }
+            if self.sweep(deadline) {
+                continue;
+            }
+            // Nothing arrived: park until a socket is readable or the
+            // earliest timer or the deadline is due.
+            let next = self.next_timer_at().map_or(deadline, |t| t.min(deadline));
+            let wait = next.as_nanos().saturating_sub(self.wall_now().as_nanos());
+            sys::wait_readable(&mut self.poll_fds, Duration::from_nanos(wait))
+                .expect("ppoll over the driver's own sockets");
         }
         // Clamp forward so subsequent scheduling is relative to the
         // deadline, mirroring `World::run_until`.
@@ -492,10 +434,8 @@ impl Driver for LiveDriver {
     }
 
     fn is_idle(&self) -> bool {
-        !self
-            .timers
-            .iter()
-            .any(|e| !self.cancelled.contains(&e.handle))
+        let live = |Reverse(e): &Reverse<TimerEntry>| !self.cancelled.contains(&e.handle);
+        self.injected.is_empty() && !self.timers.iter().any(live)
     }
 
     fn node_dyn(&self, id: NodeId) -> &dyn Node {
@@ -508,17 +448,6 @@ impl Driver for LiveDriver {
         self.nodes[id.0]
             .as_deref_mut()
             .expect("node is being dispatched")
-    }
-}
-
-impl Drop for LiveDriver {
-    fn drop(&mut self) {
-        for reader in &self.readers {
-            reader.stop.store(true, Ordering::Relaxed);
-        }
-        for reader in self.readers.drain(..) {
-            let _ = reader.join.join();
-        }
     }
 }
 
@@ -660,6 +589,20 @@ mod tests {
         assert_eq!(stats.packets_out, 1);
         assert!(stats.packets_in >= 2);
         assert_eq!(stats.decode_errors, 0);
+    }
+
+    #[test]
+    fn undelivered_injections_keep_the_driver_busy() {
+        let mut driver = LiveDriver::new(3);
+        let sink = driver.install(Box::new(Sink { packets: 0 }));
+        let d: &mut dyn Driver = &mut driver;
+        assert!(d.is_idle());
+        let pkt = Packet::data(FlowId(3), 1, 42, 1500, SimTime::ZERO);
+        d.inject(sink, IfaceId(0), pkt);
+        assert!(!d.is_idle(), "an injected packet is pending work");
+        d.run_until(SimTime::from_nanos(1_000_000));
+        assert!(d.is_idle());
+        assert_eq!(d.node_as::<Sink>(sink).packets, 1);
     }
 
     #[test]

@@ -98,6 +98,14 @@ fn ptag_byte(payload: &Payload) -> u8 {
 /// Encodes `packet` into a fresh datagram image.
 pub fn encode(packet: &Packet) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + 32);
+    encode_into(packet, &mut out);
+    out
+}
+
+/// Encodes `packet` into `out`, replacing its contents: a caller that keeps
+/// one buffer allocates only while the buffer grows to its largest image.
+pub fn encode_into(packet: &Packet, out: &mut Vec<u8>) {
+    out.clear();
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
     out.push(kind_byte(packet.kind));
@@ -127,7 +135,6 @@ pub fn encode(packet: &Packet) -> Vec<u8> {
         }
     }
     debug_assert!(out.len() <= MAX_DATAGRAM, "packet exceeds one datagram");
-    out
 }
 
 /// A bounds-checked little-endian cursor over one datagram.
@@ -293,8 +300,11 @@ mod tests {
 
     #[test]
     fn roundtrips_every_packet_shape() {
+        let mut reused = Vec::new();
         for pkt in samples() {
             let wire = encode(&pkt);
+            encode_into(&pkt, &mut reused);
+            assert_eq!(reused, wire, "encode_into replaces the buffer's contents");
             let back = decode(&wire).unwrap();
             assert_eq!(back, pkt);
         }

@@ -14,9 +14,9 @@
 //! sender-side proxy's subpath port, so each run loses real packets that
 //! only in-network (or end-to-end) recovery can repair.
 
-use sidecar_live::{loopback_pair, LiveDriver};
-use sidecar_netsim::node::{IfaceId, NodeId};
-use sidecar_netsim::packet::FlowId;
+use sidecar_live::{loopback_pair, wire, LiveDriver};
+use sidecar_netsim::node::{Context, IfaceId, Node, NodeId};
+use sidecar_netsim::packet::{FlowId, Packet};
 use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_netsim::transport::{
     CcAlgorithm, ReceiverConfig, ReceiverNode, SenderConfig, SenderNode,
@@ -25,6 +25,8 @@ use sidecar_netsim::Driver;
 use sidecar_obs::Lifecycle;
 use sidecar_proto::config::{AuthConfig, QuackFrequency, SidecarConfig, SupervisionConfig};
 use sidecar_proto::protocols::retx::{ReceiverSideProxy, SenderSideProxy};
+use std::any::Any;
+use std::net::UdpSocket;
 
 const TOTAL_PACKETS: u64 = 300;
 /// Every 8th data packet on the subpath is dropped: 37 losses per run,
@@ -289,4 +291,79 @@ fn certification_and_delivery_are_stable_across_runs() {
         bytes.windows(2).all(|w| w[0] == w[1]),
         "delivered byte counts diverged across runs: {bytes:?}"
     );
+}
+
+/// Counts arrivals. On start it sends one data packet out of `IfaceId(0)`
+/// and arms its only timer 10 s out.
+struct Probe {
+    packets: u64,
+}
+
+impl Node for Probe {
+    fn on_start(&mut self, ctx: &mut Context) {
+        ctx.send(IfaceId(0), Packet::data(FlowId(1), 0, 1, 1500, ctx.now()));
+        ctx.set_timer_after(SimDuration::from_secs(10), 0);
+    }
+    fn on_packet(&mut self, _iface: IfaceId, _packet: Packet, _ctx: &mut Context) {
+        self.packets += 1;
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+fn probe_image() -> Vec<u8> {
+    wire::encode(&Packet::data(FlowId(1), 1, 2, 1500, SimTime::ZERO))
+}
+
+/// Regression: a connected socket whose peer is not up yet gets
+/// `ECONNREFUSED` (the ICMP port-unreachable its send drew) on its next
+/// receive. That error must be counted and read past, not end the
+/// socket's reading for good.
+#[test]
+fn an_icmp_refusal_does_not_deafen_a_socket() {
+    let mut driver = LiveDriver::new(5);
+    let probe = driver.install(Box::new(Probe { packets: 0 }));
+    let (sock, peer) = loopback_pair().expect("bind loopback pair");
+    let (sock_addr, peer_addr) = (sock.local_addr().unwrap(), peer.local_addr().unwrap());
+    drop(peer);
+    driver
+        .attach_socket(probe, IfaceId(0), sock, peer_addr)
+        .expect("attach");
+    driver.run_until(SimTime::ZERO + SimDuration::from_millis(20));
+    assert_eq!(driver.stats().recv_errors, 1, "the send drew a refusal");
+
+    let peer = UdpSocket::bind(peer_addr).expect("rebind the peer's address");
+    peer.send_to(&probe_image(), sock_addr).expect("send");
+    let deadline = driver.now() + SimDuration::from_millis(50);
+    driver.run_until(deadline);
+    let node: &Probe = (&driver as &dyn Driver).node_as(probe);
+    assert_eq!(node.packets, 1, "the refused socket still delivers");
+}
+
+/// A parked driver wakes for an arrival. The node's only timer is 10 s
+/// out and the loop leaves at the deadline without sweeping, so only the
+/// socket's readiness can explain the delivery.
+#[test]
+fn an_arrival_wakes_a_parked_driver() {
+    let mut driver = LiveDriver::new(6);
+    let probe = driver.install(Box::new(Probe { packets: 0 }));
+    let (sock, peer) = loopback_pair().expect("bind loopback pair");
+    let peer_addr = peer.local_addr().unwrap();
+    driver
+        .attach_socket(probe, IfaceId(0), sock, peer_addr)
+        .expect("attach");
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            peer.send(&probe_image()).expect("send");
+        });
+        let deadline = driver.now() + SimDuration::from_millis(100);
+        driver.run_until(deadline);
+    });
+    let node: &Probe = (&driver as &dyn Driver).node_as(probe);
+    assert_eq!(node.packets, 1, "the arrival woke the driver");
 }
