@@ -4,7 +4,8 @@
 //! goldens never load this crate — so nothing else pins what the protocol
 //! nodes put on the wire *across commits*. This suite does: for every
 //! scenario family × {clean, crash + control blackout, authenticated} and
-//! the 8-flow mux × {auth off, auth on} it records one line holding every
+//! the 8-flow mux × {auth off, auth on}, plus one overcommitted 24-flow mux
+//! per protocol, it records one line holding every
 //! scalar report field, the world metrics snapshot in its stable text
 //! encoding, and an FNV-1a hash of the complete (untruncated) flight-recorder
 //! rendering — the wire image, event order, and every counter value.
@@ -24,7 +25,7 @@ use sidecar_proto::protocols::ccd::CcdScenario;
 use sidecar_proto::protocols::manyflow::{ManyFlowProtocol, ManyFlowReport, ManyFlowScenario};
 use sidecar_proto::protocols::retx::RetxScenario;
 use sidecar_proto::protocols::{FaultScript, ScenarioReport};
-use sidecar_proto::AuthConfig;
+use sidecar_proto::{AuthConfig, FlowTableConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -192,11 +193,45 @@ fn manyflow_lines() -> Vec<String> {
     lines
 }
 
-/// Every golden run, in fixture order. The four families are independent
+/// The overcommitted mux of `mechanism_invariants.rs`: 24 flows through a
+/// 2 × 4 table, so sessions are evicted for capacity, re-created by the
+/// flow's next packet and re-handshaken — the paths the 8-flow rows (which
+/// only ever evict by idle sweep) never take.
+fn churn_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for protocol in [
+        ManyFlowProtocol::Retx,
+        ManyFlowProtocol::AckReduction,
+        ManyFlowProtocol::CongestionDivision,
+    ] {
+        let mut s = ManyFlowScenario::new(protocol, 24);
+        s.packets_per_flow = 32;
+        s.horizon = SimDuration::from_secs(30);
+        s.table = FlowTableConfig {
+            shards: 2,
+            per_shard: 4,
+            idle_timeout: SimDuration::from_secs(2),
+        };
+        s.trace_capacity = Some(TRACE_CAP);
+        lines.push(manyflow_line(
+            &format!("churn/{}", protocol.label()),
+            &s.run(),
+        ));
+    }
+    lines
+}
+
+/// Every golden run, in fixture order. The five families are independent
 /// worlds, so they run on their own threads (the runs themselves stay
 /// single-threaded and seeded; only wall time changes).
 fn digest() -> String {
-    let families: [fn() -> Vec<String>; 4] = [retx_lines, ackred_lines, ccd_lines, manyflow_lines];
+    let families: [fn() -> Vec<String>; 5] = [
+        retx_lines,
+        ackred_lines,
+        ccd_lines,
+        manyflow_lines,
+        churn_lines,
+    ];
     let lines: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = families.iter().map(|f| scope.spawn(f)).collect();
         handles
