@@ -13,10 +13,11 @@
 
 use crate::config::{AuthConfig, QuackFrequency, SidecarConfig, SupervisionConfig};
 use crate::endpoint::QuackReport;
-use crate::flows::{FlowTable, FlowTableConfig, SlotId};
+use crate::flows::{FlowTableConfig, SlotId};
 use crate::messages::SidecarMessage;
+use crate::protocols::proxy::ProxyCore;
 use crate::protocols::server::{SidecarServer, WindowPolicy};
-use crate::protocols::session::{restart_epoch, CtrlChannel, Peer, ProducerHalf};
+use crate::protocols::session::{CtrlChannel, Peer, ProducerHalf};
 use crate::protocols::{obs, FaultScript, GuardedTimer, Harness, ScenarioReport};
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::node::{Context, IfaceId, Node};
@@ -36,21 +37,18 @@ const TOKEN_SWEEP: u64 = 4;
 /// `n` data packets toward the server (paper: "every other packet such as
 /// in TCP, much more frequently than in the protocol for congestion
 /// control"). One producer session per flow, muxed through a bounded
-/// [`FlowTable`].
+/// [`FlowTable`]; folds are applied per packet, and a periodic sweep reaps
+/// idle flows.
+///
+/// [`FlowTable`]: crate::flows::FlowTable
 pub struct AckRedProxy {
+    core: ProxyCore<ProducerHalf>,
     cfg: SidecarConfig,
-    table: FlowTable<ProducerHalf>,
-    /// Epoch to announce when a session is (re)created after a restart:
-    /// the sketches died with the node, so each flow's first post-restart
-    /// packet triggers a `Reset` that stops the server interpreting quACKs
-    /// against its stale mirror.
-    restart_announce: Option<u32>,
     /// Data packets observed (drives the periodic idle sweep).
     observed_packets: u64,
     /// The periodic `TOKEN_SWEEP` chain, guarded so a restart cannot leave
     /// the pre-crash chain sweeping next to the new one.
     sweep: GuardedTimer,
-    ctrl: CtrlChannel,
 }
 
 impl AckRedProxy {
@@ -63,56 +61,40 @@ impl AckRedProxy {
     /// Creates the proxy with explicit flow-table sizing.
     pub fn with_flow_table(cfg: SidecarConfig, table: FlowTableConfig) -> Self {
         AckRedProxy {
+            // No consumer half, so neither shared chain is ever armed.
+            core: ProxyCore::new(table, 0, 0),
             cfg,
-            table: FlowTable::new(table),
-            restart_announce: None,
             observed_packets: 0,
             sweep: GuardedTimer::new(TOKEN_SWEEP),
-            ctrl: CtrlChannel::default(),
         }
     }
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
     pub fn with_auth(mut self, cfg: AuthConfig) -> Self {
-        self.ctrl = CtrlChannel::authenticated(cfg);
+        self.core.ctrl = CtrlChannel::authenticated(cfg);
         self
     }
 
     /// Live per-flow sessions.
     pub fn live_flows(&self) -> usize {
-        self.table.len()
+        self.core.table.len()
     }
 
     /// QuACKs emitted so far, as `(datagrams, bytes)`.
     pub fn quacks_sent(&self) -> (u64, u64) {
-        (self.ctrl.quacks_sent, self.ctrl.quack_bytes)
+        (self.core.ctrl.quacks_sent, self.core.ctrl.quack_bytes)
     }
 
-    /// Looks up (or lazily creates) `flow`'s producer session, returning a
-    /// generation-checked slot handle so the hot path re-enters the slab
-    /// without a second index probe. A session created by a data packet
-    /// after a restart announces the fresh epoch.
-    fn session_slot(&mut self, flow: FlowId, announce: bool, ctx: &mut Context) -> SlotId {
-        let (created, slot) = self.table.ensure_slot(flow, ctx.now(), || {
-            ProducerHalf::new(self.cfg, Peer::new(flow, IfaceId(0)), self.restart_announce)
-        });
-        if created && announce && self.restart_announce.is_some() {
-            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
-                session.announce(&mut self.ctrl, ctx);
-            }
-        }
-        slot
+    /// How a flow's session starts: a pristine sketch, in the post-restart
+    /// epoch if any.
+    fn new_session(&self) -> impl FnOnce(FlowId, Option<u32>) -> ProducerHalf {
+        let cfg = self.cfg;
+        move |flow, epoch| ProducerHalf::new(cfg, Peer::new(flow, IfaceId(0)), epoch)
     }
 
     fn arm_sweep(&mut self, ctx: &mut Context) {
-        let next = ctx.now() + self.table.config().idle_timeout;
+        let next = ctx.now() + self.core.table.config().idle_timeout;
         self.sweep.arm(next, ctx);
-    }
-
-    fn sweep_idle(&mut self, ctx: &mut Context) {
-        for (f, s) in self.table.sweep_idle(ctx.now()) {
-            obs::flow_evicted(ctx, f.0, s.quacks);
-        }
     }
 }
 
@@ -122,7 +104,6 @@ impl Node for AckRedProxy {
             // From the server: observe and forward to the client; quACK on
             // schedule.
             IfaceId(0) => {
-                let flow = packet.flow;
                 // The slot handle from the lookup carries through to the
                 // emit block below, so a quACK-triggering packet costs one
                 // index probe total. The quACK cadence is packet-count
@@ -130,8 +111,9 @@ impl Node for AckRedProxy {
                 // deferring them would shift every emission boundary.
                 let mut emit: Option<SlotId> = None;
                 if packet.kind == PacketKind::Data {
-                    let slot = self.session_slot(flow, true, ctx);
+                    let (_, slot) = self.core.ensure(packet.flow, true, self.new_session(), ctx);
                     if self
+                        .core
                         .table
                         .slot_entry_mut(slot)
                         .is_some_and(|(_, s)| s.producer.observe(packet.id))
@@ -141,34 +123,31 @@ impl Node for AckRedProxy {
                     obs::observed(ctx, packet.flow.0, packet.seq);
                     self.observed_packets += 1;
                     if self.observed_packets.is_multiple_of(64) {
-                        self.sweep_idle(ctx);
+                        self.core.reap_idle(ctx);
                     }
                 }
                 if let Payload::Sidecar { proto, ref bytes } = packet.payload {
                     // The server's handshake and resyncs are consumed here;
                     // anything else is forwarded like data.
                     use SidecarMessage::{Hello, Reset};
-                    let opened = self.ctrl.open(proto, bytes, ctx);
+                    let opened = self.core.ctrl.open(proto, bytes, ctx);
                     if let Ok((flow, msg @ (Reset { .. } | Hello { .. }))) = opened {
-                        if ProducerHalf::accepts(&msg, ctx) {
-                            let slot = self.session_slot(flow, false, ctx);
-                            if let Some((_, session)) = self.table.slot_entry_mut(slot) {
-                                session.on_control(msg, &mut self.ctrl, ctx);
-                            }
-                        }
-                        obs::flow_table(ctx, &mut self.table);
+                        let init = self.new_session();
+                        self.core.producer_control(flow, msg, false, init, ctx);
+                        obs::flow_table(ctx, &mut self.core.table);
                         return;
                     }
                 }
                 ctx.send(IfaceId(1), packet);
                 if let Some(slot) = emit {
                     let (_, session) = self
+                        .core
                         .table
                         .slot_entry_mut(slot)
                         .expect("session touched above; the idle sweep cannot evict it");
-                    session.emit(&mut self.ctrl, ctx);
+                    session.emit(&mut self.core.ctrl, ctx);
                 }
-                obs::flow_table(ctx, &mut self.table);
+                obs::flow_table(ctx, &mut self.core.table);
             }
             // From the client: forward upstream untouched.
             IfaceId(1) => ctx.send(IfaceId(0), packet),
@@ -182,21 +161,19 @@ impl Node for AckRedProxy {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context) {
         if token == TOKEN_SWEEP && self.sweep.fire(ctx) {
-            self.sweep_idle(ctx);
-            obs::flow_table(ctx, &mut self.table);
+            self.core.reap_idle(ctx);
+            obs::flow_table(ctx, &mut self.core.table);
             self.arm_sweep(ctx);
         }
     }
 
     fn on_restart(&mut self, ctx: &mut Context) {
-        // Every sketch died with the node. Sessions are rebuilt lazily as
-        // flows reappear; each rebuild announces this time-derived epoch so
-        // the corresponding server stops interpreting quACKs against its
-        // stale mirror.
-        self.table = FlowTable::new(*self.table.config());
-        self.restart_announce = Some(restart_epoch(ctx.now()));
-        // An outage shorter than the sweep period leaves the pre-crash
-        // chain queued; cancel it before starting the new one.
+        // Every sketch died with the node; each flow announces the fresh
+        // epoch as it reappears, so its server stops interpreting quACKs
+        // against a stale mirror. An outage shorter than the sweep period
+        // leaves the pre-crash chain queued; cancel it before starting the
+        // new one.
+        self.core.restart(ctx);
         self.sweep.disarm(ctx);
         self.arm_sweep(ctx);
     }

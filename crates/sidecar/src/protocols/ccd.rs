@@ -19,11 +19,12 @@
 
 use crate::config::{AuthConfig, SidecarConfig, SupervisionConfig};
 use crate::endpoint::QuackReport;
-use crate::flows::{FlowTable, FlowTableConfig, FoldBuffer, SlotId};
+use crate::flows::{FlowTableConfig, SlotId};
 use crate::messages::SidecarMessage;
+use crate::protocols::proxy::{Halves, ProxyCore};
 use crate::protocols::server::{SidecarServer, WindowPolicy};
 use crate::protocols::session::{
-    restart_epoch, ConsumerHalf, CtrlChannel, Peer, ProducerHalf, QuackVerdict, SupTally,
+    restart_epoch, ConsumerHalf, CtrlChannel, Feedback, Peer, ProducerHalf,
 };
 use crate::protocols::{obs, FaultScript, GuardedTimer, Harness, ScenarioReport};
 use sidecar_netsim::link::LinkConfig;
@@ -225,6 +226,20 @@ struct CcdFlow {
     next_tag: u64,
 }
 
+impl Halves for CcdFlow {
+    fn producer(&mut self) -> Option<&mut ProducerHalf> {
+        Some(&mut self.up)
+    }
+
+    fn consumer(&self) -> Option<&ConsumerHalf> {
+        Some(&self.down)
+    }
+
+    fn consumer_mut(&mut self) -> Option<&mut ConsumerHalf> {
+        Some(&mut self.down)
+    }
+}
+
 /// The pacing buffer of the division proxy: one egress link metered at one
 /// rate, whatever mix of flows crosses it.
 struct Pacer {
@@ -259,39 +274,24 @@ impl Pacer {
 /// its downstream egress, produces quACKs upstream, and consumes the
 /// client's quACKs (paper Fig. 1b) — per flow, muxed through a bounded
 /// [`FlowTable`]. The pacing buffer and rate controller stay shared: the
-/// proxy meters one egress link, whatever mix of flows crosses it.
+/// proxy meters one egress link, whatever mix of flows crosses it. Upstream
+/// folds are batched and every flow emits on one proxy-wide tick, which
+/// also reaps idle flows.
+///
+/// [`FlowTable`]: crate::flows::FlowTable
 pub struct CcdProxy {
+    core: ProxyCore<CcdFlow>,
     /// Sidecar parameters (kept for new-flow sessions).
     cfg: SidecarConfig,
-    table: FlowTable<CcdFlow>,
-    /// Batched fold path for the upstream producers: identifiers of
-    /// interleaved arrivals buffer here (bucketed by table slot) and reach
-    /// each flow's sketch via lane-parallel `observe_batch`. Flushed
-    /// before quACK emission, control handling, and idle sweeps; safe to
-    /// defer because upstream emission is interval-driven and power-sum
-    /// folds commute within an epoch.
-    folds: FoldBuffer,
     pacer: Pacer,
     /// Emission interval toward the server.
     interval: SimDuration,
     /// Downstream in-transit window (for consumer builds).
     downstream_rtt: SimDuration,
     supervision: SupervisionConfig,
-    /// Set after a restart: the fresh epoch each recreated flow announces
-    /// upstream when its data reappears.
-    restart_announce: Option<u32>,
-    /// Supervisor outcomes of sessions the table already reclaimed, so
-    /// report totals survive eviction.
-    reclaimed: SupTally,
-    /// The shared `TOKEN_GRACE` chain: arms are deduped and superseded
-    /// chains cancelled in the queue, so one event per proxy is pending.
-    grace: GuardedTimer,
-    /// The shared `TOKEN_SUPERVISE` chain (same guard).
-    sup: GuardedTimer,
-    /// The periodic `TOKEN_EMIT` chain (same guard: a restart must not
-    /// leave the pre-crash chain emitting next to the new one).
+    /// The periodic `TOKEN_EMIT` chain (guarded: a restart must not leave
+    /// the pre-crash chain emitting next to the new one).
     emit: GuardedTimer,
-    ctrl: CtrlChannel,
     /// Packets dropped by the pacing buffer.
     pub buffer_drops: u64,
 }
@@ -329,9 +329,8 @@ impl CcdProxy {
         table: FlowTableConfig,
     ) -> Self {
         CcdProxy {
+            core: ProxyCore::new(table, TOKEN_GRACE, TOKEN_SUPERVISE),
             cfg: sidecar,
-            table: FlowTable::new(table),
-            folds: FoldBuffer::with_capacity(FoldBuffer::DEFAULT_CAPACITY),
             pacer: Pacer {
                 buffer: VecDeque::new(),
                 cap: buffer_cap,
@@ -341,84 +340,44 @@ impl CcdProxy {
             interval,
             downstream_rtt,
             supervision,
-            restart_announce: None,
-            reclaimed: SupTally::default(),
-            grace: GuardedTimer::new(TOKEN_GRACE),
-            sup: GuardedTimer::new(TOKEN_SUPERVISE),
             emit: GuardedTimer::new(TOKEN_EMIT),
-            ctrl: CtrlChannel::default(),
             buffer_drops: 0,
         }
     }
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
     pub fn with_auth(mut self, cfg: AuthConfig) -> Self {
-        self.ctrl = CtrlChannel::authenticated(cfg);
+        self.core.ctrl = CtrlChannel::authenticated(cfg);
         self
     }
 
     /// Live per-flow sessions.
     pub fn live_flows(&self) -> usize {
-        self.table.len()
+        self.core.table.len()
     }
 
     /// QuACKs emitted upstream so far (all flows), as `(datagrams, bytes)`.
     pub fn quacks_sent(&self) -> (u64, u64) {
-        (self.ctrl.quacks_sent, self.ctrl.quack_bytes)
+        (self.core.ctrl.quacks_sent, self.core.ctrl.quack_bytes)
     }
 
-    /// Supervisor outcomes summed over live and reclaimed sessions.
-    pub(crate) fn tally(&self) -> SupTally {
-        let live = self.table.iter().map(|(_, s)| &s.down);
-        self.reclaimed.with_live(live)
-    }
-
-    /// Ensures `flow` has a session. A fresh session is supervised at once
-    /// (its downstream Hello is queued before the data packet that created
-    /// it reaches the pacing buffer's egress), and — post-restart — tells
-    /// the server this flow's fresh upstream epoch.
-    fn ensure_session(&mut self, flow: FlowId, ctx: &mut Context) -> SlotId {
-        let (created, slot) = self.table.ensure_slot(flow, ctx.now(), || CcdFlow {
-            up: ProducerHalf::new(self.cfg, Peer::new(flow, IfaceId(0)), self.restart_announce),
-            down: ConsumerHalf::new(
-                self.cfg,
-                self.downstream_rtt,
-                self.supervision,
-                Peer::new(flow, IfaceId(1)),
-            ),
+    /// How a flow's session starts: a pristine upstream sketch (in the
+    /// post-restart epoch, if any) and a connecting downstream mirror.
+    fn new_session(&self) -> impl FnOnce(FlowId, Option<u32>) -> CcdFlow {
+        let (cfg, rtt, supervision) = (self.cfg, self.downstream_rtt, self.supervision);
+        move |flow, epoch| CcdFlow {
+            up: ProducerHalf::new(cfg, Peer::new(flow, IfaceId(0)), epoch),
+            down: ConsumerHalf::new(cfg, rtt, supervision, Peer::new(flow, IfaceId(1))),
             next_tag: 0,
-        });
-        if created {
-            if self.restart_announce.is_some() {
-                if let Some((_, session)) = self.table.slot_entry_mut(slot) {
-                    session.up.announce(&mut self.ctrl, ctx);
-                }
-            }
-            self.supervise_flow(flow, ctx);
         }
-        slot
-    }
-
-    /// Drains the fold buffer: buckets buffered identifiers by slot and
-    /// feeds each flow's run to its upstream producer as one batch.
-    fn flush_folds(&mut self, ctx: &mut Context) {
-        if self.folds.is_empty() {
-            return;
-        }
-        self.folds.flush(&mut self.table, |_, session, ids| {
-            session.up.producer.observe_batch(ids);
-        });
-        obs::fold_flush(ctx, &mut self.folds);
     }
 
     /// Folds one data packet into its upstream producer (deferred through
     /// the slot-bucketed batch path).
     fn observe(&mut self, slot: SlotId, packet: &Packet, ctx: &mut Context) {
-        if self.folds.push(slot, packet.id) {
-            self.flush_folds(ctx);
-        }
+        self.core.fold(slot, packet.id, ctx);
         obs::observed(ctx, packet.flow.0, packet.seq);
-        obs::flow_table(ctx, &mut self.table);
+        obs::flow_table(ctx, &mut self.core.table);
     }
 
     fn drain_one(&mut self, ctx: &mut Context) {
@@ -428,7 +387,7 @@ impl CcdProxy {
             // flow session (tag is a local counter — the proxy never reads
             // protocol fields). A degraded or reclaimed session forwards
             // unmirrored: the proxy is then a plain pacer for that flow.
-            if let Some(session) = self.table.peek_mut(pkt.flow) {
+            if let Some(session) = self.core.table.peek_mut(pkt.flow) {
                 if session.down.enabled() {
                     session
                         .down
@@ -444,39 +403,11 @@ impl CcdProxy {
         }
     }
 
-    fn handle_client_quack(&mut self, flow: FlowId, epoch: u32, bytes: &[u8], ctx: &mut Context) {
-        // Degraded sessions ignore quACKs outright; recovery goes through
-        // the hello handshake.
-        let Some(session) = self.table.peek_mut(flow).filter(|s| s.down.enabled()) else {
-            return;
-        };
-        match session.down.on_quack(epoch, bytes, &mut self.ctrl, ctx) {
-            QuackVerdict::Report(report) => {
-                self.pacer
-                    .rate
-                    .on_feedback(report.received.len(), report.newly_missing.len());
-                session.down.flush(ctx);
-                self.arm_grace(ctx);
-            }
-            QuackVerdict::Rejected {
-                overflow, degraded, ..
-            } => {
-                if overflow {
-                    self.pacer.rate.on_overflow();
-                }
-                if degraded {
-                    self.unpace_if_all_degraded(ctx);
-                }
-                self.supervise_flow(flow, ctx);
-            }
-        }
-    }
-
     /// One flow's downstream session fell back to plain forwarding. Only
     /// when *no* trusted session remains does the proxy stop metering — a
     /// single bad flow must not unpace everyone else.
     fn unpace_if_all_degraded(&mut self, ctx: &mut Context) {
-        if !self.table.iter().any(|(_, s)| s.down.enabled()) {
+        if !self.core.table.iter().any(|(_, s)| s.down.enabled()) {
             self.pacer.unpace(ctx);
         }
     }
@@ -485,7 +416,7 @@ impl CcdProxy {
     /// degraded, liveness while active.
     fn supervise_flow(&mut self, flow: FlowId, ctx: &mut Context) {
         let buffered = !self.pacer.buffer.is_empty();
-        let Some(session) = self.table.peek_mut(flow) else {
+        let Some(session) = self.core.table.peek_mut(flow) else {
             return;
         };
         let expecting = buffered || session.down.consumer.log_len() > 0;
@@ -493,10 +424,9 @@ impl CcdProxy {
         if outcome.degraded_now {
             self.unpace_if_all_degraded(ctx);
         }
-        if let Some(session) = self.table.peek_mut(flow) {
-            session
-                .down
-                .follow_up(outcome, &mut self.ctrl, &mut self.sup, ctx);
+        if let Some(session) = self.core.table.peek_mut(flow) {
+            let (ctrl, sup) = (&mut self.core.ctrl, &mut self.core.sup);
+            session.down.follow_up(outcome, ctrl, sup, ctx);
         }
     }
 
@@ -504,8 +434,9 @@ impl CcdProxy {
     /// ever *leave* the trusted set during a poll, so counting them down
     /// finds the moment the last one degrades without rescanning the table.
     fn supervise_all(&mut self, ctx: &mut Context) {
-        let mut trusted = self.table.iter().filter(|(_, s)| s.down.enabled()).count();
-        for (_, session) in self.table.iter_mut() {
+        let core = &mut self.core;
+        let mut trusted = core.table.iter().filter(|(_, s)| s.down.enabled()).count();
+        for (_, session) in core.table.iter_mut() {
             let expecting = !self.pacer.buffer.is_empty() || session.down.consumer.log_len() > 0;
             let outcome = session.down.liveness(ctx.now(), expecting);
             if outcome.degraded_now {
@@ -516,32 +447,23 @@ impl CcdProxy {
             }
             session
                 .down
-                .follow_up(outcome, &mut self.ctrl, &mut self.sup, ctx);
+                .follow_up(outcome, &mut core.ctrl, &mut core.sup, ctx);
         }
-    }
-
-    /// Arms the shared grace timer at the earliest deadline across flows.
-    fn arm_grace(&mut self, ctx: &mut Context) {
-        let halves = self.table.iter().map(|(_, s)| &s.down);
-        ConsumerHalf::arm_grace(halves, &mut self.grace, ctx);
     }
 
     /// Control from the server side: the upstream (producer-role) session.
     fn on_server_control(&mut self, proto: u8, bytes: &[u8], ctx: &mut Context) {
         // Control handling reads and resets producer state, so deferred
         // folds must land first.
-        self.flush_folds(ctx);
+        self.core.flush_folds(ctx);
         use SidecarMessage::{Hello, Reset};
         // The server (re)offering or resyncing the upstream session.
-        if let Ok((flow, msg @ (Reset { .. } | Hello { .. }))) = self.ctrl.open(proto, bytes, ctx) {
-            if ProducerHalf::accepts(&msg, ctx) {
-                let slot = self.ensure_session(flow, ctx);
-                if let Some((_, session)) = self.table.slot_entry_mut(slot) {
-                    session.up.on_control(msg, &mut self.ctrl, ctx);
-                }
-            }
+        let opened = self.core.ctrl.open(proto, bytes, ctx);
+        if let Ok((flow, msg @ (Reset { .. } | Hello { .. }))) = opened {
+            let init = self.new_session();
+            self.core.producer_control(flow, msg, true, init, ctx);
         }
-        obs::flow_table(ctx, &mut self.table);
+        obs::flow_table(ctx, &mut self.core.table);
     }
 
     /// Control from the client side: the downstream (consumer-role) session.
@@ -554,35 +476,37 @@ impl CcdProxy {
     ) {
         // Degradation or resync below may evict or reset sessions; land
         // deferred folds first.
-        self.flush_folds(ctx);
-        match self.ctrl.open(proto, bytes, ctx) {
-            Ok((flow, SidecarMessage::Quack { epoch, bytes })) => {
-                self.handle_client_quack(flow, epoch, &bytes, ctx);
-            }
-            Ok((flow, SidecarMessage::Reset { epoch })) => {
-                // Handshake-ack / resync from the client's producer.
-                let slot = self.ensure_session(flow, ctx);
-                if let Some((_, session)) = self.table.slot_entry_mut(slot) {
-                    let _ = session.down.on_reset(epoch, ctx.now());
+        self.core.flush_folds(ctx);
+        let init = self.new_session();
+        match self
+            .core
+            .consumer_control(datagram_flow, proto, bytes, init, ctx)
+        {
+            Some((flow, Feedback::Report(report))) => {
+                let (received, missing) = (report.received.len(), report.newly_missing.len());
+                self.pacer.rate.on_feedback(received, missing);
+                if let Some(session) = self.core.table.peek_mut(flow) {
+                    session.down.flush(ctx);
                 }
-                self.supervise_flow(flow, ctx);
+                self.core.arm_grace(ctx);
             }
-            Ok(_) => {}
-            Err(()) => {
-                // Undecodable sidecar datagram (e.g. corrupted in flight).
-                // Content is garbage, so attribute it by the datagram's
-                // 4-tuple.
-                let degraded = self
-                    .table
-                    .peek_mut(datagram_flow)
-                    .is_some_and(|s| s.down.on_undecodable(ctx.now()));
+            Some((
+                flow,
+                Feedback::Supervise {
+                    overflow, degraded, ..
+                },
+            )) => {
+                if overflow {
+                    self.pacer.rate.on_overflow();
+                }
                 if degraded {
                     self.unpace_if_all_degraded(ctx);
                 }
-                self.supervise_flow(datagram_flow, ctx);
+                self.supervise_flow(flow, ctx);
             }
+            None => {}
         }
-        obs::flow_table(ctx, &mut self.table);
+        obs::flow_table(ctx, &mut self.core.table);
     }
 }
 
@@ -598,8 +522,9 @@ impl Node for CcdProxy {
             // From the server: observe + enqueue for paced downstream
             // forwarding.
             (IfaceId(0), _) if packet.kind == PacketKind::Data => {
-                let slot = self.ensure_session(packet.flow, ctx);
+                let (_, slot) = self.core.ensure(packet.flow, true, self.new_session(), ctx);
                 let enabled = self
+                    .core
                     .table
                     .slot_entry_mut(slot)
                     .is_some_and(|(_, s)| s.down.enabled());
@@ -638,31 +563,28 @@ impl Node for CcdProxy {
             TOKEN_EMIT if self.emit.fire(ctx) => {
                 // Emission reads every producer sketch: deferred folds must
                 // be in the power sums before the snapshots below.
-                self.flush_folds(ctx);
+                self.core.flush_folds(ctx);
                 // Reap idle flows first: finished flows stop costing
                 // upstream emissions on the very next tick.
-                for (f, session) in self.table.sweep_idle(ctx.now()) {
-                    self.reclaimed.add(&session.down);
-                    obs::flow_evicted(ctx, f.0, session.up.quacks);
+                self.core.reap_idle(ctx);
+                for (_, session) in self.core.table.iter_mut() {
+                    session.up.emit(&mut self.core.ctrl, ctx);
                 }
-                for (_, session) in self.table.iter_mut() {
-                    session.up.emit(&mut self.ctrl, ctx);
-                }
-                obs::flow_table(ctx, &mut self.table);
+                obs::flow_table(ctx, &mut self.core.table);
                 self.emit.arm(ctx.now() + self.interval, ctx);
             }
             TOKEN_DRAIN => self.drain_one(ctx),
             // Superseded chains are cancelled in the queue; `fire` filters
             // the rare stragglers (chains orphaned by a crash).
-            TOKEN_GRACE if self.grace.fire(ctx) => {
+            TOKEN_GRACE if self.core.grace.fire(ctx) => {
                 // Confirmed downstream losses: the client will recover via
                 // the end-to-end protocol; the proxy only meters its rate.
-                for (_, session) in self.table.iter_mut() {
+                for (_, session) in self.core.table.iter_mut() {
                     let _ = session.down.consumer.poll_expired(ctx.now());
                 }
-                self.arm_grace(ctx);
+                self.core.arm_grace(ctx);
             }
-            TOKEN_SUPERVISE if self.sup.fire(ctx) => self.supervise_all(ctx),
+            TOKEN_SUPERVISE if self.core.sup.fire(ctx) => self.supervise_all(ctx),
             _ => {}
         }
     }
@@ -671,20 +593,14 @@ impl Node for CcdProxy {
         // Everything volatile is gone: pacing buffer, sketches, mirror
         // logs, session state. Each flow resyncs lazily as its data
         // reappears — announcing a fresh time-derived upstream epoch and
-        // re-handshaking its downstream session from scratch.
+        // re-handshaking its downstream session from scratch. The emit
+        // chain survives any outage shorter than its interval, so it is
+        // cancelled before the new one starts.
         self.pacer.buffer.clear();
         self.pacer.drain_armed = false;
         self.pacer.rate.reset();
-        self.reclaimed = self.tally();
-        self.table = FlowTable::new(*self.table.config());
-        self.folds.clear();
-        // Stale guards would suppress re-arming for reborn sessions;
-        // disarm cancels whatever chains survived the outage (the emit
-        // chain survives any outage shorter than its interval).
-        self.grace.disarm(ctx);
-        self.sup.disarm(ctx);
+        self.core.restart(ctx);
         self.emit.disarm(ctx);
-        self.restart_announce = Some(restart_epoch(ctx.now()));
         self.emit.arm(ctx.now() + self.interval, ctx);
     }
 
@@ -894,7 +810,7 @@ impl CcdScenario {
         let srv = h.w.node_as::<CcdServer>(server);
         let px = h.w.node_as::<CcdProxy>(proxy);
         let cl = h.w.node_as::<CcdClient>(client);
-        let (sup, tally) = (srv.supervisor().stats, px.tally());
+        let (sup, tally) = (srv.supervisor().stats, px.core.tally());
         let mut report = ScenarioReport {
             sidecar_messages: px.quacks_sent().0 + cl.quacks_sent().0,
             sidecar_bytes: px.quacks_sent().1 + cl.quacks_sent().1,

@@ -10,7 +10,7 @@
 use crate::config::{AuthConfig, SidecarConfig, SupervisionConfig};
 use crate::endpoint::QuackReport;
 use crate::messages::SidecarMessage;
-use crate::protocols::session::{ConsumerHalf, CtrlChannel, Peer, QuackVerdict};
+use crate::protocols::session::{ConsumerHalf, CtrlChannel, Feedback, Peer};
 use crate::protocols::{obs, GuardedTimer};
 use crate::supervise::Supervisor;
 use sidecar_netsim::node::{Context, IfaceId, Node};
@@ -134,7 +134,7 @@ impl<W: WindowPolicy> SidecarServer<W> {
 
     fn handle_quack(&mut self, epoch: u32, bytes: &[u8], ctx: &mut Context) {
         match self.half.on_quack(epoch, bytes, &mut self.ctrl, ctx) {
-            QuackVerdict::Report(report) => {
+            Feedback::Report(report) => {
                 // Flight recorder: mirror tags are packet numbers, so a
                 // newly-missing tag IS the pn lost on the proxied segment.
                 for &(_, pn) in &report.newly_missing {
@@ -145,7 +145,7 @@ impl<W: WindowPolicy> SidecarServer<W> {
                 self.arm_grace(ctx);
                 self.half.flush(ctx);
             }
-            QuackVerdict::Rejected {
+            Feedback::Supervise {
                 overflow, degraded, ..
             } => {
                 if overflow {
@@ -160,7 +160,9 @@ impl<W: WindowPolicy> SidecarServer<W> {
     }
 
     fn arm_grace(&mut self, ctx: &mut Context) {
-        ConsumerHalf::arm_grace(std::iter::once(&self.half), &mut self.grace, ctx);
+        if let Some(deadline) = self.half.consumer.next_grace_deadline() {
+            self.grace.arm(deadline, ctx);
+        }
     }
 
     fn supervise(&mut self, ctx: &mut Context) {

@@ -149,8 +149,6 @@ pub(crate) struct ProducerHalf {
     pub(crate) producer: QuackProducer<Fp32>,
     /// The consumer this producer quACKs to.
     consumer: Peer,
-    /// QuACKs emitted by this session (feeds the eviction histogram).
-    pub(crate) quacks: u64,
 }
 
 impl ProducerHalf {
@@ -162,11 +160,7 @@ impl ProducerHalf {
         if let Some(epoch) = restart_epoch {
             producer.reset(epoch);
         }
-        ProducerHalf {
-            producer,
-            consumer,
-            quacks: 0,
-        }
+        ProducerHalf { producer, consumer }
     }
 
     /// Tells the consumer which epoch the producer is in: the handshake
@@ -221,23 +215,23 @@ impl ProducerHalf {
     pub(crate) fn emit(&mut self, ctrl: &mut CtrlChannel, ctx: &mut Context) {
         let fill = self.producer.burst_fill();
         let msg = self.producer.emit();
-        self.quacks += 1;
         let bytes = ctrl.send(msg, self.consumer, ctx);
         let (epoch, count) = (self.producer.epoch(), self.producer.count());
         obs::quack_emitted(ctx, epoch, count, fill, bytes);
     }
 }
 
-/// What [`ConsumerHalf::on_quack`] made of one quACK.
-pub(crate) enum QuackVerdict {
-    /// It decoded: apply the report, then [`ConsumerHalf::flush`].
+/// What a consumer half made of one datagram from its producer.
+pub(crate) enum Feedback {
+    /// A quACK decoded: apply the report, then [`ConsumerHalf::flush`].
     Report(QuackReport),
-    /// It did not. On `overflow` (threshold exceeded or count inconsistent,
-    /// §3.3) both sides already moved to a fresh epoch, and `leftovers` are
-    /// the mirror entries that resync dropped. `degraded`: the error budget
-    /// ran out and the session fell back *now* — apply the protocol's
-    /// baseline fallback. Either way, supervise next.
-    Rejected {
+    /// Anything else; supervise next. On `overflow` (a quACK past the
+    /// threshold or with an inconsistent count, §3.3) both sides already
+    /// moved to a fresh epoch. `leftovers` are the mirror entries a resync or
+    /// the producer's `Reset` dropped. `degraded`: the error budget ran out
+    /// and the session fell back *now* — apply the protocol's baseline
+    /// fallback.
+    Supervise {
         overflow: bool,
         leftovers: Vec<LogEntry>,
         degraded: bool,
@@ -256,12 +250,6 @@ impl SupTally {
     pub(crate) fn add(&mut self, half: &ConsumerHalf) {
         self.degradations += half.supervisor.stats.degradations;
         self.recoveries += half.supervisor.stats.recoveries;
-    }
-
-    /// `self` (sessions already reclaimed) plus every live session.
-    pub(crate) fn with_live<'a>(mut self, live: impl Iterator<Item = &'a ConsumerHalf>) -> Self {
-        live.for_each(|half| self.add(half));
-        self
     }
 }
 
@@ -322,14 +310,14 @@ impl ConsumerHalf {
         bytes: &[u8],
         ctrl: &mut CtrlChannel,
         ctx: &mut Context,
-    ) -> QuackVerdict {
+    ) -> Feedback {
         let now = ctx.now();
         let result = self.consumer.process_quack(now, epoch, bytes);
         obs::quack_outcome(ctx, self.producer.flow.0, &result);
         let err = match result {
             Ok(report) => {
                 self.supervisor.on_feedback_ok(now);
-                return QuackVerdict::Report(report);
+                return Feedback::Report(report);
             }
             Err(err) => err,
         };
@@ -349,7 +337,7 @@ impl ConsumerHalf {
         if degraded {
             self.drop_mirror();
         }
-        QuackVerdict::Rejected {
+        Feedback::Supervise {
             overflow,
             leftovers,
             degraded,
@@ -416,18 +404,5 @@ impl ConsumerHalf {
     /// Publishes the supervisor edges taken since the last flush.
     pub(crate) fn flush(&mut self, ctx: &mut Context) {
         obs::sup_flush(ctx, &mut self.supervisor);
-    }
-
-    /// Arms the node's shared grace chain at the earliest pending deadline
-    /// across `halves`.
-    pub(crate) fn arm_grace<'a>(
-        halves: impl Iterator<Item = &'a ConsumerHalf>,
-        grace: &mut GuardedTimer,
-        ctx: &mut Context,
-    ) {
-        let deadlines = halves.filter_map(|h| h.consumer.next_grace_deadline());
-        if let Some(deadline) = deadlines.min() {
-            grace.arm(deadline, ctx);
-        }
     }
 }
