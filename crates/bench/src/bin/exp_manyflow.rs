@@ -95,7 +95,7 @@ fn sweep_point<S>(flows: usize, mk: impl Fn() -> S) -> SweepPoint {
     let mut slab: FlowTable<S> = FlowTable::new(cfg);
     let start = Instant::now();
     for f in 1..=flows as u32 {
-        slab.ensure_slot(FlowId(f), t(f as u64), &mk);
+        slab.ensure_slot(FlowId(f), t(f as u64), &mk, |_, _| {});
     }
     let fill_ns = per_item_nanos(start.elapsed(), flows);
     assert_eq!(slab.len(), flows, "sized_for must hold the population");
@@ -117,7 +117,7 @@ fn sweep_point<S>(flows: usize, mk: impl Fn() -> S) -> SweepPoint {
     let mut over: FlowTable<S> = FlowTable::new(over_cfg);
     let start = Instant::now();
     for f in 1..=flows as u32 {
-        over.ensure_slot(FlowId(f), t(f as u64), &mk);
+        over.ensure_slot(FlowId(f), t(f as u64), &mk, |_, _| {});
     }
     let churn_ns = per_item_nanos(start.elapsed(), flows);
     let overcommit_evictions = over.take_stats().map(|s| s.evicted_capacity).unwrap_or(0);

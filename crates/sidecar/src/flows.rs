@@ -474,14 +474,15 @@ impl<S> FlowTable<S> {
     /// returns `(created, slot)` — the stable handle for follow-up O(1)
     /// access via [`FlowTable::slot_entry_mut`]. Creation first reclaims
     /// idle sessions from the target shard's LRU tail, then — if the shard
-    /// is still full — evicts its least recently used entry. Evicted
-    /// sessions are dropped (callers that need teardown hooks should use
-    /// [`FlowTable::sweep_idle`] proactively).
+    /// is still full — evicts its least recently used entry. Every session
+    /// evicted on the way is handed to `on_evict`, before `init` runs, so
+    /// the caller can tear it down exactly as it would a swept one.
     pub fn ensure_slot(
         &mut self,
         flow: FlowId,
         now: SimTime,
         init: impl FnOnce() -> S,
+        mut on_evict: impl FnMut(FlowId, S),
     ) -> (bool, SlotId) {
         if let Ok((_, slot)) = self.probe(flow) {
             self.touch(slot, now);
@@ -495,11 +496,13 @@ impl<S> FlowTable<S> {
             if tail == NIL || !self.is_idle(tail, now) {
                 break;
             }
-            self.evict_slot(tail, EvictCause::Idle);
+            let (evicted, session) = self.evict_slot(tail, EvictCause::Idle);
+            on_evict(evicted, session);
         }
         if self.shards[shard].len as usize >= self.cfg.per_shard {
             let tail = self.shards[shard].tail;
-            self.evict_slot(tail, EvictCause::Capacity);
+            let (evicted, session) = self.evict_slot(tail, EvictCause::Capacity);
+            on_evict(evicted, session);
         }
         if self.shards[shard].len > 0 {
             self.stats.shard_collisions += 1;
@@ -534,14 +537,14 @@ impl<S> FlowTable<S> {
 
     /// Looks up `flow`, creating its session with `init` if absent; returns
     /// `(created, session)`. See [`FlowTable::ensure_slot`] for the
-    /// eviction steps a miss performs.
+    /// eviction steps a miss performs; sessions evicted here are dropped.
     pub fn get_or_insert_with(
         &mut self,
         flow: FlowId,
         now: SimTime,
         init: impl FnOnce() -> S,
     ) -> (bool, &mut S) {
-        let (created, slot) = self.ensure_slot(flow, now, init);
+        let (created, slot) = self.ensure_slot(flow, now, init, |_, _| {});
         let session = self.slots[slot.index as usize]
             .session
             .as_mut()
@@ -824,6 +827,21 @@ mod tests {
     }
 
     #[test]
+    fn ensure_slot_hands_every_evicted_session_to_the_caller() {
+        let mut table = small(1, 2, 100);
+        table.get_or_insert_with(FlowId(1), t(0), || 1);
+        table.get_or_insert_with(FlowId(2), t(90), || 2);
+        let mut evicted = Vec::new();
+        // Only flow 1 is idle at t=150; it goes and the shard has room.
+        table.ensure_slot(FlowId(3), t(150), || 3, |f, s| evicted.push((f, s)));
+        // Flows 2 and 3 are both fresh at t=160: LRU pressure takes flow 2.
+        table.ensure_slot(FlowId(4), t(160), || 4, |f, s| evicted.push((f, s)));
+        assert_eq!(evicted, [(FlowId(1), 1), (FlowId(2), 2)]);
+        let stats = table.take_stats().unwrap();
+        assert_eq!((stats.evicted_idle, stats.evicted_capacity), (1, 1));
+    }
+
+    #[test]
     fn sweep_idle_returns_sessions() {
         let mut table = small(4, 4, 100);
         table.get_or_insert_with(FlowId(1), t(0), || 10);
@@ -905,12 +923,12 @@ mod tests {
     #[test]
     fn stale_slot_handles_are_rejected() {
         let mut table = small(1, 1, 100);
-        let (created, slot) = table.ensure_slot(FlowId(1), t(0), || 10u32);
+        let (created, slot) = table.ensure_slot(FlowId(1), t(0), || 10u32, |_, _| {});
         assert!(created);
         assert_eq!(table.slot_entry_mut(slot), Some((FlowId(1), &mut 10)));
         // Capacity-evict flow 1 by inserting flow 2 into the 1-slot table;
         // flow 2 necessarily reuses the same arena slot.
-        let (_, slot2) = table.ensure_slot(FlowId(2), t(10), || 20u32);
+        let (_, slot2) = table.ensure_slot(FlowId(2), t(10), || 20u32, |_, _| {});
         assert_eq!(slot2.index, slot.index, "1-slot arena must reuse the slot");
         assert_eq!(
             table.slot_entry_mut(slot),
@@ -920,7 +938,7 @@ mod tests {
         assert_eq!(table.slot_entry_mut(slot2), Some((FlowId(2), &mut 20)));
         // Same flow returning also gets a fresh generation.
         table.remove(FlowId(2));
-        let (_, slot3) = table.ensure_slot(FlowId(2), t(20), || 21u32);
+        let (_, slot3) = table.ensure_slot(FlowId(2), t(20), || 21u32, |_, _| {});
         assert_eq!(table.slot_entry_mut(slot2), None);
         assert_eq!(table.slot_entry_mut(slot3), Some((FlowId(2), &mut 21)));
     }
@@ -933,17 +951,17 @@ mod tests {
         // go stale across the wrap exactly as at any other boundary (ABA:
         // the recycled slot's new occupant must not honor the old handle).
         let mut table = small(1, 1, 100);
-        let (_, first) = table.ensure_slot(FlowId(1), t(0), || 10u32);
+        let (_, first) = table.ensure_slot(FlowId(1), t(0), || 10u32, |_, _| {});
         table.slots[first.index as usize].gen = u32::MAX;
         // Re-mint the handle at the doctored generation (probe hit returns
         // the current gen), then recycle the slot across the wrap.
-        let (created, seed) = table.ensure_slot(FlowId(1), t(0), || 10u32);
+        let (created, seed) = table.ensure_slot(FlowId(1), t(0), || 10u32, |_, _| {});
         assert!(!created);
         assert_eq!(seed.gen, u32::MAX);
         table.remove(FlowId(1));
         // remove() bumped MAX -> 0; walk one full cycle edge explicitly.
         assert_eq!(table.slots[seed.index as usize].gen, 0);
-        let (_, h0) = table.ensure_slot(FlowId(2), t(1), || 20u32);
+        let (_, h0) = table.ensure_slot(FlowId(2), t(1), || 20u32, |_, _| {});
         assert_eq!(h0.index, seed.index, "1-slot arena must reuse the slot");
         assert_eq!(h0.gen, 0, "generation wrapped to zero");
         assert_eq!(table.slot_entry_mut(seed), None, "pre-wrap handle is stale");
@@ -951,7 +969,7 @@ mod tests {
         // And a handle from the wrapped epoch goes stale on the next
         // recycle like any other.
         table.remove(FlowId(2));
-        let (_, h1) = table.ensure_slot(FlowId(3), t(2), || 30u32);
+        let (_, h1) = table.ensure_slot(FlowId(3), t(2), || 30u32, |_, _| {});
         assert_eq!(h1.gen, 1);
         assert_eq!(table.slot_entry_mut(h0), None);
         assert_eq!(table.slot_entry_mut(h1), Some((FlowId(3), &mut 30)));
@@ -1030,7 +1048,7 @@ mod tests {
         let flows = [FlowId(1), FlowId(2), FlowId(3)];
         for round in 0..5u64 {
             for (i, &f) in flows.iter().enumerate() {
-                let (_, slot) = table.ensure_slot(f, t(round), Vec::<u64>::new);
+                let (_, slot) = table.ensure_slot(f, t(round), Vec::<u64>::new, |_, _| {});
                 buf.push(slot, round * 10 + i as u64);
             }
         }
@@ -1061,13 +1079,13 @@ mod tests {
             idle_timeout: SimDuration::from_millis(1_000_000),
         });
         let mut buf = FoldBuffer::with_capacity(64);
-        let (_, slot1) = table.ensure_slot(FlowId(1), t(0), Vec::<u64>::new);
+        let (_, slot1) = table.ensure_slot(FlowId(1), t(0), Vec::<u64>::new, |_, _| {});
         buf.push(slot1, 100);
         buf.push(slot1, 101);
-        let (_, slot2) = table.ensure_slot(FlowId(2), t(1), Vec::<u64>::new);
+        let (_, slot2) = table.ensure_slot(FlowId(2), t(1), Vec::<u64>::new, |_, _| {});
         buf.push(slot2, 200);
         // Flow 1 returns with a fresh session in the same arena slot.
-        let (created, slot1b) = table.ensure_slot(FlowId(1), t(2), Vec::<u64>::new);
+        let (created, slot1b) = table.ensure_slot(FlowId(1), t(2), Vec::<u64>::new, |_, _| {});
         assert!(created, "flow 1's original session was evicted");
         assert_eq!(slot1b.index, slot1.index);
         buf.push(slot1b, 300);

@@ -88,7 +88,8 @@ fn steady_round(
 ) {
     for flow in 0..FLOWS as u32 {
         let now = t(base_ms + flow as u64 % 7);
-        let (created, slot) = table.ensure_slot(FlowId(flow), now, || unreachable!("warmed flow"));
+        let (created, slot) =
+            table.ensure_slot(FlowId(flow), now, || unreachable!("warmed flow"), |_, _| {});
         assert!(!created);
         if folds.push(slot, id_for(flow, round)) {
             folds.flush(table, |_, producer, ids| {
@@ -119,7 +120,8 @@ fn steady_state_flow_engine_does_not_allocate() {
     // rounds (grows the fold buffer and its scratch), and pre-size the
     // sweep vector.
     for flow in 0..FLOWS as u32 {
-        let (created, _) = table.ensure_slot(FlowId(flow), t(0), || QuackProducer::new(cfg));
+        let (created, _) =
+            table.ensure_slot(FlowId(flow), t(0), || QuackProducer::new(cfg), |_, _| {});
         assert!(created);
     }
     assert_eq!(table.len(), FLOWS, "sized_for must hold the population");
@@ -144,9 +146,13 @@ fn steady_state_flow_engine_does_not_allocate() {
     // survivors were touched recently enough to stay.
     let survivors_touched_at = 3_000;
     for flow in (0..FLOWS as u32).step_by(2) {
-        let (created, _) = table.ensure_slot(FlowId(flow), t(survivors_touched_at), || {
-            unreachable!("warmed flow")
-        });
+        let touched = t(survivors_touched_at);
+        let (created, _) = table.ensure_slot(
+            FlowId(flow),
+            touched,
+            || unreachable!("warmed flow"),
+            |_, _| {},
+        );
         assert!(!created);
     }
     sweep_out.clear();

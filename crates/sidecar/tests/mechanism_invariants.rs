@@ -239,3 +239,35 @@ fn overcommitted_table_resyncs_evicted_flows_without_decode_errors() {
     // ever fell back to degraded mode over an eviction.
     assert_eq!(m.counter("supervisor.transitions"), FLOWS as u64, "{m:?}");
 }
+
+/// Every evicted session is reaped, whichever path evicted it: the idle
+/// sweep, or the LRU and idle evictions a new flow's insert makes. For the
+/// single-table proxies (ACK reduction, CCD) each eviction therefore lands
+/// exactly one `flowtable.flow_quacks` observation.
+#[test]
+fn every_eviction_is_reaped_under_overcommit() {
+    for protocol in [
+        ManyFlowProtocol::AckReduction,
+        ManyFlowProtocol::CongestionDivision,
+    ] {
+        let mut s = ManyFlowScenario::new(protocol, 24);
+        s.packets_per_flow = 32;
+        s.horizon = SimDuration::from_secs(30);
+        s.table = FlowTableConfig {
+            shards: 2,
+            per_shard: 4,
+            idle_timeout: SimDuration::from_secs(2),
+        };
+        let report = s.run();
+        assert!(report.evictions_capacity > 0, "{protocol:?}: {report:?}");
+        let reaped = report
+            .metrics
+            .histogram("flowtable.flow_quacks")
+            .map_or(0, |h| h.count);
+        assert_eq!(
+            reaped,
+            report.evictions(),
+            "{protocol:?}: evictions that skipped the reaper"
+        );
+    }
+}
