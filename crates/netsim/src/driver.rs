@@ -9,9 +9,9 @@
 //!
 //! * [`World`] — the discrete-event simulator: virtual time, perfectly
 //!   FIFO links, exact one-shot timers, seeded determinism;
-//! * `sidecar-live`'s `LiveDriver` — real `UdpSocket`s, wall-clock time
-//!   mapped onto the same nanosecond [`SimTime`] axis, reader threads and
-//!   a binary-heap timer set.
+//! * `sidecar-live`'s `LiveDriver` — real `UdpSocket`s drained by one
+//!   thread that parks in `ppoll(2)`, wall-clock time mapped onto the same
+//!   nanosecond [`SimTime`] axis, and a binary-heap timer set.
 //!
 //! The trait is deliberately small: a clock, node installation, a packet
 //! ingress tap, and a bounded run loop. Everything else (what a "send"

@@ -33,8 +33,9 @@ use sidecar_obs::{MetricsRegistry, Sampler};
 /// the driver's clock, which is `deadline` for the simulator.
 ///
 /// The registry is passed as a handle rather than read through the driver
-/// so the same loop serves worlds (whose registry lives in `WorldObs`) and
-/// live drivers (whose registry is `Clone`-shared with reader threads).
+/// so the same loop serves worlds and live drivers alike (both keep theirs
+/// in `WorldObs`; a live proxy also `Clone`-shares it with its admin
+/// thread).
 ///
 /// # Panics
 ///
