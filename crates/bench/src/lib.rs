@@ -126,8 +126,7 @@ pub fn calibration_ops_per_sec() -> f64 {
 /// one metric per bucket with an `le` param (`inf` for the overflow bucket)
 /// plus `<name>.count` / `<name>.sum` totals — all informational; the perf
 /// gate never reads them. Call it after the bench report is written; it is
-/// a no-op without the flag, and with the obs feature compiled out the
-/// global registry is simply empty.
+/// a no-op without the flag.
 pub fn write_metrics_out(name: &str) {
     if !std::env::args().any(|a| a == "--metrics-out") {
         return;
@@ -164,8 +163,7 @@ pub fn write_metrics_out(name: &str) {
 /// The rendering is the canonical `EventTrace` text format: one
 /// `t=<ns> <event>` line per record, preceded by a `# truncated dropped=N`
 /// header when the ring evicted records — consumers must treat a truncated
-/// trace as incomplete. No-op without the flag; with the obs feature
-/// compiled out the global trace is simply empty.
+/// trace as incomplete. No-op without the flag.
 pub fn write_trace_out(name: &str) {
     let args: Vec<String> = std::env::args().collect();
     let Some(pos) = args.iter().position(|a| a == "--trace-out") else {

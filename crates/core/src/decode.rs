@@ -156,14 +156,13 @@ impl DecodedQuack {
     }
 }
 
-/// Observability hooks for the decode paths (feature `obs`).
+/// Observability hooks for the decode paths.
 ///
 /// Decoding has no world context in reach (it runs inside
 /// `QuackConsumer::process_quack`), so it records into
 /// [`sidecar_obs::global`]. Counters are monotone; tests on the global
 /// registry must assert `>=` deltas because the test harness runs decodes
-/// concurrently. With `obs` off every hook is an empty inline function.
-#[cfg(feature = "obs")]
+/// concurrently.
 mod hooks {
     use super::DecodeError;
 
@@ -184,20 +183,6 @@ mod hooks {
     pub(super) fn factor_fallback() {
         sidecar_obs::global().inc("decode.factor_fallback");
     }
-}
-
-#[cfg(not(feature = "obs"))]
-mod hooks {
-    use super::DecodeError;
-
-    #[inline(always)]
-    pub(super) fn attempt() {}
-
-    #[inline(always)]
-    pub(super) fn outcome<T>(_result: &Result<T, DecodeError>) {}
-
-    #[inline(always)]
-    pub(super) fn factor_fallback() {}
 }
 
 /// Core decode routine shared by [`crate::PowerSumQuack::decode_with_log`].

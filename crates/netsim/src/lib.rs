@@ -56,7 +56,6 @@ pub mod packet;
 pub mod rng;
 pub mod router;
 pub mod sched;
-#[cfg(feature = "obs")]
 pub mod telemetry;
 pub mod time;
 pub mod transport;
@@ -71,7 +70,6 @@ pub use obs::WorldObs;
 pub use packet::{AckInfo, FlowId, Packet, PacketKind, Payload};
 pub use rng::SimRng;
 pub use router::FlowRouter;
-#[cfg(feature = "obs")]
 pub use telemetry::run_sampled;
 pub use time::{transmission_time, SimDuration, SimTime};
 pub use world::World;

@@ -89,8 +89,6 @@ pub struct Context<'a> {
     handle_base: u64,
     /// Timers armed so far in this callback.
     timers_armed: u64,
-    // Only the `obs`-feature methods below read it.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     obs: Option<&'a mut WorldObs>,
 }
 
@@ -179,7 +177,6 @@ impl<'a> Context<'a> {
 
 /// What a node may say to its host's observability handle. Every method is a
 /// no-op through a context built without one ([`Context::new`]).
-#[cfg(feature = "obs")]
 impl Context<'_> {
     /// The host's observability handle, if this callback runs inside one.
     pub fn obs(&mut self) -> Option<&mut WorldObs> {
@@ -232,9 +229,8 @@ impl Context<'_> {
 
     /// Allocates the next host-scoped control-datagram sequence for
     /// flight-recorder stamping. Sequences start at 1 so a stamped control
-    /// packet is distinguishable from the obs-off default of 0; without a
-    /// handle (unit tests) every call returns 0, matching the obs-off wire
-    /// image.
+    /// packet is distinguishable from an unstamped one; without a handle
+    /// (unit tests) every call returns 0.
     pub fn next_ctrl_seq(&mut self) -> u64 {
         match self.obs.as_deref_mut() {
             Some(obs) => {

@@ -1,4 +1,4 @@
-//! Driver-clocked time-series sampling (feature `obs`).
+//! Driver-clocked time-series sampling.
 //!
 //! [`run_sampled`] is the deterministic twin of the live proxy's wall-clock
 //! sampler thread: it advances any [`Driver`] to a deadline in fixed

@@ -29,7 +29,6 @@ use std::any::Any;
 /// (the plain [`SenderNode`] here, the CCD/ACK-reduction servers in the
 /// sidecar crate) calls this from its pump so lifecycle reconstruction sees
 /// recovery no matter which protocol owns the core.
-#[cfg(feature = "obs")]
 pub fn emit_sender_lifecycle(core: &mut SenderCore, ctx: &mut Context) {
     let node = ctx.node_id().0 as u32;
     let flow = core.config().flow.0;
@@ -100,7 +99,6 @@ impl SenderNode {
         for pkt in core.poll_send(ctx.now()) {
             ctx.send(IfaceId(0), pkt);
         }
-        #[cfg(feature = "obs")]
         emit_sender_lifecycle(core, ctx);
         if let Some(deadline) = core.next_timeout() {
             ctx.set_timer_at(deadline.max(ctx.now()), TOKEN_RTO);

@@ -141,8 +141,7 @@ impl World {
     }
 
     /// This world's observability state: a fresh metrics registry and event
-    /// trace, scoped to this world (see [`crate::obs`]; the zero-sized unit
-    /// when the `obs` feature is off).
+    /// trace, scoped to this world (see [`crate::obs`]).
     pub fn obs(&self) -> &WorldObs {
         &self.obs
     }

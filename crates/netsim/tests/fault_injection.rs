@@ -44,9 +44,9 @@ fn chain_world(seed: u64, total: u64) -> (World, NodeId, NodeId, NodeId) {
     (w, s, fwd, r)
 }
 
-/// What a finished chain run leaves behind whether or not the `obs` feature
-/// is compiled in: the clock, the event count, every link's tally (the
-/// sender's, the forwarder's two, the receiver's) and the receiver's stats.
+/// What a finished chain run leaves behind outside the flight recorder: the
+/// clock, the event count, every link's tally (the sender's, the
+/// forwarder's two, the receiver's) and the receiver's stats.
 fn outcome(w: &World) -> (SimTime, u64, [LinkStats; 4], ReceiverStats) {
     let link = |node, iface| w.link_stats(NodeId(node), IfaceId(iface)).clone();
     let links = [link(0, 0), link(1, 0), link(1, 1), link(2, 0)];
@@ -55,16 +55,9 @@ fn outcome(w: &World) -> (SimTime, u64, [LinkStats; 4], ReceiverStats) {
 }
 
 /// The rendered flight recorder, sized to hold a whole chain run.
-#[cfg(feature = "obs")]
 fn recorded(w: &World) -> String {
     assert_eq!(w.obs().trace.dropped(), 0, "ring truncated");
     w.obs().trace.render()
-}
-
-/// Nothing is recorded without the `obs` feature.
-#[cfg(not(feature = "obs"))]
-fn recorded(_w: &World) -> String {
-    String::new()
 }
 
 /// How many `link_drop`s with `cause` the rendered `trace` charges to `node`.
@@ -216,17 +209,15 @@ fn transport_survives_forwarder_crash() {
     let got_in = fwd_stats.stats_01.packets() + fwd_stats.stats_10.packets();
     let eaten = links[0].delivered + links[3].delivered - got_in;
     assert!(eaten > 0, "outage should have eaten packets");
-    if cfg!(feature = "obs") {
-        let trace = recorded(&w);
-        assert_eq!(link_drops(&trace, "node=1", "node_down"), eaten);
-        let edges: Vec<&str> = trace.lines().filter(|l| l.contains(" outage ")).collect();
-        let (crash, restore) = (SEC / 2, 3 * SEC / 2);
-        let want = [
-            format!("{crash} outage node=1 up=false"),
-            format!("{restore} outage node=1 up=true"),
-        ];
-        assert_eq!(edges, want);
-    }
+    let trace = recorded(&w);
+    assert_eq!(link_drops(&trace, "node=1", "node_down"), eaten);
+    let edges: Vec<&str> = trace.lines().filter(|l| l.contains(" outage ")).collect();
+    let (crash, restore) = (SEC / 2, 3 * SEC / 2);
+    let want = [
+        format!("{crash} outage node=1 up=false"),
+        format!("{restore} outage node=1 up=true"),
+    ];
+    assert_eq!(edges, want);
 }
 
 #[test]
@@ -243,9 +234,7 @@ fn transport_survives_link_blackout() {
     let handed = fwd_stats.stats_01.packets() + fwd_stats.stats_10.packets();
     let eaten = handed - (links[1].offered + links[2].offered);
     assert!(eaten > 0);
-    if cfg!(feature = "obs") {
-        assert_eq!(link_drops(&recorded(&w), "node=1", "blackout"), eaten);
-    }
+    assert_eq!(link_drops(&recorded(&w), "node=1", "blackout"), eaten);
 }
 
 #[test]

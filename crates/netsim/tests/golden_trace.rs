@@ -15,7 +15,6 @@
 //! UPDATE_GOLDEN=1 cargo test -p sidecar-netsim --test golden_trace
 //! git diff crates/netsim/tests/fixtures/   # review, then commit
 //! ```
-#![cfg(feature = "obs")]
 
 use sidecar_netsim::fault::FaultPlan;
 use sidecar_netsim::link::{LinkConfig, LossModel};

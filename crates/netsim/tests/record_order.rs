@@ -5,7 +5,6 @@
 //! crash and blackout over long runs; this is the one place the adversary
 //! and firewall sites' record order (`control_fault` → `link_drop` →
 //! `hop_drop`) is written down.
-#![cfg(feature = "obs")]
 
 use sidecar_netsim::fault::FaultPlan;
 use sidecar_netsim::link::{LinkConfig, LossModel};

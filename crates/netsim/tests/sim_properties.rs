@@ -79,7 +79,7 @@ proptest! {
     }
 
     /// Determinism: identical parameters and seed give identical stats,
-    /// clock, event count and (with `obs`) rendered trace and metrics.
+    /// clock, event count, rendered trace and metrics.
     #[test]
     fn identical_seeds_reproduce_exactly(
         seed in any::<u64>(),
@@ -93,8 +93,8 @@ proptest! {
                 w.node_as::<SenderNode>(s).stats().clone(),
                 w.now(),
                 w.events_processed(),
-                #[cfg(feature = "obs")]
-                (w.obs().trace.render(), w.obs().metrics.snapshot().encode()),
+                w.obs().trace.render(),
+                w.obs().metrics.snapshot().encode(),
             )
         };
         prop_assert_eq!(run(), run());

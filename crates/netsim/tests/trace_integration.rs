@@ -1,6 +1,5 @@
 //! Integration: the world's flight recorder is a faithful causal record of
 //! a transport flow.
-#![cfg(feature = "obs")]
 
 use sidecar_netsim::link::{LinkConfig, LossModel};
 use sidecar_netsim::transport::{ReceiverConfig, ReceiverNode, SenderConfig, SenderNode};

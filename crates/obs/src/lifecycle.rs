@@ -24,8 +24,7 @@ use crate::trace::EventTrace;
 ///
 /// Data packets are identified by `(flow, packet number)` — both already on
 /// the wire, so the stamp costs zero extra bytes. Control datagrams get a
-/// world-scoped control sequence in obs builds only (the field is left zero
-/// when obs is compiled out, making the stamp zero-cost there too).
+/// world-scoped control sequence in the same `seq` field.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceId {
     /// Which `(flow, seq)` namespace this id lives in.

@@ -85,8 +85,6 @@ pub enum AuthError {
 
 impl AuthError {
     /// Stable short label: the suffix of this rejection's metrics counter.
-    /// (The counter prefix is not spelled out here: rustc embeds docs in rlib
-    /// metadata, and CI greps the obs-off rlib to prove no tap name survives.)
     pub fn kind(&self) -> &'static str {
         match self {
             AuthError::NotAuthenticated(_) => "unauthenticated",

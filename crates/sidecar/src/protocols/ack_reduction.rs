@@ -266,7 +266,7 @@ pub struct AckReductionScenario {
     /// builds. The client is an unmodified receiver either way.
     pub auth: Option<AuthConfig>,
     /// Flight-recorder ring capacity override (events); `None` keeps the
-    /// obs default. Ignored when the `obs` feature is off.
+    /// obs default.
     pub trace_capacity: Option<usize>,
 }
 
@@ -537,11 +537,8 @@ mod tests {
         };
         let report = scenario.run_sidecar(8);
         assert!(report.completion.is_some(), "{report:?}");
-        #[cfg(feature = "obs")]
-        {
-            assert!(report.metrics.counter("auth.accepted") > 0, "{report:?}");
-            assert_eq!(report.metrics.counter_sum("auth.rejected."), 0);
-        }
+        assert!(report.metrics.counter("auth.accepted") > 0, "{report:?}");
+        assert_eq!(report.metrics.counter_sum("auth.rejected."), 0);
         assert_eq!(scenario.run_sidecar(8), scenario.run_sidecar(8));
     }
 }

@@ -728,7 +728,7 @@ pub struct CcdScenario {
     /// builds. Baseline runs carry no sidecar traffic and ignore it.
     pub auth: Option<AuthConfig>,
     /// Flight-recorder ring capacity override (events); `None` keeps the
-    /// obs default. Ignored when the `obs` feature is off.
+    /// obs default.
     pub trace_capacity: Option<usize>,
 }
 
@@ -944,11 +944,8 @@ mod tests {
         assert!(report.completion.is_some(), "{report:?}");
         assert!(report.sidecar_messages > 0);
         // On a clean (uncorrupted) path every sealed datagram verifies.
-        #[cfg(feature = "obs")]
-        {
-            assert!(report.metrics.counter("auth.accepted") > 0, "{report:?}");
-            assert_eq!(report.metrics.counter_sum("auth.rejected."), 0);
-        }
+        assert!(report.metrics.counter("auth.accepted") > 0, "{report:?}");
+        assert_eq!(report.metrics.counter_sum("auth.rejected."), 0);
         assert_eq!(scenario.run_sidecar(9), scenario.run_sidecar(9));
     }
 }

@@ -66,18 +66,16 @@ pub struct ManyFlowReport {
     /// Per-flow sessions still resident in the proxy tier's flow tables
     /// when the run ended (idle eviction reaps finished flows).
     pub live_flows_at_end: usize,
-    /// Idle-deadline evictions across the proxy tier (always 0 when the
-    /// `obs` feature is off — the counter lives in the metrics registry).
+    /// Idle-deadline evictions across the proxy tier (read from the
+    /// metrics registry's `flowtable.evicted.idle`).
     pub evictions_idle: u64,
-    /// Capacity (LRU) evictions across the proxy tier (0 without `obs`).
+    /// Capacity (LRU) evictions across the proxy tier.
     pub evictions_capacity: u64,
     /// Snapshot of the run's world metrics registry (includes the
     /// `flowtable.*` occupancy/eviction counters).
-    #[cfg(feature = "obs")]
     pub metrics: sidecar_obs::MetricsSnapshot,
     /// Flight-recorder event trace (empty unless
     /// [`ManyFlowScenario::trace_capacity`] was set).
-    #[cfg(feature = "obs")]
     pub trace: sidecar_obs::EventTrace,
 }
 
@@ -118,7 +116,7 @@ pub struct ManyFlowScenario {
     pub seed: u64,
     /// Flight-recorder ring capacity override (events); `None` keeps the
     /// obs default. Set it (generously) to causally certify a many-flow
-    /// run's packet lifecycles. Ignored when the `obs` feature is off.
+    /// run's packet lifecycles.
     pub trace_capacity: Option<usize>,
 }
 
@@ -475,7 +473,6 @@ mod tests {
                 report.live_flows_at_end < 8,
                 "{protocol:?} kept every session resident: {report:?}"
             );
-            #[cfg(feature = "obs")]
             assert!(
                 report.evictions() > 0,
                 "{protocol:?} reported no evictions: {report:?}"
@@ -496,7 +493,6 @@ mod tests {
         let report = s.run();
         assert!(report.live_flows_at_end <= 8, "{report:?}");
         assert_eq!(report.completed, 24, "{report:?}");
-        #[cfg(feature = "obs")]
         assert!(report.evictions() > 0, "{report:?}");
     }
 

@@ -43,6 +43,7 @@ use crate::messages::SidecarMessage;
 use sidecar_netsim::fault::FaultPlan;
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::node::{Context, NodeId, TimerHandle};
+use sidecar_netsim::telemetry::run_sampled;
 use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_netsim::transport::SenderCore;
 use sidecar_netsim::world::World;
@@ -114,10 +115,8 @@ impl GuardedTimer {
 
 /// Observability taps shared by the three protocols.
 ///
-/// Every helper has an empty twin below so call sites stay free of `cfg`
-/// noise; through a [`Context`] built without a world handle (node unit
-/// tests) the obs-enabled versions are no-ops as well.
-#[cfg(feature = "obs")]
+/// Through a [`Context`] built without a world handle (node unit tests)
+/// every tap is a no-op.
 pub(crate) mod obs {
     use super::manyflow::ManyFlowReport;
     use super::{ScenarioReport, SCOREBOARD_TOP_K};
@@ -126,9 +125,8 @@ pub(crate) mod obs {
     use crate::supervise::{Supervisor, SupervisorState};
     use sidecar_netsim::node::Context;
     use sidecar_netsim::packet::Packet;
-    use sidecar_netsim::time::{SimDuration, SimTime};
     use sidecar_netsim::world::World;
-    use sidecar_obs::{Event, HealthDim, QuackErrorKind, SessionState};
+    use sidecar_obs::{Event, HealthDim, QuackErrorKind, SessionState, TimeSeries};
 
     /// Histogram bounds for the producer's burst-buffer fill at emit time
     /// (the lane batch is [`sidecar_galois::LANES`] = 8 wide; larger fills
@@ -303,16 +301,6 @@ pub(crate) mod obs {
         ctx.obs_flow_health(flow, HealthDim::ProxyRetx);
     }
 
-    /// Mirrors a wrapped transport core's loss/recovery events into the
-    /// flight recorder (see
-    /// [`sidecar_netsim::transport::emit_sender_lifecycle`]).
-    pub(crate) fn transport_lifecycle(
-        ctx: &mut Context,
-        core: &mut sidecar_netsim::transport::SenderCore,
-    ) {
-        sidecar_netsim::transport::emit_sender_lifecycle(core, ctx);
-    }
-
     /// A control datagram arrived for a flow this node holds no session
     /// for (never seen, reclaimed, or — at an end host — someone else's).
     pub(crate) fn flow_mismatch(ctx: &mut Context) {
@@ -327,9 +315,7 @@ pub(crate) mod obs {
 
     /// A control datagram is about to leave: per-kind and byte counters,
     /// plus the flight-recorder stamp. Control datagrams have no packet
-    /// number, so obs builds give each one a world-scoped control sequence
-    /// (`seq` stays 0 when obs is compiled out — the stamp is free on the
-    /// obs-off wire).
+    /// number, so each gets a world-scoped control sequence.
     pub(crate) fn ctrl_sent(ctx: &mut Context, msg: &SidecarMessage, pkt: &mut Packet) {
         ctx.obs_inc(match msg {
             SidecarMessage::Quack { .. } => "sidecar.sent.quack",
@@ -373,31 +359,6 @@ pub(crate) mod obs {
         ctx.obs_flow_health(0, HealthDim::AuthReject);
     }
 
-    /// The windowed metrics series a sampled run produces.
-    pub(crate) type Series = sidecar_obs::TimeSeries;
-
-    /// Runs `w` to `deadline`, sampling the world registry every `sample`
-    /// (on the sim clock) when asked to.
-    pub(crate) fn run(w: &mut World, deadline: SimTime, sample: Option<SimDuration>) -> Series {
-        let mut sampler = sidecar_obs::Sampler::default();
-        match sample {
-            Some(interval) => {
-                let registry = w.obs().metrics.clone();
-                sidecar_netsim::telemetry::run_sampled(
-                    w,
-                    &registry,
-                    deadline,
-                    interval,
-                    &mut sampler,
-                );
-            }
-            None => {
-                w.run_until(deadline);
-            }
-        }
-        sampler.into_series()
-    }
-
     /// Snapshots the world registry and flight recorder at quiescence,
     /// mirroring both into the process-global ones for bench
     /// `--metrics-out` / `--trace-out` dumps.
@@ -410,7 +371,7 @@ pub(crate) mod obs {
     }
 
     /// Fills a scenario report's obs fields from the finished world.
-    pub(crate) fn export(w: &World, series: Series, report: &mut ScenarioReport) {
+    pub(crate) fn export(w: &World, series: TimeSeries, report: &mut ScenarioReport) {
         (report.metrics, report.trace) = snapshot(w);
         report.timeseries = series;
         report.scoreboard = w.obs().scoreboard.snapshot(SCOREBOARD_TOP_K);
@@ -423,93 +384,6 @@ pub(crate) mod obs {
         report.evictions_idle = report.metrics.counter("flowtable.evicted.idle");
         report.evictions_capacity = report.metrics.counter("flowtable.evicted.capacity");
     }
-}
-
-/// No-op twins of the observability taps (obs feature disabled).
-#[cfg(not(feature = "obs"))]
-pub(crate) mod obs {
-    use super::manyflow::ManyFlowReport;
-    use super::ScenarioReport;
-    use crate::endpoint::{ProcessError, QuackReport};
-    use crate::messages::SidecarMessage;
-    use crate::supervise::Supervisor;
-    use sidecar_netsim::node::Context;
-    use sidecar_netsim::packet::Packet;
-    use sidecar_netsim::time::{SimDuration, SimTime};
-    use sidecar_netsim::world::World;
-
-    #[inline(always)]
-    pub(crate) fn observed(_ctx: &mut Context, _flow: u32, _seq: u64) {}
-
-    #[inline(always)]
-    pub(crate) fn quack_emitted(
-        _ctx: &mut Context,
-        _epoch: u32,
-        _count: u32,
-        _fill: usize,
-        _bytes: u32,
-    ) {
-    }
-
-    #[inline(always)]
-    pub(crate) fn quack_outcome(
-        _ctx: &mut Context,
-        _flow: u32,
-        _result: &Result<QuackReport, ProcessError>,
-    ) {
-    }
-
-    #[inline(always)]
-    pub(crate) fn handshake(_ctx: &mut Context, _accepted: bool) {}
-
-    #[inline(always)]
-    pub(crate) fn sup_flush(_ctx: &mut Context, _sup: &mut Supervisor) {}
-
-    #[inline(always)]
-    pub(crate) fn flow_table<S>(_ctx: &mut Context, _table: &mut crate::flows::FlowTable<S>) {}
-
-    #[inline(always)]
-    pub(crate) fn flow_evicted(_ctx: &mut Context, _flow: u32, _quacks: u64) {}
-
-    pub(crate) fn fold_flush(_ctx: &mut Context, _folds: &mut crate::flows::FoldBuffer) {}
-
-    #[inline(always)]
-    pub(crate) fn decode_missing(_ctx: &mut Context, _flow: u32, _seq: u64) {}
-
-    #[inline(always)]
-    pub(crate) fn proxy_retx(_ctx: &mut Context, _flow: u32, _seq: u64) {}
-
-    #[inline(always)]
-    pub(crate) fn transport_lifecycle(
-        _ctx: &mut Context,
-        _core: &mut sidecar_netsim::transport::SenderCore,
-    ) {
-    }
-
-    #[inline(always)]
-    pub(crate) fn flow_mismatch(_ctx: &mut Context) {}
-
-    #[inline(always)]
-    pub(crate) fn ctrl_oversized(_ctx: &mut Context) {}
-
-    #[inline(always)]
-    pub(crate) fn ctrl_sent(_ctx: &mut Context, _msg: &SidecarMessage, _pkt: &mut Packet) {}
-
-    #[inline(always)]
-    pub(crate) fn auth_outcome(_ctx: &mut Context, _rejected: Option<&crate::auth::AuthError>) {}
-
-    /// Nothing is sampled without obs.
-    #[derive(Default)]
-    pub(crate) struct Series;
-
-    pub(crate) fn run(w: &mut World, deadline: SimTime, _sample: Option<SimDuration>) -> Series {
-        w.run_until(deadline);
-        Series
-    }
-
-    pub(crate) fn export(_w: &World, _series: Series, _report: &mut ScenarioReport) {}
-
-    pub(crate) fn export_manyflow(_w: &World, _report: &mut ManyFlowReport) {}
 }
 
 /// Metrics common to all protocol scenarios.
@@ -539,28 +413,23 @@ pub struct ScenarioReport {
     /// Snapshot of the run's world metrics registry (simulator drop/fault
     /// counters plus the sidecar taps above). Deterministic for a given
     /// `(scenario, seed)`; empty on baseline runs.
-    #[cfg(feature = "obs")]
     pub metrics: sidecar_obs::MetricsSnapshot,
     /// The run's flight-recorder event ring (lifecycle + protocol events),
     /// snapshotted at quiescence. Deterministic for a given
     /// `(scenario, seed)`; empty on baseline runs.
-    #[cfg(feature = "obs")]
     pub trace: sidecar_obs::EventTrace,
     /// Windowed metrics time-series, sampled on the sim clock when the
     /// scenario sets a sampling interval (e.g.
     /// [`RetxScenario::sample_interval`](crate::protocols::retx::RetxScenario));
     /// empty otherwise. Deterministic for a given `(scenario, seed)`.
-    #[cfg(feature = "obs")]
     pub timeseries: sidecar_obs::TimeSeries,
     /// Final per-flow health ranking (top [`SCOREBOARD_TOP_K`] rows) from
     /// the world's scoreboard; empty on baseline runs.
-    #[cfg(feature = "obs")]
     pub scoreboard: sidecar_obs::ScoreboardSnapshot,
 }
 
 /// How many scoreboard rows scenario reports retain (the full table keeps
 /// every flow; reports carry only the unhealthiest ranks).
-#[cfg(feature = "obs")]
 pub const SCOREBOARD_TOP_K: usize = 16;
 
 impl ScenarioReport {
@@ -579,7 +448,7 @@ pub(crate) struct Harness {
     /// Sample the metrics registry this often (on the sim clock) while
     /// running; `None` skips sampling.
     pub(crate) sample: Option<SimDuration>,
-    series: Option<obs::Series>,
+    series: sidecar_obs::TimeSeries,
 }
 
 impl Harness {
@@ -597,7 +466,7 @@ impl Harness {
         Harness {
             w,
             sample: None,
-            series: None,
+            series: sidecar_obs::TimeSeries::default(),
         }
     }
 
@@ -609,9 +478,21 @@ impl Harness {
         }
     }
 
-    /// Runs for `budget` of simulated time.
+    /// Runs for `budget` of simulated time, sampling the world registry
+    /// every `sample` (on the sim clock) when set.
     pub(crate) fn run(&mut self, budget: SimDuration) {
-        self.series = Some(obs::run(&mut self.w, SimTime::ZERO + budget, self.sample));
+        let deadline = SimTime::ZERO + budget;
+        match self.sample {
+            Some(interval) => {
+                let registry = self.w.obs().metrics.clone();
+                let mut sampler = sidecar_obs::Sampler::default();
+                run_sampled(&mut self.w, &registry, deadline, interval, &mut sampler);
+                self.series = sampler.into_series();
+            }
+            None => {
+                self.w.run_until(deadline);
+            }
+        }
     }
 
     /// The single-flow scenario run: wires `line` (server, proxy, …,
@@ -649,9 +530,9 @@ impl Harness {
     }
 
     /// Attaches the world's metrics, trace, series and scoreboard to a
-    /// sidecar run's report (a no-op when the `obs` feature is off).
+    /// sidecar run's report.
     pub(crate) fn export_obs(self, report: &mut ScenarioReport) {
-        obs::export(&self.w, self.series.unwrap_or_default(), report);
+        obs::export(&self.w, self.series, report);
     }
 }
 

@@ -633,15 +633,13 @@ pub struct RetxScenario {
     pub auth: Option<AuthConfig>,
     /// Flight-recorder ring capacity override (events). `None` keeps the
     /// obs default; analysis runs (`exp_reaction`) raise it so a full
-    /// scenario's lifecycle fits without truncation. Ignored when the `obs`
-    /// feature is off.
+    /// scenario's lifecycle fits without truncation.
     pub trace_capacity: Option<usize>,
     /// Metrics time-series sampling interval on the sim clock. `Some(i)`
     /// drives the run through `sidecar_netsim::telemetry::run_sampled`,
     /// attaching a windowed `sidecar_obs::TimeSeries` to the report —
     /// deterministic for a given `(scenario, seed)`, so the series is
     /// golden-testable. `None` (the default) skips sampling entirely.
-    /// Ignored when the `obs` feature is off.
     pub sample_interval: Option<SimDuration>,
 }
 
@@ -787,7 +785,6 @@ mod tests {
         assert!(report.sidecar_messages > 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn sampled_run_attaches_deterministic_timeseries_and_scoreboard() {
         let scenario = RetxScenario {
@@ -818,7 +815,6 @@ mod tests {
         assert_eq!(a.scoreboard.overflow, 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn unsampled_run_attaches_no_timeseries() {
         let scenario = RetxScenario {
@@ -952,11 +948,8 @@ mod tests {
         };
         let report = scenario.run_sidecar(5);
         assert!(report.completion.is_some(), "{report:?}");
-        #[cfg(feature = "obs")]
-        {
-            assert!(report.metrics.counter("auth.accepted") > 0, "{report:?}");
-            assert_eq!(report.metrics.counter_sum("auth.rejected."), 0);
-        }
+        assert!(report.metrics.counter("auth.accepted") > 0, "{report:?}");
+        assert_eq!(report.metrics.counter_sum("auth.rejected."), 0);
         assert_eq!(scenario.run_sidecar(5), scenario.run_sidecar(5));
     }
 }

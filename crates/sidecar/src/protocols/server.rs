@@ -16,7 +16,7 @@ use crate::supervise::Supervisor;
 use sidecar_netsim::node::{Context, IfaceId, Node};
 use sidecar_netsim::packet::{FlowId, Packet, Payload};
 use sidecar_netsim::time::{SimDuration, SimTime};
-use sidecar_netsim::transport::{SenderCore, SenderStats};
+use sidecar_netsim::transport::{emit_sender_lifecycle, SenderCore, SenderStats};
 use std::any::Any;
 
 const TOKEN_RTO: u64 = 1;
@@ -126,7 +126,7 @@ impl<W: WindowPolicy> SidecarServer<W> {
             }
             ctx.send(IfaceId(0), pkt);
         }
-        obs::transport_lifecycle(ctx, &mut self.transport);
+        emit_sender_lifecycle(&mut self.transport, ctx);
         if let Some(deadline) = self.transport.next_timeout() {
             self.rto.arm(deadline, ctx);
         }

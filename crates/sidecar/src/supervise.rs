@@ -77,8 +77,8 @@ pub struct Transition {
     pub to: SupervisorState,
 }
 
-/// Bound on the undrained transition log: callers that never drain (obs-off
-/// builds) keep at most this many entries.
+/// Bound on the undrained transition log: callers that never drain keep at
+/// most this many entries.
 pub const TRANSITION_LOG_CAP: usize = 128;
 
 /// What [`Supervisor::poll`] asks the caller to do.

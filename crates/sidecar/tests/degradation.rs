@@ -331,7 +331,6 @@ mod adversary {
     /// Every attack datagram that reaches an authenticated receiver must be
     /// rejected (never decoded into protocol state): the run records auth
     /// rejections and the attack's injection counter is non-zero.
-    #[cfg(feature = "obs")]
     fn assert_rejected(label: &str, report: &ScenarioReport, fault: &str) {
         assert!(
             report.metrics.counter(&format!("netsim.fault.{fault}")) > 0,
@@ -344,9 +343,6 @@ mod adversary {
             report.metrics
         );
     }
-
-    #[cfg(not(feature = "obs"))]
-    fn assert_rejected(_label: &str, _report: &ScenarioReport, _fault: &str) {}
 
     #[test]
     fn retx_holds_baseline_goodput_under_every_attack() {

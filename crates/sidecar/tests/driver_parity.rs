@@ -10,8 +10,7 @@
 //! what the protocols do.
 //!
 //! The parity facts (hop counts, causal certification) are read from the
-//! world's obs trace, so the suite rides the `obs` feature.
-#![cfg(feature = "obs")]
+//! world's obs trace.
 
 use sidecar_netsim::link::{LinkConfig, LossModel};
 use sidecar_netsim::node::NodeId;

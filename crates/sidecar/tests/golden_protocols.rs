@@ -16,7 +16,6 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p sidecar-proto --test golden_protocols
 //! ```
-#![cfg(feature = "obs")]
 
 use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_obs::{EventTrace, MetricsSnapshot};

@@ -12,7 +12,6 @@
 //! 3. the reconstruction is deterministic in `(scenario, seed)` — pinned
 //!    byte-for-byte by a golden `explain` fixture, regenerated with
 //!    `UPDATE_GOLDEN=1 cargo test -p sidecar-proto --test lifecycle_prop`.
-#![cfg(feature = "obs")]
 
 use proptest::prelude::*;
 use sidecar_netsim::link::LossModel;

@@ -4,7 +4,6 @@
 //! over the observability registry, so a refactor that silently changes
 //! *how much* the mechanisms fire (not just whether the flow completes)
 //! fails loudly here.
-#![cfg(feature = "obs")]
 
 use sidecar_netsim::link::{LinkConfig, LossModel};
 use sidecar_netsim::time::SimDuration;
