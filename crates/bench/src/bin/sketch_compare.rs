@@ -107,7 +107,7 @@ fn main() {
     sidecar_bench::write_trace_out("sketch_compare");
     println!(
         "\nshape: the quACK is ~10x smaller on the wire; the IBLT decodes \
-         ~100x faster and also reports receiver-side extras — but can stall \
+         ~40x faster and also reports receiver-side extras — but can stall \
          probabilistically and its cells dwarf the 82-byte quACK the \
          sidecar protocols were sized around."
     );

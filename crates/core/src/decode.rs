@@ -6,19 +6,25 @@
 //!
 //! 1. converts the first `m` power sums into the monic error-locator
 //!    polynomial via Newton's identities (`O(m²)`);
-//! 2. evaluates the locator at every *distinct* identifier in the log
-//!    ("plug in all candidate roots", §4.2) — `O(n·m)`;
-//! 3. divides out each confirmed root (synthetic deflation) so multiset
-//!    multiplicities are respected;
-//! 4. classifies each log entry as received, missing, or — when several
-//!    logged packets share one identifier and only some of them are missing
-//!    — *indeterminate* (§3.2: "a decoded identifier may correspond to
-//!    multiple candidate missing packets").
+//! 2. evaluates the locator at the log's identifiers ("plug in all
+//!    candidate roots", §4.2) — `O(n·m)` — 16 entries at a time: each
+//!    chunk is converted into the field once and run through Horner
+//!    rung-major, so the lanes' multiplies are independent and pipeline;
+//! 3. divides each confirmed root out of the locator (synthetic deflation)
+//!    as many times as it is a root, so multiset multiplicities are
+//!    respected, later chunks are evaluated with the smaller quotient, and
+//!    the walk stops once the last root is out;
+//! 4. only on a root, scans the rest of the log for entries with the same
+//!    field image and classifies them as missing or — when several logged
+//!    packets share one identifier and only some of them are missing —
+//!    *indeterminate* (§3.2: "a decoded identifier may correspond to
+//!    multiple candidate missing packets"). Every other entry is received.
+//!    No map over the log is built: a decode allocates the locator and the
+//!    `missing` list, plus one list per indeterminate group.
 
 use sidecar_galois::factor::find_roots;
 use sidecar_galois::poly::{deflate_monic, eval_monic};
 use sidecar_galois::{Field, NewtonWorkspace};
-use std::collections::HashMap;
 
 /// Why decoding a difference quACK failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -201,12 +207,9 @@ pub(crate) fn decode_difference<F: Field>(
     result
 }
 
-fn decode_difference_inner<F: Field>(
-    power_sums: &[F],
-    count: u32,
-    log: &[u64],
-    workspace: &NewtonWorkspace<F>,
-) -> Result<DecodedQuack, DecodeError> {
+/// The locator degree `m` a difference asks for: its count, once checked
+/// against the threshold and, when nothing is missing, against the sums.
+pub(crate) fn locator_degree<F: Field>(power_sums: &[F], count: u32) -> Result<usize, DecodeError> {
     let m = count as usize;
     let threshold = power_sums.len();
     if count as u64 > threshold as u64 {
@@ -215,78 +218,124 @@ fn decode_difference_inner<F: Field>(
             threshold,
         });
     }
+    // Nothing missing — but the sums must agree, otherwise the count
+    // wrapped a whole cycle.
+    if m == 0 && power_sums.iter().any(|s| !s.is_zero()) {
+        return Err(DecodeError::CountInconsistent);
+    }
+    Ok(m)
+}
+
+/// Log entries the plugging decoder evaluates the locator at per chunk.
+const EVAL_LANES: usize = 16;
+
+fn decode_difference_inner<F: Field>(
+    power_sums: &[F],
+    count: u32,
+    log: &[u64],
+    workspace: &NewtonWorkspace<F>,
+) -> Result<DecodedQuack, DecodeError> {
+    let m = locator_degree(power_sums, count)?;
     if m == 0 {
-        // Nothing missing — but the sums must agree, otherwise the count
-        // wrapped a whole cycle.
-        if power_sums.iter().any(|s| !s.is_zero()) {
-            return Err(DecodeError::CountInconsistent);
-        }
         return Ok(DecodedQuack::default());
     }
 
     // Error-locator coefficients from the first m power sums.
     let mut coeffs = workspace.coefficients(&power_sums[..m]);
-
-    // Group log indices by field image, preserving first-appearance order.
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::with_capacity(log.len());
-    let mut order: Vec<u64> = Vec::new();
-    for (i, &id) in log.iter().enumerate() {
-        let key = F::from_u64(id).to_u64();
-        let entry = groups.entry(key).or_default();
-        if entry.is_empty() {
-            order.push(key);
-        }
-        entry.push(i);
-    }
-
     let mut decoded = DecodedQuack {
+        missing: Vec::with_capacity(m),
         num_missing: m,
         ..DecodedQuack::default()
     };
 
-    for key in order {
+    'walk: for (c, chunk) in log.chunks(EVAL_LANES).enumerate() {
         if coeffs.is_empty() {
             break; // all roots accounted for
         }
-        let x = F::from_u64(key);
-        // Multiplicity of x as a locator root, dividing each instance out.
-        let mut multiplicity = 0usize;
-        while !coeffs.is_empty() && eval_monic(&coeffs, x) == F::ZERO {
-            let rem = deflate_monic(&mut coeffs, x);
-            debug_assert_eq!(rem, F::ZERO);
-            multiplicity += 1;
+        let mut xs = [F::ZERO; EVAL_LANES];
+        for (x, &id) in xs.iter_mut().zip(chunk) {
+            *x = F::from_u64(id);
         }
-        if multiplicity == 0 {
-            continue; // whole group received
+        // Horner rung-major over the current quotient: one independent
+        // chain per lane. Evaluating the quotient, never the full-degree
+        // locator, keeps the work the serial walk would do.
+        let mut values = [F::ONE; EVAL_LANES];
+        for &coeff in coeffs.iter().rev() {
+            for (v, &x) in values.iter_mut().zip(&xs) {
+                *v = *v * x + coeff;
+            }
         }
-        let group = &groups[&key];
-        if multiplicity >= group.len() {
-            // Every candidate with this identifier is missing. (The strict
-            // ">" case cannot arise from a well-formed difference, but if it
-            // does the surplus shows up in `residual` via leftover degree —
-            // here the poly was already deflated, so account directly.)
-            decoded.missing.extend(group.iter().copied());
-            decoded.residual += multiplicity - group.len();
-        } else {
-            // Some, but not all, of the identically-identified packets are
-            // missing: indeterminate (§3.2).
-            decoded.indeterminate.extend(group.iter().copied());
-            let mut indices = group.clone();
-            indices.sort_unstable();
-            decoded.groups.push(IndeterminateGroup {
-                indices,
-                missing: multiplicity,
-            });
+        for (j, (&value, &x)) in values.iter().zip(&xs).take(chunk.len()).enumerate() {
+            if value != F::ZERO {
+                // Not a root of this chunk's quotient, so not of any later
+                // one: deflation only removes roots.
+                continue;
+            }
+            // A zero was computed before this chunk's earlier roots came
+            // out, and one of them may have been this image: re-check
+            // against the current quotient while dividing x out.
+            let mut multiplicity = 0usize;
+            while !coeffs.is_empty() && eval_monic(&coeffs, x) == F::ZERO {
+                let rem = deflate_monic(&mut coeffs, x);
+                debug_assert_eq!(rem, F::ZERO);
+                multiplicity += 1;
+            }
+            if multiplicity > 0 {
+                settle_root(&mut decoded, log, c * EVAL_LANES + j, x, multiplicity);
+            }
+            if coeffs.is_empty() {
+                break 'walk;
+            }
         }
     }
 
     // Roots never matched by any log candidate.
     decoded.residual += coeffs.len();
+    Ok(finish(decoded))
+}
 
+/// Settles one locator root `x` of the given multiplicity against the log
+/// entries whose field image is `x`, scanning from `first` (no earlier
+/// entry has that image). If the root covers every such entry they are all
+/// missing, and any surplus multiplicity — none for a well-formed
+/// difference — is `residual`. Otherwise some, but not all, of the
+/// identically-identified packets are missing: an indeterminate group
+/// (§3.2). Indices are pushed in ascending order.
+fn settle_root<F: Field>(
+    decoded: &mut DecodedQuack,
+    log: &[u64],
+    first: usize,
+    x: F,
+    multiplicity: usize,
+) {
+    let key = x.to_u64();
+    let start = decoded.missing.len();
+    for (i, &id) in log.iter().enumerate().skip(first) {
+        // An id below p is its own image; only the aliases at or above p
+        // need the reduction.
+        if id == key || (id >= F::MODULUS && F::from_u64(id) == x) {
+            decoded.missing.push(i);
+        }
+    }
+    let matched = decoded.missing.len() - start;
+    if multiplicity >= matched {
+        decoded.residual += multiplicity - matched;
+    } else {
+        let indices = decoded.missing.split_off(start);
+        decoded.indeterminate.extend_from_slice(&indices);
+        decoded.groups.push(IndeterminateGroup {
+            indices,
+            missing: multiplicity,
+        });
+    }
+}
+
+/// Puts a decode's index lists in ascending order (groups by first index).
+fn finish(mut decoded: DecodedQuack) -> DecodedQuack {
     decoded.missing.sort_unstable();
     decoded.indeterminate.sort_unstable();
-    decoded.groups.sort_by_key(|g| g.indices[0]);
-    Ok(decoded)
+    decoded.groups.sort_unstable_by_key(|g| g.indices[0]);
+    decoded
 }
 
 /// Alternative decode: find the locator's roots directly instead of
@@ -312,59 +361,28 @@ fn decode_by_roots_inner<F: Field>(
     log: &[u64],
     workspace: &NewtonWorkspace<F>,
 ) -> Result<DecodedQuack, DecodeError> {
-    let m = count as usize;
-    let threshold = power_sums.len();
-    if count as u64 > threshold as u64 {
-        return Err(DecodeError::ThresholdExceeded {
-            missing: m,
-            threshold,
-        });
-    }
+    let m = locator_degree(power_sums, count)?;
     if m == 0 {
-        if power_sums.iter().any(|s| !s.is_zero()) {
-            return Err(DecodeError::CountInconsistent);
-        }
         return Ok(DecodedQuack::default());
     }
     let coeffs = workspace.coefficients(&power_sums[..m]);
     let roots = find_roots(&coeffs);
 
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::with_capacity(log.len());
-    for (i, &id) in log.iter().enumerate() {
-        groups.entry(F::from_u64(id).to_u64()).or_default().push(i);
-    }
-
     let mut decoded = DecodedQuack {
+        missing: Vec::with_capacity(m),
         num_missing: m,
         ..DecodedQuack::default()
     };
     let mut matched = 0usize;
     for (root, mult) in roots {
         matched += mult;
-        match groups.get(&root.to_u64()) {
-            Some(group) if mult >= group.len() => {
-                decoded.missing.extend(group.iter().copied());
-                decoded.residual += mult - group.len();
-            }
-            Some(group) => {
-                decoded.indeterminate.extend(group.iter().copied());
-                decoded.groups.push(IndeterminateGroup {
-                    indices: group.clone(),
-                    missing: mult,
-                });
-            }
-            // A root with no logged candidate: the log was over-pruned or
-            // the difference is corrupt.
-            None => decoded.residual += mult,
-        }
+        // A root with no logged candidate (the log was over-pruned or the
+        // difference is corrupt) settles as all residual.
+        settle_root(&mut decoded, log, 0, root, mult);
     }
     // Locator factors that did not split into roots (corrupt difference).
     decoded.residual += m - matched;
-
-    decoded.missing.sort_unstable();
-    decoded.indeterminate.sort_unstable();
-    decoded.groups.sort_by_key(|g| g.indices[0]);
-    Ok(decoded)
+    Ok(finish(decoded))
 }
 
 #[cfg(test)]

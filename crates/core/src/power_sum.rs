@@ -200,7 +200,7 @@ impl<F: Field> PowerSumQuack<F> {
     /// locator's roots by polynomial factoring instead of candidate
     /// plugging — `O(t² log p)` regardless of the log size, the §4.3
     /// "decoding algorithm that depends only on t". Prefer this when the
-    /// log is very large (see the `decoding` bench for the crossover).
+    /// log is very large (see the `crossover` bin for where that starts).
     pub fn decode_with_log_by_factoring(&self, log: &[u64]) -> Result<DecodedQuack, DecodeError> {
         let ws = NewtonWorkspace::new(self.threshold().min(self.count as usize));
         decode::decode_difference_by_roots(&self.power_sums, self.count, log, &ws)
@@ -220,17 +220,8 @@ impl<F: Field> PowerSumQuack<F> {
     /// this returns [`DecodeError::CountInconsistent`] rather than silently
     /// under-reporting.
     pub fn decode_missing_identifiers(&self) -> Result<Vec<(u64, usize)>, DecodeError> {
-        let m = self.count as usize;
-        if self.count as u64 > self.threshold() as u64 {
-            return Err(DecodeError::ThresholdExceeded {
-                missing: m,
-                threshold: self.threshold(),
-            });
-        }
+        let m = decode::locator_degree(&self.power_sums, self.count)?;
         if m == 0 {
-            if self.power_sums.iter().any(|s| !s.is_zero()) {
-                return Err(DecodeError::CountInconsistent);
-            }
             return Ok(Vec::new());
         }
         let ws = NewtonWorkspace::new(m);

@@ -286,6 +286,11 @@ pub struct QuackConsumer<F: Field> {
     /// Entries sent within this window of "now" may be excused as
     /// in-transit.
     in_transit_window: SimDuration,
+    /// Per-quACK scratch, kept so processing a quACK does not allocate
+    /// them: the candidate ids handed to the decoder, and each candidate's
+    /// fate.
+    log_ids: Vec<u64>,
+    fate: Vec<Fate>,
     /// Statistics.
     pub stats: ConsumerStats,
 }
@@ -312,6 +317,8 @@ impl<F: Field> QuackConsumer<F> {
             epoch: 0,
             last_count: None,
             in_transit_window,
+            log_ids: Vec::new(),
+            fate: Vec::new(),
             stats: ConsumerStats::default(),
         }
     }
@@ -411,8 +418,10 @@ impl<F: Field> QuackConsumer<F> {
             diff = diff.with_count((m_total - excess) as u32);
         }
 
-        let log_ids: Vec<u64> = self.log.iter().take(candidates).map(|e| e.id).collect();
-        let decoded = match diff.decode_with_log_and_workspace(&log_ids, &self.workspace) {
+        self.log_ids.clear();
+        self.log_ids
+            .extend(self.log.iter().take(candidates).map(|e| e.id));
+        let decoded = match diff.decode_with_log_and_workspace(&self.log_ids, &self.workspace) {
             Ok(d) => d,
             Err(DecodeError::ThresholdExceeded { missing, .. }) => {
                 self.stats.resets_needed += 1;
@@ -444,7 +453,9 @@ impl<F: Field> QuackConsumer<F> {
         };
 
         // Classify each candidate entry.
-        let mut fate = vec![Fate::Received; candidates];
+        let fate = &mut self.fate;
+        fate.clear();
+        fate.resize(candidates, Fate::Received);
         for &i in decoded.missing() {
             fate[i] = Fate::Missing;
         }
