@@ -195,7 +195,9 @@ fn manyflow_lines() -> Vec<String> {
 /// The overcommitted mux of `mechanism_invariants.rs`: 24 flows through a
 /// 2 × 4 table, so sessions are evicted for capacity, re-created by the
 /// flow's next packet and re-handshaken — the paths the 8-flow rows (which
-/// only ever evict by idle sweep) never take.
+/// only ever evict by idle sweep) never take. The CCD mux's slowest flow
+/// finishes after 26–33 s on seeds 1–12, so the 60 s horizon lets every
+/// flow complete whatever the seed.
 fn churn_lines() -> Vec<String> {
     let mut lines = Vec::new();
     for protocol in [
@@ -205,7 +207,7 @@ fn churn_lines() -> Vec<String> {
     ] {
         let mut s = ManyFlowScenario::new(protocol, 24);
         s.packets_per_flow = 32;
-        s.horizon = SimDuration::from_secs(30);
+        s.horizon = SimDuration::from_secs(60);
         s.table = FlowTableConfig {
             shards: 2,
             per_shard: 4,
