@@ -395,7 +395,7 @@ impl ManyFlowScenario {
                     flow,
                     ..ReceiverConfig::default()
                 };
-                let mut client = CcdClient::new(config, cfg, quack_interval);
+                let mut client = CcdClient::new(config, cfg, quack_interval, self.supervision);
                 if let Some(auth) = self.auth {
                     client = client.with_auth(auth.with_nonce(200 + flow.0 as u64));
                 }

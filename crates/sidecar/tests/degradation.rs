@@ -528,6 +528,7 @@ mod short_outage {
             ReceiverConfig::default(),
             sidecar,
             INTERVAL,
+            SupervisionConfig::default(),
         )));
         let link = LinkConfig::default();
         w.connect(server, proxy, link.clone(), link.clone());

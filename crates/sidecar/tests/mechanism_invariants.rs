@@ -114,6 +114,42 @@ fn ccd_lossless_path_decodes_every_quack_below_threshold() {
     assert_eq!(m.counter("flowtable.evicted.capacity"), 0, "{m:?}");
 }
 
+/// §2.1: a CCD client quACKs at every tick only while its sketch moves.
+/// Once its flow has finished it sends one keepalive every
+/// `k = ⌊liveness_timeout / 2 / interval⌋` ticks (5 with the defaults),
+/// never fewer, and the proxy does not take the quiet for death.
+#[test]
+fn ccd_idle_clients_keep_alive_at_one_in_k() {
+    const FLOWS: u64 = 8;
+    let s = ManyFlowScenario::new(ManyFlowProtocol::CongestionDivision, FLOWS as u32);
+    let report = s.run();
+    let m = &report.metrics;
+    assert_eq!(report.completed as u64, FLOWS, "{report:?}");
+
+    // The proxy's upstream quACKs are tallied per flow as its sessions are
+    // reaped (all of them, by the end); every other quACK is a client's.
+    assert_eq!(report.live_flows_at_end, 0, "{report:?}");
+    let proxy = m.histogram("flowtable.flow_quacks").map_or(0, |h| h.sum);
+    let clients = m.counter("sidecar.sent.quack") - proxy;
+
+    let interval = SimDuration::from_millis(30);
+    let k = (s.supervision.liveness_timeout / 2).as_nanos() / interval.as_nanos();
+    let ticks = s.horizon.as_nanos() / interval.as_nanos();
+    // Every tick up to the slowest completion may send, and so may the
+    // k − 1 after it; of the rest, one in k.
+    let active = (report.slowest_completion_secs / interval.as_secs_f64()).ceil() as u64 + k;
+    let most = FLOWS * (active + (ticks - active).div_ceil(k));
+    assert!(clients <= most, "{clients} client quACKs, at most {most}");
+    assert!(
+        clients >= FLOWS * (ticks / k),
+        "{clients} client quACKs: a keepalive every {k} ticks over {ticks} is {}",
+        FLOWS * (ticks / k)
+    );
+    // Both supervised sessions of every flow went Connecting → Active once
+    // and never degraded.
+    assert_eq!(m.counter("supervisor.transitions"), 2 * FLOWS, "{m:?}");
+}
+
 /// DESIGN §10: the flow table evicts only on idle expiry or capacity
 /// pressure. A lossless single-flow transfer neither idles mid-flight nor
 /// pressures the default 8 × 64 table, so both eviction counters must stay
