@@ -31,8 +31,9 @@
 //!   and **zero** evictions, while the synchronized slow-start burst
 //!   overdrives the trunk (see [`provisioned_manyflow`]).
 //!
-//! CI runs this from the nightly cron job (`soak`, off the PR critical
-//! path); `--quick` (4 seeds) keeps a local sanity pass cheap. The
+//! CI runs the full sweep from the nightly cron job (`soak`, off the PR
+//! critical path) and `--quick` (4 seeds, no 100k-flow leg) in every PR's
+//! experiments job; `--quick` also keeps a local sanity pass cheap. The
 //! summary lands in `BENCH_soak.json` with informational units only — the
 //! perf gate never reads it; the exit code is the contract.
 //!

@@ -678,8 +678,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_pooled_decode_match_serial() {
-        // A paper-scale log (n = 2000, t = 20) through the one decoder.
+    fn paper_scale_decode_finds_every_drop_and_refuses_over_threshold() {
+        // A paper-scale log (n = 2000, t = 20) through the decoder.
         let sent: Vec<u64> = (0..2000u64).map(|i| i * 2_654_435_761 + 17).collect();
         let mut sender = Quack64::new(20);
         let mut receiver = Quack64::new(20);
