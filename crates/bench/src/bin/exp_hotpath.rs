@@ -8,9 +8,8 @@
 //!
 //! * **inserts/sec** — scalar `insert` (batch = 1) versus `insert_batch`
 //!   at several batch sizes, for every field width and threshold. The
-//!   batched path converts identifiers once (64-bit identifiers stay in
-//!   the Montgomery domain for the whole batch) and advances the `t`
-//!   running powers with a lane-parallel strength-reduced ladder.
+//!   batched path converts identifiers once and advances the `t` running
+//!   powers with a lane-parallel strength-reduced ladder.
 //! * **decodes/sec** — `decode_with_log` against logs of 1000 and 5000
 //!   identifiers with exactly `t = 20` missing.
 //! * **speedup ratios** — batched over scalar, machine-independent; the
@@ -21,9 +20,9 @@
 //!   `b = 32`, `c = 16`, 82 bytes) and the HMAC envelope over that quACK
 //!   (seal, open, and the refusal of a tampered copy).
 //! * **field multiplications and inversions/sec** per arithmetic backend —
-//!   the EXPERIMENTS.md ablation (table-driven vs widening 16-bit,
-//!   Montgomery vs `u128`-remainder 64-bit). Informational: these cells
-//!   have no row in `bench/baseline.json`, so the gate never reads them.
+//!   the EXPERIMENTS.md ablation (table-driven vs widening 16-bit; 64-bit
+//!   multiplies by Montgomery reduction). Informational: these cells have
+//!   no row in `bench/baseline.json`, so the gate never reads them.
 //!
 //! Results go to stdout (table) and `BENCH_quack.json`
 //! (`sidecar-bench/v1` schema, compared against `bench/baseline.json` by
@@ -35,7 +34,7 @@ use sidecar_bench::{
     calibration_ops_per_sec, measure_best_of, measure_mean_with, ops_per_sec, BenchReport,
     IdentifierGenerator, Table,
 };
-use sidecar_galois::{Field, Fp16, Fp16Table, Fp24, Fp32, Fp64, Monty64};
+use sidecar_galois::{Field, Fp16, Fp16Table, Fp24, Fp32, Fp64};
 use sidecar_proto::{AuthConfig, ChannelAuth, SidecarMessage};
 use sidecar_quack::{PowerSumQuack, WireFormat};
 use std::time::Duration;
@@ -266,7 +265,6 @@ fn main() {
     insert_cells::<Fp24>("Fp24", &mut cells);
     insert_cells::<Fp32>("Fp32", &mut cells);
     insert_cells::<Fp64>("Fp64", &mut cells);
-    insert_cells::<Monty64>("Monty64", &mut cells);
     let insert_count = cells.len();
     decode_cells::<Fp32>("Fp32", &mut cells);
     decode_cells::<Fp64>("Fp64", &mut cells);
@@ -370,7 +368,6 @@ fn main() {
     field_ops::<Fp24>("Fp24", &mut field_table, &mut report);
     field_ops::<Fp32>("Fp32", &mut field_table, &mut report);
     field_ops::<Fp64>("Fp64", &mut field_table, &mut report);
-    field_ops::<Monty64>("Monty64", &mut field_table, &mut report);
     field_table.print();
 
     // The acceptance headline: batched 64-bit inserts at t = 20.

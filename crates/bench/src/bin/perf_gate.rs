@@ -12,12 +12,13 @@
 //! * `x` (ratio) metrics are machine-independent and compared directly
 //!   with the same tolerance.
 //! * Hard floors: the quACK `insert_speedup` metrics for `Fp64, t = 20,
-//!   batch ≥ 32` must be at least [`QUACK_FLOOR`] and the telemetry-cost
-//!   `obs_overhead_headroom` headline (plain / sampled wall-clock of the
-//!   same seeded run) at least [`OBS_FLOOR`], regardless of the baseline —
-//!   these are the repo's acceptance headlines and may never erode,
-//!   tolerance or not. The engines' headlines are absolute `ops/s` cells
-//!   (`events_per_sec|flows=100000`,
+//!   batch ≥ 32` (batched over scalar inserts, both multiplying in
+//!   Montgomery form) must be at least [`QUACK_FLOOR`] and the
+//!   telemetry-cost `obs_overhead_headroom` headline (plain / sampled
+//!   wall-clock of the same seeded run) at least [`OBS_FLOOR`], regardless
+//!   of the baseline — these are the repo's acceptance headlines and may
+//!   never erode, tolerance or not. The engines' headlines are absolute
+//!   `ops/s` cells (`events_per_sec|flows=100000`,
 //!   `manyflow_inserts_per_sec|flows=100000|proto=*`), gated by the first
 //!   rule.
 //! * Metrics present in only the baseline or only a current report are

@@ -68,5 +68,5 @@ pub mod wire;
 
 pub use decode::{DecodeError, DecodedQuack, IndeterminateGroup, PacketFate};
 pub use dynamic::{DynError, DynQuack};
-pub use power_sum::{PowerSumQuack, Quack16, Quack24, Quack32, Quack64, QuackMonty64};
+pub use power_sum::{PowerSumQuack, Quack16, Quack24, Quack32, Quack64};
 pub use wire::{WireError, WireFormat, DEFAULT_COUNT_BITS};

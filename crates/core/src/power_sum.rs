@@ -9,7 +9,7 @@
 //! `b` bits.
 
 use crate::decode::{self, decode_difference, DecodeError, DecodedQuack};
-use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, Monty64, NewtonWorkspace};
+use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, NewtonWorkspace};
 
 /// A power-sum quACK over the field `F` (identifier width `F::BITS`).
 ///
@@ -115,12 +115,11 @@ impl<F: Field> PowerSumQuack<F> {
 
     /// Accumulates a batch of identifiers, equivalent to calling
     /// [`insert`](Self::insert) for each in order but substantially faster
-    /// for bursts: identifiers are converted into the field (for 64-bit
-    /// identifiers, into the *Montgomery domain*) once per batch, and the
-    /// `t` running powers advance with a lane-batched strength-reduced
-    /// ladder whose multiplies are independent across identifiers, so the
-    /// CPU pipelines them instead of serializing on one `pow *= x` chain
-    /// (see `sidecar_galois::batch`).
+    /// for bursts: identifiers are converted into the field once per batch,
+    /// and the `t` running powers advance with a lane-batched
+    /// strength-reduced ladder whose multiplies are independent across
+    /// identifiers, so the CPU pipelines them instead of serializing on one
+    /// `pow *= x` chain (see `sidecar_galois::batch`).
     pub fn insert_batch(&mut self, ids: &[u64]) {
         let Some(&last) = ids.last() else { return };
         F::fold_power_sums(&mut self.power_sums, ids, false);
@@ -323,10 +322,8 @@ pub type Quack16 = PowerSumQuack<Fp16>;
 pub type Quack24 = PowerSumQuack<Fp24>;
 /// 32-bit identifier quACK (`p = 2^32 - 5`) — the paper's default.
 pub type Quack32 = PowerSumQuack<Fp32>;
-/// 64-bit identifier quACK (`p = 2^64 - 59`), plain arithmetic.
+/// 64-bit identifier quACK (`p = 2^64 - 59`, Montgomery arithmetic).
 pub type Quack64 = PowerSumQuack<Fp64>;
-/// 64-bit identifier quACK in Montgomery form (ablation of the modmul).
-pub type QuackMonty64 = PowerSumQuack<Monty64>;
 
 #[cfg(test)]
 mod tests {
@@ -674,7 +671,6 @@ mod tests {
         check::<Fp24>();
         check::<Fp32>();
         check::<Fp64>();
-        check::<Monty64>();
     }
 
     #[test]
@@ -726,6 +722,5 @@ mod tests {
         roundtrip::<Fp24>();
         roundtrip::<Fp32>();
         roundtrip::<Fp64>();
-        roundtrip::<Monty64>();
     }
 }

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use sidecar_galois::poly::{deflate_monic, eval_monic};
-use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, Monty64, NewtonWorkspace};
+use sidecar_galois::{Field, Fp16, Fp24, Fp32, Fp64, NewtonWorkspace};
 use sidecar_quack::{DecodeError, DecodedQuack, PowerSumQuack};
 use std::collections::HashMap;
 
@@ -311,11 +311,6 @@ proptest! {
     #[test]
     fn insert_batch_equals_insert_fp64((ids, chunk, t) in ids_chunk_threshold()) {
         check_batch_equivalence::<Fp64>(&ids, t, chunk, 0)?;
-    }
-
-    #[test]
-    fn insert_batch_equals_insert_monty64((ids, chunk, t) in ids_chunk_threshold()) {
-        check_batch_equivalence::<Monty64>(&ids, t, chunk, 0)?;
     }
 
     /// The packet counter is a wrapping u32; batch insertion near the wrap

@@ -12,17 +12,12 @@
 //!   *independent* running powers, so the CPU pipelines (and, for the
 //!   narrow fields, vectorizes) the multiplies instead of serializing them.
 //!   Identifiers are converted into the field representation once, before
-//!   the first rung — for Montgomery-form fields they stay in the
-//!   Montgomery domain across the entire batch.
+//!   the first rung — for `Fp64` that is the conversion into Montgomery
+//!   form, so the whole batch multiplies with Montgomery `REDC`s.
 //! * **Strength-reduced ladders** ([`PowerTable`]): for a single identifier
 //!   the powers `x, x², x³, …` are generated from a small precomputed
 //!   stride table as four interleaved chains (`x^(i+4) = x^i · x⁴`),
 //!   quartering the dependency depth versus the naive Horner walk.
-//!
-//! Fields can override [`Field::fold_power_sums`] to route the fold through
-//! a faster internal domain; [`fold_via`] implements the general
-//! cross-domain fold used by `Fp64` (accumulate with Montgomery `REDC`
-//! multiplies, convert only the `t` rung totals back per chunk).
 
 use crate::Field;
 
@@ -45,7 +40,7 @@ fn apply<F: Field>(sum: &mut F, row: F, negate: bool) {
 /// Holds `x, x², x³, x⁴`; consecutive powers are then generated as four
 /// independent chains (`x^(i+4) = x^i · x⁴`), so the dependency depth of
 /// producing `x¹..x^t` drops from `t` sequential multiplies to `⌈t/4⌉`.
-/// Instantiated per field (`Fp16`/`Fp24`/`Fp32`/`Fp64`/`Monty64`) by the
+/// Instantiated per field (`Fp16`/`Fp24`/`Fp32`/`Fp64`) by the
 /// batch fold and the hot-path benchmarks.
 #[derive(Clone, Copy, Debug)]
 pub struct PowerTable<F: Field> {
@@ -146,49 +141,10 @@ pub fn fold_power_sums_generic<F: Field>(sums: &mut [F], ids: &[u64], negate: bo
     }
 }
 
-/// Cross-domain fold: accumulates in field `D` (same modulus, faster
-/// multiply) and converts only the per-rung totals back into `F`.
-///
-/// `Fp64` routes its batches through [`crate::Monty64`] this way: each
-/// identifier is converted into the Montgomery domain once, all
-/// `LANES × t` rung multiplies are Montgomery `REDC`s, and only `t` values
-/// per chunk pay the conversion out — amortized to `t / LANES` extra
-/// multiplies per identifier.
-pub fn fold_via<F: Field, D: Field>(sums: &mut [F], ids: &[u64], negate: bool) {
-    debug_assert_eq!(
-        F::MODULUS,
-        D::MODULUS,
-        "cross-domain fold needs equal moduli"
-    );
-    for chunk in ids.chunks(LANES) {
-        let mut xs = [D::ZERO; LANES];
-        for (slot, &id) in xs.iter_mut().zip(chunk) {
-            *slot = D::from_u64(id);
-        }
-        let xs = &xs[..chunk.len()];
-        let mut pows = [D::ZERO; LANES];
-        let pows = &mut pows[..xs.len()];
-        pows.copy_from_slice(xs);
-        let mut rungs = sums.iter_mut();
-        if let Some(first) = rungs.next() {
-            let row: D = pows.iter().copied().sum();
-            apply(first, F::from_u64(row.to_u64()), negate);
-        }
-        for sum in rungs {
-            let mut row = D::ZERO;
-            for (p, &x) in pows.iter_mut().zip(xs.iter()) {
-                *p *= x;
-                row += *p;
-            }
-            apply(sum, F::from_u64(row.to_u64()), negate);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fp16, Fp24, Fp32, Fp64, Monty64};
+    use crate::{Fp16, Fp24, Fp32, Fp64};
 
     /// Scalar reference: the naive per-identifier walk.
     fn scalar_fold<F: Field>(sums: &mut [F], ids: &[u64], negate: bool) {
@@ -235,7 +191,6 @@ mod tests {
         check_field::<Fp24>();
         check_field::<Fp32>();
         check_field::<Fp64>();
-        check_field::<Monty64>();
     }
 
     #[test]
@@ -260,7 +215,6 @@ mod tests {
             check::<Fp24>(raw);
             check::<Fp32>(raw);
             check::<Fp64>(raw);
-            check::<Monty64>(raw);
         }
     }
 
@@ -275,18 +229,6 @@ mod tests {
                 assert_eq!(p, x.pow(i as u64 + 1));
             }
         }
-    }
-
-    #[test]
-    fn cross_domain_fold_matches_native() {
-        let ids = ids(77, 0x5EED);
-        let mut native = vec![Fp64::ZERO; 20];
-        let mut cross = vec![Fp64::ZERO; 20];
-        fold_power_sums_generic(&mut native, &ids, false);
-        fold_via::<Fp64, Monty64>(&mut cross, &ids, false);
-        assert_eq!(native, cross);
-        fold_via::<Fp64, Monty64>(&mut cross, &ids, true);
-        assert!(cross.iter().all(|s| s.is_zero()));
     }
 
     #[test]

@@ -21,8 +21,6 @@ pub trait Field:
     + Clone
     + Eq
     + PartialEq
-    + Ord
-    + PartialOrd
     + Hash
     + Debug
     + Default
@@ -111,9 +109,7 @@ pub trait Field:
     /// `sums[i] ± Σ_j ids[j]^(i+1)` (`+` when `negate` is false, `-` when
     /// true).
     ///
-    /// The default implementation is the lane-batched ladder in
-    /// [`crate::batch`]; fields with a faster internal domain (e.g.
-    /// [`crate::Fp64`], which routes through Montgomery form) override it.
+    /// Every field runs the lane-batched ladder in [`crate::batch`].
     /// Equivalent to folding each identifier individually — the batched
     /// paths only restructure the arithmetic.
     #[inline]

@@ -14,10 +14,8 @@
 //!   observation (§4.2) that "b determines which hardware instructions and,
 //!   in the 16-bit case, pre-computation optimizations the arithmetic can
 //!   use": [`Fp16`] multiplies through discrete exp/log tables, [`Fp24`] and
-//!   [`Fp32`] through `u64` widening, and [`Fp64`] through `u128` widening.
-//! * [`Monty64`] — a Montgomery-form alternative to [`Fp64`] that avoids the
-//!   `u128` modulo in the hot loop (an ablation target; see the `field_ops`
-//!   bench).
+//!   [`Fp32`] through `u64` widening, and [`Fp64`] through `u128` widening
+//!   and Montgomery reduction (its elements are stored in Montgomery form).
 //! * [`batch`] — lane-batched power-sum accumulation and strength-reduced
 //!   power ladders: the per-packet hot path behind
 //!   [`Field::fold_power_sums`].
@@ -45,7 +43,6 @@ mod fp16;
 mod fp24;
 mod fp32;
 mod fp64;
-mod monty;
 
 pub use batch::{PowerTable, LANES};
 pub use factor::find_roots;
@@ -54,7 +51,6 @@ pub use fp16::{Fp16, Fp16Table};
 pub use fp24::Fp24;
 pub use fp32::Fp32;
 pub use fp64::Fp64;
-pub use monty::Monty64;
 pub use newton::{power_sums_to_coefficients, NewtonWorkspace};
 pub use poly::Poly;
 

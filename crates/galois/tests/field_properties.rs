@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use sidecar_galois::poly::{deflate_monic, eval_monic, Poly};
 use sidecar_galois::{
-    field::batch_invert, power_sums_to_coefficients, Field, Fp16, Fp24, Fp32, Fp64, Monty64,
+    field::batch_invert, power_sums_to_coefficients, Field, Fp16, Fp24, Fp32, Fp64, P64,
 };
 
 /// Generates the field-axiom property suite for one field type.
@@ -82,17 +82,17 @@ field_axioms!(fp16_axioms, Fp16);
 field_axioms!(fp24_axioms, Fp24);
 field_axioms!(fp32_axioms, Fp32);
 field_axioms!(fp64_axioms, Fp64);
-field_axioms!(monty64_axioms, Monty64);
 
 proptest! {
-    /// Montgomery and plain 64-bit fields implement the same field.
+    /// Montgomery-form `Fp64` computes what plain `u128` remainders do.
     #[test]
-    fn monty_matches_fp64(a in any::<u64>(), b in any::<u64>()) {
-        let (am, bm) = (Monty64::from_u64(a), Monty64::from_u64(b));
-        let (af, bf) = (Fp64::from_u64(a), Fp64::from_u64(b));
-        prop_assert_eq!((am + bm).to_u64(), (af + bf).to_u64());
-        prop_assert_eq!((am - bm).to_u64(), (af - bf).to_u64());
-        prop_assert_eq!((am * bm).to_u64(), (af * bf).to_u64());
+    fn fp64_matches_u128_model(a in any::<u64>(), b in any::<u64>()) {
+        let p = P64 as u128;
+        let (ra, rb) = (a as u128 % p, b as u128 % p);
+        let (x, y) = (Fp64::from_u64(a), Fp64::from_u64(b));
+        prop_assert_eq!((x + y).to_u64() as u128, (ra + rb) % p);
+        prop_assert_eq!((x - y).to_u64() as u128, (ra + p - rb) % p);
+        prop_assert_eq!((x * y).to_u64() as u128, ra * rb % p);
     }
 
     /// The locator polynomial built from Newton's identities has exactly the
