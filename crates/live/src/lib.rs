@@ -45,11 +45,12 @@ mod sys;
 pub mod wire;
 
 use sidecar_netsim::node::{Action, Context, IfaceId, Node, NodeId};
-use sidecar_netsim::obs::{DropCause, WorldObs};
+use sidecar_netsim::obs::WorldObs;
 use sidecar_netsim::packet::{Packet, PacketKind};
 use sidecar_netsim::rng::SimRng;
 use sidecar_netsim::time::SimTime;
 use sidecar_netsim::Driver;
+use sidecar_obs::DropCause;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::io::ErrorKind;

@@ -21,43 +21,17 @@
 use crate::node::{IfaceId, NodeId};
 use crate::packet::{Packet, PacketKind};
 use crate::time::SimTime;
-use sidecar_obs::{ControlKind, Counter, Event, EventTrace, TraceClass};
+use sidecar_obs::{ControlKind, Counter, DropCause, Event, EventTrace, TraceClass};
 
-/// Why a packet died between two nodes.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum DropCause {
-    /// The link's loss model fired (live: the deterministic egress policy).
-    Loss,
-    /// The drop-tail queue was full (live: the kernel refused the datagram).
-    Queue,
-    /// The receiving node was down; charged to the would-be receiver.
-    NodeDown,
-    /// The link was blacked out by a fault plan.
-    Blackout,
-    /// A fault-plan rule (adversary drop or idle firewall) ate it.
-    Injected,
-}
-
-/// Which fault-plan rule matched a transmitted control packet.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub(crate) enum FaultKind {
-    Duplicate,
-    Delay,
-    Corrupt,
-    Forge,
-    Replay,
-    Tamper,
-    Firewall,
-}
-
-/// How each [`DropCause`] is told, in declaration order: its counter and
-/// the recorder's name for it.
-const DROPS: [(&str, sidecar_obs::DropCause); 5] = [
-    ("netsim.drop.loss", sidecar_obs::DropCause::Loss),
-    ("netsim.drop.queue", sidecar_obs::DropCause::Queue),
-    ("netsim.drop.node_down", sidecar_obs::DropCause::NodeDown),
-    ("netsim.drop.blackout", sidecar_obs::DropCause::Blackout),
-    ("netsim.drop.injected", sidecar_obs::DropCause::Injected),
+/// The counter each [`DropCause`] bumps, in declaration order. On a live
+/// host `Loss` is the deterministic egress policy and `Queue` the kernel
+/// refusing the datagram.
+const DROPS: [&str; 5] = [
+    "netsim.drop.loss",
+    "netsim.drop.queue",
+    "netsim.drop.node_down",
+    "netsim.drop.blackout",
+    "netsim.drop.injected",
 ];
 
 /// The observability state attached to one host.
@@ -108,7 +82,7 @@ impl WorldObs {
         let metrics = sidecar_obs::MetricsRegistry::default();
         WorldObs {
             delivered: metrics.counter("netsim.delivered"),
-            drops: DROPS.map(|(name, _)| metrics.counter(name)),
+            drops: DROPS.map(|name| metrics.counter(name)),
             fault_outage: metrics.counter("netsim.fault.outage"),
             fault_restore: metrics.counter("netsim.fault.restore"),
             restart: metrics.counter("netsim.restart"),
@@ -176,7 +150,7 @@ impl WorldObs {
         packet: &Packet,
         cause: DropCause,
     ) {
-        let (node, iface, cause) = (node.0 as u32, iface.0 as u32, DROPS[cause as usize].1);
+        let (node, iface) = (node.0 as u32, iface.0 as u32);
         self.hop(now, packet, |class, flow, seq| Event::HopDrop {
             node,
             iface,
@@ -203,7 +177,7 @@ impl WorldObs {
         let event = Event::LinkDrop {
             node: node.0 as u32,
             iface: iface.0 as u32,
-            cause: DROPS[cause as usize].1,
+            cause,
         };
         self.trace.record(now.as_nanos(), event);
         self.hop_drop(now, node, iface, packet, cause);
@@ -235,15 +209,15 @@ impl WorldObs {
     }
 
     /// A fault-plan rule matched a control packet `node` transmitted.
-    pub(crate) fn control_fault(&mut self, now: SimTime, node: NodeId, kind: FaultKind) {
-        let (counter, kind) = match kind {
-            FaultKind::Duplicate => ("netsim.fault.duplicate", ControlKind::Duplicate),
-            FaultKind::Delay => ("netsim.fault.delay", ControlKind::Delay),
-            FaultKind::Corrupt => ("netsim.fault.corrupt", ControlKind::Corrupt),
-            FaultKind::Forge => ("netsim.fault.forge", ControlKind::Forge),
-            FaultKind::Replay => ("netsim.fault.replay", ControlKind::Replay),
-            FaultKind::Tamper => ("netsim.fault.tamper", ControlKind::Tamper),
-            FaultKind::Firewall => ("netsim.fault.firewall", ControlKind::Firewall),
+    pub(crate) fn control_fault(&mut self, now: SimTime, node: NodeId, kind: ControlKind) {
+        let counter = match kind {
+            ControlKind::Duplicate => "netsim.fault.duplicate",
+            ControlKind::Delay => "netsim.fault.delay",
+            ControlKind::Corrupt => "netsim.fault.corrupt",
+            ControlKind::Forge => "netsim.fault.forge",
+            ControlKind::Replay => "netsim.fault.replay",
+            ControlKind::Tamper => "netsim.fault.tamper",
+            ControlKind::Firewall => "netsim.fault.firewall",
         };
         self.metrics.inc(counter);
         let node = node.0 as u32;

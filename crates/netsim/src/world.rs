@@ -9,11 +9,12 @@
 use crate::fault::{ControlAction, FaultPlan, LinkTarget};
 use crate::link::{Link, LinkConfig, LinkOutcome, LinkStats};
 use crate::node::{Action, Context, IfaceId, LinkId, Node, NodeId, TimerHandle};
-use crate::obs::{DropCause, FaultKind, WorldObs};
+use crate::obs::WorldObs;
 use crate::packet::{FlowId, Packet, Payload};
 use crate::rng::SimRng;
 use crate::sched::EventQueue;
 use crate::time::{SimDuration, SimTime};
+use sidecar_obs::{ControlKind, DropCause};
 use std::collections::{HashMap, HashSet};
 
 /// One end of a duplex attachment: which link an interface transmits into
@@ -539,7 +540,8 @@ impl World {
                 let prior = faults.ctrl_seen.insert(packet.flow, self.now);
                 if let Some(prev) = prior {
                     if self.now - prev >= idle {
-                        self.obs.control_fault(self.now, node, FaultKind::Firewall);
+                        self.obs
+                            .control_fault(self.now, node, ControlKind::Firewall);
                         self.obs
                             .link_drop(self.now, node, iface, &packet, DropCause::Injected);
                         return;
@@ -558,15 +560,16 @@ impl World {
                 }
                 Some(ControlAction::Duplicate) => {
                     copies = 2;
-                    self.obs.control_fault(self.now, node, FaultKind::Duplicate);
+                    self.obs
+                        .control_fault(self.now, node, ControlKind::Duplicate);
                 }
                 Some(ControlAction::Delay(extra)) => {
                     extra_delay = extra;
-                    self.obs.control_fault(self.now, node, FaultKind::Delay);
+                    self.obs.control_fault(self.now, node, ControlKind::Delay);
                 }
                 Some(ControlAction::Corrupt { max_flips }) => {
                     faults.corrupt(&mut packet, max_flips);
-                    self.obs.control_fault(self.now, node, FaultKind::Corrupt);
+                    self.obs.control_fault(self.now, node, ControlKind::Corrupt);
                 }
                 Some(ControlAction::Forge { proto, body }) => {
                     // The adversary crafts its own datagram from whole cloth
@@ -576,19 +579,19 @@ impl World {
                     let size = (28 + body.len()) as u32;
                     let forged = Packet::sidecar(packet.flow, proto, body, size, self.now);
                     replicas.push((forged, SimDuration::ZERO));
-                    self.obs.control_fault(self.now, node, FaultKind::Forge);
+                    self.obs.control_fault(self.now, node, ControlKind::Forge);
                 }
                 Some(ControlAction::Replay { copies: n, delay }) => {
                     for i in 0..n {
                         replicas.push((packet.clone(), delay * (i as u64 + 1)));
                     }
-                    self.obs.control_fault(self.now, node, FaultKind::Replay);
+                    self.obs.control_fault(self.now, node, ControlKind::Replay);
                 }
                 Some(ControlAction::Tamper { max_flips }) => {
                     let mut evil = packet.clone();
                     faults.corrupt(&mut evil, max_flips);
                     replicas.push((evil, SimDuration::ZERO));
-                    self.obs.control_fault(self.now, node, FaultKind::Tamper);
+                    self.obs.control_fault(self.now, node, ControlKind::Tamper);
                 }
                 None => {}
             }
