@@ -108,6 +108,12 @@ impl Fp64 {
     pub(crate) fn raw_mul(self, rhs: Self) -> Self {
         Fp64(redc(self.0 as u128 * rhs.0 as u128))
     }
+
+    /// The stored representative `a·2^64 mod p`, for representation tests.
+    #[cfg(test)]
+    pub(crate) const fn montgomery_repr(self) -> u64 {
+        self.0
+    }
 }
 
 impl_field_ops!(Fp64);

@@ -63,6 +63,35 @@ pub const P32: u64 = 4_294_967_291;
 /// The largest prime representable in 64 bits: `2^64 - 59`.
 pub const P64: u64 = 18_446_744_073_709_551_557;
 
+/// Checks on [`Fp64`]'s stored Montgomery representative `a·2^64 mod p`,
+/// beneath the values that its own tests compare.
+#[cfg(test)]
+mod monty {
+    mod tests {
+        use crate::{Field, Fp64, P64};
+
+        /// `v·2^64 mod p` by `u128` remainders: `2^64 ≡ 59 (mod p)`.
+        fn repr_of(v: u64) -> u64 {
+            let p = P64 as u128;
+            (v as u128 % p * 59 % p) as u64
+        }
+
+        #[test]
+        fn inverse_roundtrip() {
+            for v in [1u64, 2, 59, P64 - 1, u64::MAX - 60, 0x1234_5678_9ABC_DEF0] {
+                let x = Fp64::from_u64(v);
+                let inv = x.inv();
+                assert_eq!(x.montgomery_repr(), repr_of(v), "{v}");
+                assert_eq!(inv.montgomery_repr(), repr_of(inv.to_u64()), "{v}");
+                let p = P64 as u128;
+                assert_eq!(inv.to_u64() as u128 * (v as u128 % p) % p, 1, "{v}");
+                // x · x^{-1} is stored as R mod p, the representative of one.
+                assert_eq!((x * inv).montgomery_repr(), repr_of(1), "{v}");
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,52 +7,56 @@ use sidecar_galois::{
     field::batch_invert, power_sums_to_coefficients, Field, Fp16, Fp24, Fp32, Fp64, P64,
 };
 
-/// Generates the field-axiom property suite for one field type.
+/// Generates the field-axiom property suite for one field type, over
+/// identifiers drawn from `$any` (`$nonzero` for the inverse property).
 macro_rules! field_axioms {
     ($modname:ident, $f:ty) => {
+        field_axioms!($modname, $f, any::<u64>(), 1u64..u64::MAX);
+    };
+    ($modname:ident, $f:ty, $any:expr, $nonzero:expr) => {
         mod $modname {
             use super::*;
 
             proptest! {
                 #[test]
-                fn add_commutative(a in any::<u64>(), b in any::<u64>()) {
+                fn add_commutative(a in $any, b in $any) {
                     let (a, b) = (<$f>::from_u64(a), <$f>::from_u64(b));
                     prop_assert_eq!(a + b, b + a);
                 }
 
                 #[test]
-                fn add_associative(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
+                fn add_associative(a in $any, b in $any, c in $any) {
                     let (a, b, c) = (<$f>::from_u64(a), <$f>::from_u64(b), <$f>::from_u64(c));
                     prop_assert_eq!((a + b) + c, a + (b + c));
                 }
 
                 #[test]
-                fn mul_commutative(a in any::<u64>(), b in any::<u64>()) {
+                fn mul_commutative(a in $any, b in $any) {
                     let (a, b) = (<$f>::from_u64(a), <$f>::from_u64(b));
                     prop_assert_eq!(a * b, b * a);
                 }
 
                 #[test]
-                fn mul_associative(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
+                fn mul_associative(a in $any, b in $any, c in $any) {
                     let (a, b, c) = (<$f>::from_u64(a), <$f>::from_u64(b), <$f>::from_u64(c));
                     prop_assert_eq!((a * b) * c, a * (b * c));
                 }
 
                 #[test]
-                fn distributive(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
+                fn distributive(a in $any, b in $any, c in $any) {
                     let (a, b, c) = (<$f>::from_u64(a), <$f>::from_u64(b), <$f>::from_u64(c));
                     prop_assert_eq!(a * (b + c), a * b + a * c);
                 }
 
                 #[test]
-                fn sub_is_add_neg(a in any::<u64>(), b in any::<u64>()) {
+                fn sub_is_add_neg(a in $any, b in $any) {
                     let (a, b) = (<$f>::from_u64(a), <$f>::from_u64(b));
                     prop_assert_eq!(a - b, a + (-b));
                     prop_assert_eq!((a - b) + b, a);
                 }
 
                 #[test]
-                fn inverse_is_inverse(a in 1u64..u64::MAX) {
+                fn inverse_is_inverse(a in $nonzero) {
                     let a = <$f>::from_u64(a);
                     if !a.is_zero() {
                         prop_assert_eq!(a * a.inv(), <$f>::ONE);
@@ -61,13 +65,13 @@ macro_rules! field_axioms {
                 }
 
                 #[test]
-                fn pow_adds_exponents(a in any::<u64>(), e1 in 0u64..64, e2 in 0u64..64) {
+                fn pow_adds_exponents(a in $any, e1 in 0u64..64, e2 in 0u64..64) {
                     let a = <$f>::from_u64(a);
                     prop_assert_eq!(a.pow(e1) * a.pow(e2), a.pow(e1 + e2));
                 }
 
                 #[test]
-                fn reduction_is_canonical(a in any::<u64>()) {
+                fn reduction_is_canonical(a in $any) {
                     let x = <$f>::from_u64(a);
                     prop_assert!(x.to_u64() < <$f>::MODULUS);
                     prop_assert_eq!(<$f>::from_u64(x.to_u64()), x);
@@ -82,6 +86,39 @@ field_axioms!(fp16_axioms, Fp16);
 field_axioms!(fp24_axioms, Fp24);
 field_axioms!(fp32_axioms, Fp32);
 field_axioms!(fp64_axioms, Fp64);
+field_axioms!(monty64_axioms, Fp64, montgomery_edges(), montgomery_edges());
+
+/// `x^e mod p` by square-and-multiply on `u128` remainders.
+fn model_pow(x: u64, mut e: u64) -> u64 {
+    let p = P64 as u128;
+    let mut acc = 1u128;
+    let mut x = x as u128 % p;
+    while e > 0 {
+        if e & 1 == 1 {
+            acc = acc * x % p;
+        }
+        x = x * x % p;
+        e >>= 1;
+    }
+    acc as u64
+}
+
+/// Identifiers whose Montgomery representative `a·2^64 mod p` sits at the
+/// edges of `[0, p)`, where a reduction's carry and final subtraction
+/// decide the result, mixed with arbitrary identifiers.
+fn montgomery_edges() -> impl Strategy<Value = u64> {
+    let p = P64 as u128;
+    // 2^64 ≡ 59 (mod p), so the identifier with representative `k` is
+    // `k · 59^{-1} mod p`.
+    let r_inv = model_pow(59, P64 - 2) as u128;
+    let with_repr = move |k: u64| (k as u128 * r_inv % p) as u64;
+    prop_oneof![
+        any::<u64>(),
+        (0u64..64).prop_map(with_repr),
+        (1u64..64).prop_map(move |k| with_repr(P64 - k)),
+        (0u64..64).prop_map(move |k| with_repr((1 << 63) + k)),
+    ]
+}
 
 proptest! {
     /// Montgomery-form `Fp64` computes what plain `u128` remainders do.

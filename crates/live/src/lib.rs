@@ -350,10 +350,11 @@ impl LiveDriver {
         }
     }
 
-    /// Delivers one packet now (at most at `deadline`). Timers due before
-    /// it fire first, each at its own deadline: the clock never runs back.
+    /// Delivers one packet now (at most at `deadline`, unless dispatched
+    /// time is already past it). Timers due before it fire first, each at
+    /// its own deadline: the clock never runs back.
     fn deliver(&mut self, node: NodeId, iface: IfaceId, packet: Packet, deadline: SimTime) {
-        let at = self.wall_now().min(deadline);
+        let at = self.wall_now().min(deadline).max(self.now);
         self.fire_due_timers(at);
         self.stats.packets_in += 1;
         self.obs.hop_deliver(at.max(self.now), node, iface, &packet);
@@ -412,11 +413,14 @@ impl Driver for LiveDriver {
         loop {
             let wall = self.wall_now();
             self.fire_due_timers(wall.min(deadline));
-            if wall >= deadline {
-                break;
-            }
+            // An injection is due the moment it is made, as in the
+            // simulator: deliver it even when the wall clock has already
+            // passed `deadline` (a slow start must not strand it).
             while let Some((node, iface, packet)) = self.injected.pop_front() {
                 self.deliver(node, iface, packet, deadline);
+            }
+            if wall >= deadline {
+                break;
             }
             if self.sweep(deadline) {
                 continue;
