@@ -13,15 +13,15 @@
 
 use crate::config::{AuthConfig, QuackFrequency, SidecarConfig, SupervisionConfig};
 use crate::endpoint::QuackReport;
-use crate::flows::{FlowTableConfig, SlotId};
+use crate::flows::{FlowTable, FlowTableConfig, SlotId};
 use crate::messages::SidecarMessage;
 use crate::protocols::proxy::ProxyCore;
 use crate::protocols::server::{SidecarServer, WindowPolicy};
-use crate::protocols::session::{CtrlChannel, Peer, ProducerHalf};
+use crate::protocols::session::{CtrlChannel, ProducerHalf};
 use crate::protocols::{obs, FaultScript, GuardedTimer, Harness, ScenarioReport};
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::node::{Context, IfaceId, Node};
-use sidecar_netsim::packet::{FlowId, Packet, PacketKind, Payload};
+use sidecar_netsim::packet::{Packet, PacketKind, Payload};
 use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_netsim::transport::{
     CcAlgorithm, ReceiverConfig, ReceiverNode, SenderConfig, SenderCore, SenderNode,
@@ -43,7 +43,6 @@ const TOKEN_SWEEP: u64 = 4;
 /// [`FlowTable`]: crate::flows::FlowTable
 pub struct AckRedProxy {
     core: ProxyCore<ProducerHalf>,
-    cfg: SidecarConfig,
     /// Data packets observed (drives the periodic idle sweep).
     observed_packets: u64,
     /// The periodic `TOKEN_SWEEP` chain, guarded so a restart cannot leave
@@ -55,18 +54,18 @@ impl AckRedProxy {
     /// Creates the proxy; `cfg.frequency` should be
     /// [`QuackFrequency::EveryPackets`].
     pub fn new(cfg: SidecarConfig) -> Self {
-        Self::with_flow_table(cfg, FlowTableConfig::default())
-    }
-
-    /// Creates the proxy with explicit flow-table sizing.
-    pub fn with_flow_table(cfg: SidecarConfig, table: FlowTableConfig) -> Self {
         AckRedProxy {
             // No consumer half, so neither shared chain is ever armed.
-            core: ProxyCore::new(table, 0, 0),
-            cfg,
+            core: ProxyCore::new(cfg, 0, 0),
             observed_packets: 0,
             sweep: GuardedTimer::new(TOKEN_SWEEP),
         }
+    }
+
+    /// Sizes the flow table explicitly.
+    pub fn with_flow_table(mut self, table: FlowTableConfig) -> Self {
+        self.core.table = FlowTable::new(table);
+        self
     }
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
@@ -83,13 +82,6 @@ impl AckRedProxy {
     /// QuACKs emitted so far, as `(datagrams, bytes)`.
     pub fn quacks_sent(&self) -> (u64, u64) {
         (self.core.ctrl.quacks_sent, self.core.ctrl.quack_bytes)
-    }
-
-    /// How a flow's session starts: a pristine sketch, in the post-restart
-    /// epoch if any.
-    fn new_session(&self) -> impl FnOnce(FlowId, Option<u32>) -> ProducerHalf {
-        let cfg = self.cfg;
-        move |flow, epoch| ProducerHalf::new(cfg, Peer::new(flow, IfaceId(0)), epoch)
     }
 
     fn arm_sweep(&mut self, ctx: &mut Context) {
@@ -111,7 +103,7 @@ impl Node for AckRedProxy {
                 // deferring them would shift every emission boundary.
                 let mut emit: Option<SlotId> = None;
                 if packet.kind == PacketKind::Data {
-                    let (_, slot) = self.core.ensure(packet.flow, true, self.new_session(), ctx);
+                    let (_, slot) = self.core.ensure(packet.flow, true, ctx);
                     if self
                         .core
                         .table
@@ -132,8 +124,7 @@ impl Node for AckRedProxy {
                     use SidecarMessage::{Hello, Reset};
                     let opened = self.core.ctrl.open(proto, bytes, ctx);
                     if let Ok((flow, msg @ (Reset { .. } | Hello { .. }))) = opened {
-                        let init = self.new_session();
-                        self.core.producer_control(flow, msg, false, init, ctx);
+                        self.core.producer_control(flow, msg, false, ctx);
                         obs::flow_table(ctx, &mut self.core.table);
                         return;
                     }

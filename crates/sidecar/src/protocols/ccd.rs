@@ -20,7 +20,7 @@
 
 use crate::config::{AuthConfig, SidecarConfig, SupervisionConfig};
 use crate::endpoint::QuackReport;
-use crate::flows::{FlowTableConfig, SlotId};
+use crate::flows::{FlowTable, FlowTableConfig, SlotId};
 use crate::messages::SidecarMessage;
 use crate::protocols::proxy::{Halves, ProxyCore};
 use crate::protocols::server::{SidecarServer, WindowPolicy};
@@ -280,6 +280,19 @@ struct CcdFlow {
 }
 
 impl Halves for CcdFlow {
+    /// `(sidecar, downstream in-transit window, supervision)`.
+    type Spec = (SidecarConfig, SimDuration, SupervisionConfig);
+
+    /// A pristine upstream sketch and a connecting downstream mirror.
+    fn build(spec: &Self::Spec, flow: FlowId, epoch: Option<u32>, now: SimTime) -> Self {
+        let &(cfg, rtt, supervision) = spec;
+        CcdFlow {
+            up: ProducerHalf::build(&cfg, flow, epoch, now),
+            down: ConsumerHalf::new(cfg, rtt, supervision, Peer::new(flow, IfaceId(1))),
+            next_tag: 0,
+        }
+    }
+
     fn producer(&mut self) -> Option<&mut ProducerHalf> {
         Some(&mut self.up)
     }
@@ -312,8 +325,8 @@ impl Pacer {
         ctx.set_timer_after(gap, TOKEN_DRAIN);
     }
 
-    /// No trusted downstream session remains: stop metering altogether
-    /// (flush the buffer at line rate, forget the learned rate).
+    /// Stops metering altogether: flushes the buffer at line rate and
+    /// forgets the learned rate.
     fn unpace(&mut self, ctx: &mut Context) {
         while let Some(pkt) = self.buffer.pop_front() {
             ctx.send(IfaceId(1), pkt);
@@ -334,14 +347,9 @@ impl Pacer {
 /// [`FlowTable`]: crate::flows::FlowTable
 pub struct CcdProxy {
     core: ProxyCore<CcdFlow>,
-    /// Sidecar parameters (kept for new-flow sessions).
-    cfg: SidecarConfig,
     pacer: Pacer,
     /// Emission interval toward the server.
     interval: SimDuration,
-    /// Downstream in-transit window (for consumer builds).
-    downstream_rtt: SimDuration,
-    supervision: SupervisionConfig,
     /// The periodic `TOKEN_EMIT` chain (guarded: a restart must not leave
     /// the pre-crash chain emitting next to the new one).
     emit: GuardedTimer,
@@ -359,31 +367,9 @@ impl CcdProxy {
         downstream_rtt: SimDuration,
         supervision: SupervisionConfig,
     ) -> Self {
-        Self::with_flow_table(
-            sidecar,
-            interval,
-            initial_rate_bps,
-            buffer_cap,
-            downstream_rtt,
-            supervision,
-            FlowTableConfig::default(),
-        )
-    }
-
-    /// Creates the proxy with explicit flow-table sizing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_flow_table(
-        sidecar: SidecarConfig,
-        interval: SimDuration,
-        initial_rate_bps: f64,
-        buffer_cap: usize,
-        downstream_rtt: SimDuration,
-        supervision: SupervisionConfig,
-        table: FlowTableConfig,
-    ) -> Self {
+        let spec = (sidecar, downstream_rtt, supervision);
         CcdProxy {
-            core: ProxyCore::new(table, TOKEN_GRACE, TOKEN_SUPERVISE),
-            cfg: sidecar,
+            core: ProxyCore::new(spec, TOKEN_GRACE, TOKEN_SUPERVISE),
             pacer: Pacer {
                 buffer: VecDeque::new(),
                 cap: buffer_cap,
@@ -391,11 +377,15 @@ impl CcdProxy {
                 drain_armed: false,
             },
             interval,
-            downstream_rtt,
-            supervision,
             emit: GuardedTimer::new(TOKEN_EMIT),
             buffer_drops: 0,
         }
+    }
+
+    /// Sizes the flow table explicitly.
+    pub fn with_flow_table(mut self, table: FlowTableConfig) -> Self {
+        self.core.table = FlowTable::new(table);
+        self
     }
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
@@ -412,17 +402,6 @@ impl CcdProxy {
     /// QuACKs emitted upstream so far (all flows), as `(datagrams, bytes)`.
     pub fn quacks_sent(&self) -> (u64, u64) {
         (self.core.ctrl.quacks_sent, self.core.ctrl.quack_bytes)
-    }
-
-    /// How a flow's session starts: a pristine upstream sketch (in the
-    /// post-restart epoch, if any) and a connecting downstream mirror.
-    fn new_session(&self) -> impl FnOnce(FlowId, Option<u32>) -> CcdFlow {
-        let (cfg, rtt, supervision) = (self.cfg, self.downstream_rtt, self.supervision);
-        move |flow, epoch| CcdFlow {
-            up: ProducerHalf::new(cfg, Peer::new(flow, IfaceId(0)), epoch),
-            down: ConsumerHalf::new(cfg, rtt, supervision, Peer::new(flow, IfaceId(1))),
-            next_tag: 0,
-        }
     }
 
     /// Folds one data packet into its upstream producer (deferred through
@@ -456,51 +435,35 @@ impl CcdProxy {
         }
     }
 
-    /// One flow's downstream session fell back to plain forwarding. Only
-    /// when *no* trusted session remains does the proxy stop metering — a
-    /// single bad flow must not unpace everyone else.
-    fn unpace_if_all_degraded(&mut self, ctx: &mut Context) {
-        if !self.core.table.iter().any(|(_, s)| s.down.enabled()) {
-            self.pacer.unpace(ctx);
-        }
-    }
-
-    /// Drives one flow's downstream supervisor: hellos while connecting or
-    /// degraded, liveness while active.
-    fn supervise_flow(&mut self, flow: FlowId, ctx: &mut Context) {
-        let buffered = !self.pacer.buffer.is_empty();
-        let Some(session) = self.core.table.peek_mut(flow) else {
-            return;
-        };
-        let expecting = buffered || session.down.consumer.log_len() > 0;
-        let outcome = session.down.liveness(ctx.now(), expecting);
-        if outcome.degraded_now {
-            self.unpace_if_all_degraded(ctx);
-        }
-        if let Some(session) = self.core.table.peek_mut(flow) {
-            let (ctrl, sup) = (&mut self.core.ctrl, &mut self.core.sup);
-            session.down.follow_up(outcome, ctrl, sup, ctx);
-        }
-    }
-
-    /// Polls every flow (the supervision timer is shared). Sessions only
-    /// ever *leave* the trusted set during a poll, so counting them down
-    /// finds the moment the last one degrades without rescanning the table.
-    fn supervise_all(&mut self, ctx: &mut Context) {
-        let core = &mut self.core;
-        let mut trusted = core.table.iter().filter(|(_, s)| s.down.enabled()).count();
-        for (_, session) in core.table.iter_mut() {
-            let expecting = !self.pacer.buffer.is_empty() || session.down.consumer.log_len() > 0;
-            let outcome = session.down.liveness(ctx.now(), expecting);
-            if outcome.degraded_now {
-                trusted -= 1;
-                if trusted == 0 {
-                    self.pacer.unpace(ctx);
-                }
+    /// Supervises the downstream sessions: every flow's on the shared
+    /// timer, or only `flow`'s after its client control (`fell_back` when
+    /// that control degraded it). The pacer's buffer is the traffic the
+    /// proxy still holds for them. Sessions only ever *leave* the trusted
+    /// set here, so counting them down finds the moment the last one falls
+    /// back; only then does the proxy stop metering (a single bad flow must
+    /// not unpace everyone else), and before that flow's recovery `Hello`.
+    fn supervise(&mut self, flow: Option<FlowId>, fell_back: bool, ctx: &mut Context) {
+        let (core, pacer) = (&mut self.core, &mut self.pacer);
+        // One flow takes at most one more session out of the trusted set,
+        // so for it two trusted sessions count as many.
+        let cap = if flow.is_some() { 2 } else { usize::MAX };
+        let enabled = core.table.iter().filter(|(_, s)| s.down.enabled());
+        let mut trusted = enabled.take(cap).count();
+        let mut step = |down: &mut ConsumerHalf| {
+            let outcome = down.poll(!pacer.buffer.is_empty(), ctx.now());
+            trusted -= usize::from(outcome.degraded_now);
+            if (fell_back || outcome.degraded_now) && trusted == 0 {
+                pacer.unpace(ctx);
             }
-            session
-                .down
-                .follow_up(outcome, &mut core.ctrl, &mut core.sup, ctx);
+            down.follow_up(outcome, &mut core.ctrl, &mut core.sup, ctx);
+        };
+        match flow {
+            Some(flow) => core
+                .table
+                .peek_mut(flow)
+                .into_iter()
+                .for_each(|s| step(&mut s.down)),
+            None => core.table.iter_mut().for_each(|(_, s)| step(&mut s.down)),
         }
     }
 
@@ -513,8 +476,7 @@ impl CcdProxy {
         // The server (re)offering or resyncing the upstream session.
         let opened = self.core.ctrl.open(proto, bytes, ctx);
         if let Ok((flow, msg @ (Reset { .. } | Hello { .. }))) = opened {
-            let init = self.new_session();
-            self.core.producer_control(flow, msg, true, init, ctx);
+            self.core.producer_control(flow, msg, true, ctx);
         }
         obs::flow_table(ctx, &mut self.core.table);
     }
@@ -530,11 +492,7 @@ impl CcdProxy {
         // Degradation or resync below may evict or reset sessions; land
         // deferred folds first.
         self.core.flush_folds(ctx);
-        let init = self.new_session();
-        match self
-            .core
-            .consumer_control(datagram_flow, proto, bytes, init, ctx)
-        {
+        match self.core.consumer_control(datagram_flow, proto, bytes, ctx) {
             Some((flow, Feedback::Report(report))) => {
                 let (received, missing) = (report.received.len(), report.newly_missing.len());
                 self.pacer.rate.on_feedback(received, missing);
@@ -552,10 +510,7 @@ impl CcdProxy {
                 if overflow {
                     self.pacer.rate.on_overflow();
                 }
-                if degraded {
-                    self.unpace_if_all_degraded(ctx);
-                }
-                self.supervise_flow(flow, ctx);
+                self.supervise(Some(flow), degraded, ctx);
             }
             None => {}
         }
@@ -575,7 +530,7 @@ impl Node for CcdProxy {
             // From the server: observe + enqueue for paced downstream
             // forwarding.
             (IfaceId(0), _) if packet.kind == PacketKind::Data => {
-                let (_, slot) = self.core.ensure(packet.flow, true, self.new_session(), ctx);
+                let (_, slot) = self.core.ensure(packet.flow, true, ctx);
                 let enabled = self
                     .core
                     .table
@@ -637,7 +592,7 @@ impl Node for CcdProxy {
                 }
                 self.core.arm_grace(ctx);
             }
-            TOKEN_SUPERVISE if self.core.sup.fire(ctx) => self.supervise_all(ctx),
+            TOKEN_SUPERVISE if self.core.sup.fire(ctx) => self.supervise(None, false, ctx),
             _ => {}
         }
     }
@@ -1130,6 +1085,58 @@ mod tests {
         // only the reset of `quiet` makes the 210 ms tick send.
         rig.hello();
         assert_eq!(rig.quacks_at(225), before + 1, "Hello went unanswered");
+    }
+
+    /// The one ordering the supervision seam keeps: a fallback lands before
+    /// the recovery `Hello` that follows it. Two flows share a pacer that
+    /// holds six packets. One flow degrading leaves the pacer metering;
+    /// when the last trusted flow degrades, every buffered packet leaves on
+    /// `IfaceId(1)` ahead of that flow's `Hello`.
+    #[test]
+    fn last_trusted_degradation_unpaces_before_its_hello() {
+        use crate::protocols::proxy::tests::{at, data, deliver};
+        let cfg = CcdScenario::default().sidecar;
+        let ms = SimDuration::from_millis;
+        // 1 Mbit/s meters a 1 200-byte packet every 9.6 ms: none leaves
+        // while nothing fires the drain timer.
+        let mut proxy = CcdProxy::new(cfg, INTERVAL, 1e6, 64, ms(45), SupervisionConfig::default());
+        for seq in 0..6 {
+            let flow = 1 + seq as u32 % 2;
+            let sent = deliver(&mut proxy, IfaceId(0), data(flow, seq, 0), 0);
+            assert!(sent.iter().all(|(_, _, msg)| msg.is_some()), "{sent:?}");
+        }
+        assert_eq!(proxy.pacer.buffer.len(), 6);
+        let hello = |flow| {
+            (
+                IfaceId(1),
+                FlowId(flow),
+                Some(crate::negotiate::offer(&cfg)),
+            )
+        };
+        // Undecodable datagrams on the client side are charged to their
+        // flow; the third one degrades it (`degrade_after` = 3).
+        let garbage = |flow, ms| {
+            let (proto, _) = SidecarMessage::Reset { epoch: 1 }.encode_for_flow(flow);
+            Packet::sidecar(FlowId(flow), proto, Vec::new(), 8, at(ms))
+        };
+        for ms in 1..=2 {
+            assert_eq!(deliver(&mut proxy, IfaceId(1), garbage(1, ms), ms), []);
+        }
+        let sent = deliver(&mut proxy, IfaceId(1), garbage(1, 3), 3);
+        assert_eq!(sent, [hello(1)], "flow 2 is still trusted: keep metering");
+        assert_eq!(proxy.pacer.buffer.len(), 6);
+        assert!(proxy.pacer.drain_armed);
+
+        for ms in 4..=5 {
+            assert_eq!(deliver(&mut proxy, IfaceId(1), garbage(2, ms), ms), []);
+        }
+        let sent = deliver(&mut proxy, IfaceId(1), garbage(2, 6), 6);
+        let mut unpaced: Vec<_> = (0..6)
+            .map(|seq| (IfaceId(1), FlowId(1 + seq % 2), None))
+            .collect();
+        unpaced.push(hello(2));
+        assert_eq!(sent, unpaced, "the buffer must drain before the Hello");
+        assert!(proxy.pacer.buffer.is_empty());
     }
 
     /// A tail loss under a quiet client: the proxy→client link goes dark

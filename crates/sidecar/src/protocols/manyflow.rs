@@ -265,9 +265,9 @@ impl ManyFlowScenario {
     fn run_retx(&self, h: &mut Harness) -> TierOutcome {
         let cfg = self.sidecar_cfg();
         let subpath_rtt = self.trunk.delay * 2 + SimDuration::from_millis(2);
-        let mut proxy_a =
-            SenderSideProxy::with_flow_table(cfg, subpath_rtt, 4_096, self.supervision, self.table);
-        let mut proxy_b = ReceiverSideProxy::with_flow_table(cfg, self.table);
+        let mut proxy_a = SenderSideProxy::new(cfg, subpath_rtt, 4_096, self.supervision)
+            .with_flow_table(self.table);
+        let mut proxy_b = ReceiverSideProxy::new(cfg).with_flow_table(self.table);
         if let Some(auth) = self.auth {
             proxy_a = proxy_a.with_auth(auth.with_nonce(1));
             proxy_b = proxy_b.with_auth(auth.with_nonce(2));
@@ -306,7 +306,7 @@ impl ManyFlowScenario {
 
     fn run_ackred(&self, h: &mut Harness) -> TierOutcome {
         let cfg = self.sidecar_cfg();
-        let mut proxy = AckRedProxy::with_flow_table(cfg, self.table);
+        let mut proxy = AckRedProxy::new(cfg).with_flow_table(self.table);
         if let Some(auth) = self.auth {
             proxy = proxy.with_auth(auth.with_nonce(1));
         }
@@ -355,15 +355,15 @@ impl ManyFlowScenario {
     fn run_ccd(&self, h: &mut Harness) -> TierOutcome {
         let cfg = self.sidecar_cfg();
         let quack_interval = SimDuration::from_millis(30);
-        let mut proxy = CcdProxy::with_flow_table(
+        let mut proxy = CcdProxy::new(
             cfg,
             quack_interval,
             self.trunk.rate_bps as f64 * 0.9,
             2_048,
             self.trunk.delay * 2 + SimDuration::from_millis(5),
             self.supervision,
-            self.table,
-        );
+        )
+        .with_flow_table(self.table);
         if let Some(auth) = self.auth {
             proxy = proxy.with_auth(auth.with_nonce(1));
         }

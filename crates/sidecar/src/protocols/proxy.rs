@@ -1,26 +1,42 @@
 //! The proxy core under the four sidecar proxies.
 //!
 //! Every proxy muxes its flows through one bounded [`FlowTable`] and runs
-//! the same session lifetime around it: ensure a flow's session (a producer
-//! re-created after a restart announces its fresh epoch, a consumer opens
-//! its handshake), land deferred folds before anything reads a sketch,
+//! the same session lifetime around it: build a flow's session from what
+//! the node fixed at construction (a producer re-created after a restart
+//! announces its fresh epoch, a consumer opens its handshake), land
+//! deferred folds before anything reads a sketch, supervise each consumer,
 //! settle an evicted session (its supervisor outcomes join the tally, its
 //! quACK count is reported), drop every session on restart. [`ProxyCore`]
 //! is that lifetime, written once. The nodes keep what their policies
-//! decide: when to reap and emit, what a report means, CCD's unpacing.
+//! decide: when to reap and emit, what a report means, and the fallback a
+//! degraded session takes (for CCD, unpacing).
 
+use crate::config::SidecarConfig;
 use crate::flows::{FlowTable, FlowTableConfig, FoldBuffer, SlotId};
 use crate::messages::SidecarMessage;
 use crate::protocols::session::{
-    restart_epoch, ConsumerHalf, CtrlChannel, Feedback, ProducerHalf, SupTally,
+    restart_epoch, ConsumerHalf, CtrlChannel, Feedback, Peer, ProducerHalf, SupTally,
 };
 use crate::protocols::{obs, GuardedTimer};
-use sidecar_netsim::node::Context;
+use crate::supervise::PollOutcome;
+use sidecar_netsim::node::{Context, IfaceId};
 use sidecar_netsim::packet::FlowId;
+use sidecar_netsim::time::SimTime;
 
 /// The roles a per-flow session plays: *send quACKs*, *receive quACKs*, or
-/// both (CCD). This is all the core sees of a session.
+/// both (CCD), and how the node builds one. This is all the core sees of a
+/// session. A proxy's producer quACKs back out of interface 0, toward the
+/// data's source; the producer its consumer listens to sits past
+/// interface 1.
 pub(crate) trait Halves {
+    /// What the node fixes for every session it builds.
+    type Spec;
+
+    /// `flow`'s session as it starts at `now`. A producer starts in
+    /// `restart_epoch` when a restart set one: the old sketch died with the
+    /// node, so the reborn session must not collide with its epoch.
+    fn build(spec: &Self::Spec, flow: FlowId, restart_epoch: Option<u32>, now: SimTime) -> Self;
+
     fn producer(&mut self) -> Option<&mut ProducerHalf> {
         None
     }
@@ -35,14 +51,34 @@ pub(crate) trait Halves {
 }
 
 impl Halves for ProducerHalf {
+    type Spec = SidecarConfig;
+
+    fn build(cfg: &SidecarConfig, flow: FlowId, epoch: Option<u32>, _: SimTime) -> Self {
+        ProducerHalf::new(*cfg, Peer::new(flow, IfaceId(0)), epoch)
+    }
+
     fn producer(&mut self) -> Option<&mut ProducerHalf> {
         Some(self)
     }
 }
 
+impl ConsumerHalf {
+    /// The decision half of a proxy's supervision step: the liveness poll,
+    /// with feedback owed while the mirror holds entries or the node holds
+    /// `pending` traffic for the session. It returns before anything is
+    /// sent: on `degraded_now` the node applies its fallback, then
+    /// [`ConsumerHalf::follow_up`] sends the hello and arms the chain, so
+    /// whatever the fallback flushes leaves ahead of the recovery `Hello`.
+    pub(crate) fn poll(&mut self, pending: bool, now: SimTime) -> PollOutcome {
+        self.liveness(now, pending || self.consumer.log_len() > 0)
+    }
+}
+
 /// The flow table, control channel and shared timer chains of one proxy.
-pub(crate) struct ProxyCore<S> {
+pub(crate) struct ProxyCore<S: Halves> {
     pub(crate) table: FlowTable<S>,
+    /// What every session is built from.
+    spec: S::Spec,
     /// Producer identifiers waiting for one slot-bucketed, lane-parallel
     /// fold. Flushed before anything reads, resets or evicts a sketch.
     folds: FoldBuffer,
@@ -59,11 +95,13 @@ pub(crate) struct ProxyCore<S> {
 }
 
 impl<S: Halves> ProxyCore<S> {
-    /// An empty core; `grace` and `sup` are the node's tokens for the shared
-    /// chains (a producer-only node never arms either).
-    pub(crate) fn new(table: FlowTableConfig, grace: u64, sup: u64) -> Self {
+    /// An empty core with a default-sized table, building sessions from
+    /// `spec`; `grace` and `sup` are the node's tokens for the shared chains
+    /// (a producer-only node never arms either).
+    pub(crate) fn new(spec: S::Spec, grace: u64, sup: u64) -> Self {
         ProxyCore {
-            table: FlowTable::new(table),
+            table: FlowTable::new(FlowTableConfig::default()),
+            spec,
             folds: FoldBuffer::with_capacity(FoldBuffer::DEFAULT_CAPACITY),
             ctrl: CtrlChannel::default(),
             restart_announce: None,
@@ -73,24 +111,23 @@ impl<S: Halves> ProxyCore<S> {
         }
     }
 
-    /// Looks up `flow`'s session, creating it with `init(flow, restart
-    /// epoch)` if absent; returns `(created, slot)`. Sessions the insert
-    /// evicts are settled like swept ones. A created producer announces the
-    /// restart epoch when `announce` is set. A created consumer is
-    /// supervised at once: its opening `Hello` leaves ahead of whatever the
-    /// caller sends next.
+    /// Looks up `flow`'s session, building it if absent; returns `(created,
+    /// slot)`. Sessions the insert evicts are settled like swept ones. A
+    /// created producer announces the restart epoch when `announce` is set.
+    /// A created consumer is supervised at once: its opening `Hello` leaves
+    /// ahead of whatever the caller sends next.
     pub(crate) fn ensure(
         &mut self,
         flow: FlowId,
         announce: bool,
-        init: impl FnOnce(FlowId, Option<u32>) -> S,
         ctx: &mut Context,
     ) -> (bool, SlotId) {
-        let (epoch, reclaimed) = (self.restart_announce, &mut self.reclaimed);
+        let (spec, epoch, now) = (&self.spec, self.restart_announce, ctx.now());
+        let reclaimed = &mut self.reclaimed;
         let (created, slot) = self.table.ensure_slot(
             flow,
-            ctx.now(),
-            || init(flow, epoch),
+            now,
+            || S::build(spec, flow, epoch, now),
             |evicted, session| Self::settle(reclaimed, evicted, session, ctx),
         );
         if created {
@@ -99,9 +136,9 @@ impl<S: Halves> ProxyCore<S> {
                 half.announce(&mut self.ctrl, ctx);
             }
             if let Some(half) = session.consumer_mut() {
-                // A fresh supervisor is owed nothing: this poll only sends
+                // A fresh supervisor is owed nothing: this step only sends
                 // the Hello and arms the chain.
-                let outcome = half.liveness(ctx.now(), false);
+                let outcome = half.poll(false, now);
                 half.follow_up(outcome, &mut self.ctrl, &mut self.sup, ctx);
             }
         }
@@ -115,13 +152,12 @@ impl<S: Halves> ProxyCore<S> {
         flow: FlowId,
         msg: SidecarMessage,
         announce: bool,
-        init: impl FnOnce(FlowId, Option<u32>) -> S,
         ctx: &mut Context,
     ) -> bool {
         if !ProducerHalf::accepts(&msg, ctx) {
             return false;
         }
-        let (created, slot) = self.ensure(flow, announce, init, ctx);
+        let (created, slot) = self.ensure(flow, announce, ctx);
         let (_, session) = self.table.slot_entry_mut(slot).expect("just ensured");
         if let Some(half) = session.producer() {
             half.on_control(msg, &mut self.ctrl, ctx);
@@ -139,7 +175,6 @@ impl<S: Halves> ProxyCore<S> {
         datagram_flow: FlowId,
         proto: u8,
         bytes: &[u8],
-        init: impl FnOnce(FlowId, Option<u32>) -> S,
         ctx: &mut Context,
     ) -> Option<(FlowId, Feedback)> {
         let supervise = |leftovers, degraded| Feedback::Supervise {
@@ -154,7 +189,7 @@ impl<S: Halves> ProxyCore<S> {
                 Some((flow, half.on_quack(epoch, &bytes, &mut self.ctrl, ctx)))
             }
             Ok((flow, SidecarMessage::Reset { epoch })) => {
-                let (_, slot) = self.ensure(flow, true, init, ctx);
+                let (_, slot) = self.ensure(flow, true, ctx);
                 let half = self.table.slot_entry_mut(slot)?.1.consumer_mut()?;
                 let (leftovers, _) = half.on_reset(epoch, ctx.now());
                 Some((flow, supervise(leftovers, false)))
@@ -252,5 +287,160 @@ impl<S: Halves> ProxyCore<S> {
         if let Some(half) = session.producer() {
             obs::flow_evicted(ctx, flow.0, half.producer.emitted);
         }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    //! The rules the core keeps for every node, checked on the nodes
+    //! themselves through a world-less [`Context`]: each callback's sends
+    //! come back in the order the node made them.
+
+    use super::*;
+    use crate::config::SupervisionConfig;
+    use crate::messages::HEADER_OVERHEAD;
+    use crate::negotiate::offer;
+    use crate::protocols::ack_reduction::AckRedProxy;
+    use crate::protocols::ccd::{CcdProxy, CcdScenario};
+    use crate::protocols::retx::{ReceiverSideProxy, RetxScenario, SenderSideProxy};
+    use sidecar_netsim::node::{Action, Node, NodeId};
+    use sidecar_netsim::packet::{Packet, Payload};
+    use sidecar_netsim::rng::SimRng;
+    use sidecar_netsim::time::SimDuration;
+    use SidecarMessage::Reset;
+
+    /// One packet a callback sent: its interface, its flow, and its control
+    /// message (`None` for data).
+    pub(crate) type Sent = (IfaceId, FlowId, Option<SidecarMessage>);
+
+    pub(crate) fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    fn sends(actions: Vec<Action>) -> Vec<Sent> {
+        let decode = |payload: &Payload| match payload {
+            Payload::Sidecar { proto, bytes } => Some(
+                SidecarMessage::decode_flow(*proto, bytes)
+                    .expect("plain control")
+                    .1,
+            ),
+            _ => None,
+        };
+        let sent = actions.into_iter().filter_map(|action| match action {
+            Action::Send { iface, packet } => Some((iface, packet.flow, decode(&packet.payload))),
+            _ => None,
+        });
+        sent.collect()
+    }
+
+    /// Hands `packet` to `node` on `iface` at `ms`; returns what it sent.
+    pub(crate) fn deliver<N: Node>(
+        node: &mut N,
+        iface: IfaceId,
+        packet: Packet,
+        ms: u64,
+    ) -> Vec<Sent> {
+        let (mut rng, mut actions) = (SimRng::new(1), Vec::new());
+        let mut ctx = Context::new(at(ms), NodeId(0), &mut rng, &mut actions);
+        node.on_packet(iface, packet, &mut ctx);
+        sends(actions)
+    }
+
+    /// Crashes and restarts `node` at `ms`; returns what it sent.
+    fn restart<N: Node>(node: &mut N, ms: u64) -> Vec<Sent> {
+        let (mut rng, mut actions) = (SimRng::new(1), Vec::new());
+        node.on_restart(&mut Context::new(at(ms), NodeId(0), &mut rng, &mut actions));
+        sends(actions)
+    }
+
+    pub(crate) fn data(flow: u32, seq: u64, ms: u64) -> Packet {
+        Packet::data(FlowId(flow), seq, 0xC0FFEE + seq, 1_200, at(ms))
+    }
+
+    fn control(flow: u32, msg: &SidecarMessage, ms: u64) -> Packet {
+        let (proto, body) = msg.encode_for_flow(flow);
+        let size = HEADER_OVERHEAD + body.len() as u32;
+        Packet::sidecar(FlowId(flow), proto, body, size, at(ms))
+    }
+
+    fn ccd_proxy() -> CcdProxy {
+        let ms = SimDuration::from_millis;
+        let cfg = CcdScenario::default().sidecar;
+        CcdProxy::new(cfg, ms(30), 1e6, 64, ms(45), SupervisionConfig::default())
+    }
+
+    fn reset(epoch: u32) -> Option<SidecarMessage> {
+        Some(Reset { epoch })
+    }
+
+    /// After a restart every producer a data packet creates announces the
+    /// fresh epoch toward its consumer, before anything else leaves.
+    #[test]
+    fn data_created_producer_announces_the_restart_epoch() {
+        let epoch = restart_epoch(at(10));
+        let announced = (IfaceId(0), FlowId(7), reset(epoch));
+
+        let mut retx = ReceiverSideProxy::new(RetxScenario::default().sidecar);
+        restart(&mut retx, 10);
+        let sent = deliver(&mut retx, IfaceId(0), data(7, 0, 20), 20);
+        assert_eq!(sent, [announced.clone(), (IfaceId(1), FlowId(7), None)]);
+
+        let mut ackred = AckRedProxy::new(SidecarConfig::paper_default());
+        restart(&mut ackred, 10);
+        let sent = deliver(&mut ackred, IfaceId(0), data(7, 0, 20), 20);
+        assert_eq!(sent[0], announced);
+
+        let mut ccd = ccd_proxy();
+        restart(&mut ccd, 10);
+        let sent = deliver(&mut ccd, IfaceId(0), data(7, 0, 20), 20);
+        assert_eq!(sent[0], announced);
+
+        // Without a restart there is no fresh epoch to announce.
+        let mut retx = ReceiverSideProxy::new(RetxScenario::default().sidecar);
+        let sent = deliver(&mut retx, IfaceId(0), data(7, 0, 20), 20);
+        assert_eq!(sent, [(IfaceId(1), FlowId(7), None)]);
+    }
+
+    /// A session that the server's `Hello` creates on the retx receiver or
+    /// on ackred (`announce: false`) answers with one `Reset` and no extra
+    /// announcement. CCD announces on every creation, so it sends both.
+    #[test]
+    fn control_created_producer_announces_only_on_ccd() {
+        let cfg = RetxScenario::default().sidecar;
+        let epoch = restart_epoch(at(10));
+        let answer = || (IfaceId(0), FlowId(7), reset(epoch));
+
+        let mut retx = ReceiverSideProxy::new(cfg);
+        restart(&mut retx, 10);
+        let sent = deliver(&mut retx, IfaceId(0), control(7, &offer(&cfg), 20), 20);
+        assert_eq!(sent, [answer()]);
+
+        let cfg = SidecarConfig::paper_default();
+        let mut ackred = AckRedProxy::new(cfg);
+        restart(&mut ackred, 10);
+        let sent = deliver(&mut ackred, IfaceId(0), control(7, &offer(&cfg), 20), 20);
+        assert_eq!(sent, [answer()]);
+
+        let cfg = CcdScenario::default().sidecar;
+        let mut ccd = ccd_proxy();
+        restart(&mut ccd, 10);
+        let sent = deliver(&mut ccd, IfaceId(0), control(7, &offer(&cfg), 20), 20);
+        let hello = (IfaceId(1), FlowId(7), Some(offer(&cfg)));
+        assert_eq!(sent, [answer(), hello, answer()]);
+    }
+
+    /// A consumer that a data packet creates opens its handshake at once:
+    /// its `Hello` leaves ahead of the packet that created it.
+    #[test]
+    fn data_created_consumer_hello_leaves_before_its_packet() {
+        let s = RetxScenario::default();
+        let rtt = SimDuration::from_millis(12);
+        let mut proxy = SenderSideProxy::new(s.sidecar, rtt, s.buffer_cap, s.supervision);
+        let sent = deliver(&mut proxy, IfaceId(0), data(7, 0, 0), 0);
+        let hello = (IfaceId(1), FlowId(7), Some(offer(&s.sidecar)));
+        assert_eq!(sent, [hello, (IfaceId(1), FlowId(7), None)]);
+        // The session exists now, so the next packet travels alone.
+        let sent = deliver(&mut proxy, IfaceId(0), data(7, 1, 1), 1);
+        assert_eq!(sent, [(IfaceId(1), FlowId(7), None)]);
     }
 }

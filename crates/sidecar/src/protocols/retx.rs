@@ -13,7 +13,7 @@
 //! target a constant `t` missing packets per quACK).
 
 use crate::config::{AuthConfig, QuackFrequency, SidecarConfig, SupervisionConfig};
-use crate::flows::FlowTableConfig;
+use crate::flows::{FlowTable, FlowTableConfig};
 use crate::messages::SidecarMessage;
 use crate::protocols::proxy::{Halves, ProxyCore};
 use crate::protocols::session::{ConsumerHalf, CtrlChannel, Feedback, Peer, ProducerHalf};
@@ -65,19 +65,14 @@ struct ConsumerSession {
 }
 
 impl Halves for ConsumerSession {
-    fn consumer(&self) -> Option<&ConsumerHalf> {
-        Some(&self.half)
-    }
+    /// `(sidecar, in-transit window, supervision)`.
+    type Spec = (SidecarConfig, SimDuration, SupervisionConfig);
 
-    fn consumer_mut(&mut self) -> Option<&mut ConsumerHalf> {
-        Some(&mut self.half)
-    }
-}
-
-impl ConsumerSession {
-    fn new(half: ConsumerHalf, now: SimTime) -> Self {
+    /// A connecting mirror of what crosses the subpath, and an empty buffer.
+    fn build(spec: &Self::Spec, flow: FlowId, _: Option<u32>, now: SimTime) -> Self {
+        let &(cfg, window, supervision) = spec;
         ConsumerSession {
-            half,
+            half: ConsumerHalf::new(cfg, window, supervision, Peer::new(flow, IfaceId(1))),
             buffer: HashMap::new(),
             order: VecDeque::new(),
             next_tag: 0,
@@ -88,6 +83,16 @@ impl ConsumerSession {
         }
     }
 
+    fn consumer(&self) -> Option<&ConsumerHalf> {
+        Some(&self.half)
+    }
+
+    fn consumer_mut(&mut self) -> Option<&mut ConsumerHalf> {
+        Some(&mut self.half)
+    }
+}
+
+impl ConsumerSession {
     /// Mirrors and buffers one packet about to cross the subpath, under a
     /// fresh tag. A retransmitted packet keeps its identifier (identical
     /// ciphertext), so the far sidecar's multiset stays consistent.
@@ -136,11 +141,10 @@ impl ConsumerSession {
         self.requested_interval = None;
     }
 
-    /// Drives the session's supervisor: liveness, hello (re)sends, and the
-    /// shared supervision timer.
+    /// One supervision step: the buffer is the traffic the session still
+    /// holds, and dropping it is the fallback.
     fn supervise(&mut self, ctrl: &mut CtrlChannel, sup: &mut GuardedTimer, ctx: &mut Context) {
-        let expecting = !self.buffer.is_empty() || self.half.consumer.log_len() > 0;
-        let outcome = self.half.liveness(ctx.now(), expecting);
+        let outcome = self.half.poll(!self.buffer.is_empty(), ctx.now());
         if outcome.degraded_now {
             self.enter_degraded();
         }
@@ -208,10 +212,6 @@ pub struct SenderSideProxy {
     /// stable links (where the pure §4.3 bandwidth target would stretch
     /// the interval arbitrarily).
     max_interval: SimDuration,
-    cfg: SidecarConfig,
-    /// In-transit window, kept so restarts/new flows can build consumers.
-    in_transit_window: SimDuration,
-    supervision: SupervisionConfig,
     /// In-network retransmissions performed (all flows).
     pub retransmitted: u64,
     /// Sidecar control messages sent (all flows; mirrors the control
@@ -227,33 +227,20 @@ impl SenderSideProxy {
         buffer_cap: usize,
         supervision: SupervisionConfig,
     ) -> Self {
-        Self::with_flow_table(
-            cfg,
-            in_transit_window,
-            buffer_cap,
-            supervision,
-            FlowTableConfig::default(),
-        )
-    }
-
-    /// Creates the proxy with explicit flow-table sizing.
-    pub fn with_flow_table(
-        cfg: SidecarConfig,
-        in_transit_window: SimDuration,
-        buffer_cap: usize,
-        supervision: SupervisionConfig,
-        table: FlowTableConfig,
-    ) -> Self {
+        let spec = (cfg, in_transit_window, supervision);
         SenderSideProxy {
-            core: ProxyCore::new(table, TOKEN_GRACE, TOKEN_SUPERVISE),
+            core: ProxyCore::new(spec, TOKEN_GRACE, TOKEN_SUPERVISE),
             buffer_cap,
             max_interval: in_transit_window.saturating_mul(2),
-            cfg,
-            in_transit_window,
-            supervision,
             retransmitted: 0,
             control_sent: 0,
         }
+    }
+
+    /// Sizes the flow table explicitly.
+    pub fn with_flow_table(mut self, table: FlowTableConfig) -> Self {
+        self.core.table = FlowTable::new(table);
+        self
     }
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
@@ -277,22 +264,9 @@ impl SenderSideProxy {
         self.core.tally().recoveries
     }
 
-    /// How a flow's session starts at `now`: a connecting mirror of what
-    /// crosses the subpath, and an empty buffer.
-    fn new_session(&self, now: SimTime) -> impl FnOnce(FlowId, Option<u32>) -> ConsumerSession {
-        let (cfg, window, supervision) = (self.cfg, self.in_transit_window, self.supervision);
-        move |flow, _| {
-            let half = ConsumerHalf::new(cfg, window, supervision, Peer::new(flow, IfaceId(1)));
-            ConsumerSession::new(half, now)
-        }
-    }
-
     /// From the subpath side: the producer's control traffic.
     fn on_control(&mut self, datagram_flow: FlowId, proto: u8, bytes: &[u8], ctx: &mut Context) {
-        let init = self.new_session(ctx.now());
-        let consumed = self
-            .core
-            .consumer_control(datagram_flow, proto, bytes, init, ctx);
+        let consumed = self.core.consumer_control(datagram_flow, proto, bytes, ctx);
         let Some((flow, feedback)) = consumed else {
             return;
         };
@@ -374,8 +348,7 @@ impl Node for SenderSideProxy {
             IfaceId(0) => {
                 if packet.kind == PacketKind::Data {
                     let now = ctx.now();
-                    let init = self.new_session(now);
-                    let (_, slot) = self.core.ensure(packet.flow, true, init, ctx);
+                    let (_, slot) = self.core.ensure(packet.flow, true, ctx);
                     if let Some((_, session)) = self.core.table.slot_entry_mut(slot) {
                         if session.half.enabled() {
                             session.track(&packet, self.buffer_cap, now);
@@ -438,6 +411,16 @@ struct ProducerSession {
 }
 
 impl Halves for ProducerSession {
+    type Spec = SidecarConfig;
+
+    /// A pristine sketch whose emit chain is not yet armed.
+    fn build(cfg: &SidecarConfig, flow: FlowId, epoch: Option<u32>, now: SimTime) -> Self {
+        ProducerSession {
+            half: ProducerHalf::build(cfg, flow, epoch, now),
+            next_emit: now,
+        }
+    }
+
     fn producer(&mut self) -> Option<&mut ProducerHalf> {
         Some(&mut self.half)
     }
@@ -450,7 +433,6 @@ impl Halves for ProducerSession {
 /// idle reaper.
 pub struct ReceiverSideProxy {
     core: ProxyCore<ProducerSession>,
-    cfg: SidecarConfig,
     /// QuACK datagrams emitted (all flows; mirrors the control channel's
     /// counter after every emission).
     pub quacks_sent: u64,
@@ -461,18 +443,18 @@ pub struct ReceiverSideProxy {
 impl ReceiverSideProxy {
     /// Creates the proxy.
     pub fn new(cfg: SidecarConfig) -> Self {
-        Self::with_flow_table(cfg, FlowTableConfig::default())
-    }
-
-    /// Creates the proxy with explicit flow-table sizing.
-    pub fn with_flow_table(cfg: SidecarConfig, table: FlowTableConfig) -> Self {
         ReceiverSideProxy {
             // No consumer half, so neither shared chain is ever armed.
-            core: ProxyCore::new(table, 0, 0),
-            cfg,
+            core: ProxyCore::new(cfg, 0, 0),
             quacks_sent: 0,
             quack_bytes: 0,
         }
+    }
+
+    /// Sizes the flow table explicitly.
+    pub fn with_flow_table(mut self, table: FlowTableConfig) -> Self {
+        self.core.table = FlowTable::new(table);
+        self
     }
 
     /// Seals and verifies all control traffic with `cfg`'s session keys.
@@ -484,16 +466,6 @@ impl ReceiverSideProxy {
     /// Live per-flow sessions.
     pub fn live_flows(&self) -> usize {
         self.core.table.len()
-    }
-
-    /// How a flow's session starts at `now`: a pristine sketch (in the
-    /// post-restart epoch, if any) whose emit chain is not yet armed.
-    fn new_session(&self, now: SimTime) -> impl FnOnce(FlowId, Option<u32>) -> ProducerSession {
-        let cfg = self.cfg;
-        move |flow, epoch| ProducerSession {
-            half: ProducerHalf::new(cfg, Peer::new(flow, IfaceId(0)), epoch),
-            next_emit: now,
-        }
     }
 
     /// Starts (or restarts) `flow`'s emit chain one interval from now.
@@ -518,8 +490,7 @@ impl Node for ReceiverSideProxy {
                     // Control can reset or read a sketch; fold first.
                     self.core.flush_folds(ctx);
                     if let Ok((flow, msg)) = self.core.ctrl.open(proto, bytes, ctx) {
-                        let init = self.new_session(ctx.now());
-                        if self.core.producer_control(flow, msg, false, init, ctx) {
+                        if self.core.producer_control(flow, msg, false, ctx) {
                             self.arm(flow, ctx);
                         }
                     }
@@ -531,8 +502,7 @@ impl Node for ReceiverSideProxy {
                         // refreshes its LRU clock; the identifier rides the
                         // fold buffer to the sketch in a slot-bucketed
                         // batch (interleaved arrivals regroup per flow).
-                        let init = self.new_session(ctx.now());
-                        let (created, slot) = self.core.ensure(packet.flow, true, init, ctx);
+                        let (created, slot) = self.core.ensure(packet.flow, true, ctx);
                         if created {
                             self.arm(packet.flow, ctx);
                         }

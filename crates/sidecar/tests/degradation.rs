@@ -551,13 +551,12 @@ mod short_outage {
     /// sweep, every 20 ms here, is the only traffic) under `faults`.
     fn sweep_world(faults: impl FnOnce(NodeId) -> FaultPlan) -> World {
         let mut w = World::new(9);
-        let proxy = w.add_node(Box::new(AckRedProxy::with_flow_table(
-            SidecarConfig::paper_default(),
-            FlowTableConfig {
+        let proxy = w.add_node(Box::new(
+            AckRedProxy::new(SidecarConfig::paper_default()).with_flow_table(FlowTableConfig {
                 idle_timeout: SimDuration::from_millis(20),
                 ..FlowTableConfig::default()
-            },
-        )));
+            }),
+        ));
         w.install_faults(faults(proxy));
         w
     }
