@@ -49,7 +49,6 @@
 //! * [`collision`] — collision/indeterminacy probability math (§4.2,
 //!   Table 3).
 //! * [`id`] — extracting pseudo-random identifiers from opaque header bytes.
-//! * [`dynamic`] — runtime-width quACKs for negotiated identifier widths.
 //!
 //! The sketches the paper compares the quACK against (Table 2's two
 //! strawmen, the invertible Bloom lookup table) are experiment code and
@@ -60,13 +59,11 @@
 
 pub mod collision;
 pub mod decode;
-pub mod dynamic;
 pub mod id;
 pub mod power_sum;
 pub mod sha256;
 pub mod wire;
 
 pub use decode::{DecodeError, DecodedQuack, IndeterminateGroup, PacketFate};
-pub use dynamic::{DynError, DynQuack};
 pub use power_sum::{PowerSumQuack, Quack16, Quack24, Quack32, Quack64};
 pub use wire::{WireError, WireFormat, DEFAULT_COUNT_BITS};

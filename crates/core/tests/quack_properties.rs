@@ -241,7 +241,6 @@ proptest! {
 mod more_properties {
     use super::*;
     use sidecar_quack::sha256::Sha256;
-    use sidecar_quack::DynQuack;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -260,34 +259,6 @@ mod more_properties {
                 h.update(&data[pair[0]..pair[1]]);
             }
             prop_assert_eq!(h.finalize(), oneshot);
-        }
-
-        /// Runtime-width quACKs agree with their statically-typed twins.
-        #[test]
-        fn dynquack_matches_static(ids in proptest::collection::vec(any::<u64>(), 1..60),
-                                   received_mask in proptest::collection::vec(any::<bool>(), 60)) {
-            let mut dyn_sender = DynQuack::new(32, 16).unwrap();
-            let mut dyn_receiver = DynQuack::new(32, 16).unwrap();
-            let mut static_sender = PowerSumQuack::<Fp32>::new(16);
-            let mut static_receiver = PowerSumQuack::<Fp32>::new(16);
-            for (i, &id) in ids.iter().enumerate() {
-                dyn_sender.insert(id);
-                static_sender.insert(id);
-                if received_mask[i % received_mask.len()] {
-                    dyn_receiver.insert(id);
-                    static_receiver.insert(id);
-                }
-            }
-            let dyn_diff = dyn_sender.difference(&dyn_receiver).unwrap();
-            let static_diff = static_sender.difference(&static_receiver);
-            prop_assert_eq!(dyn_diff.count(), static_diff.count());
-            let d1 = dyn_diff.decode_with_log(&ids);
-            let d2 = static_diff.decode_with_log(&ids);
-            match (d1, d2) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "divergence: {a:?} vs {b:?}"),
-            }
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Live sidecar proxy: hosts the §2.3 in-network retransmission state
-//! machines — the exact structs the simulator runs, with their negotiation
+//! machines — the exact structs the simulator runs, with their `Hello`
 //! handshake, supervision, and (optionally) authenticated control channel
 //! — on a pair of real UDP sockets.
 //!
@@ -13,6 +13,11 @@
 //!     --bind-sub  127.0.0.1:7201 --peer-sub  127.0.0.1:7102 \
 //!     --bind-down 127.0.0.1:7202 --peer-down 127.0.0.1:7002
 //! ```
+//!
+//! Both instances of a chain must be started with the same `--threshold`
+//! (default 64): the receiver-side proxy accepts only a `Hello` offering its
+//! own quACK shape, so a mismatch refuses the handshake and the flow runs
+//! end to end, unassisted.
 //!
 //! `--auth-secret` (same value on both instances, distinct `--nonce`)
 //! seals the control channel; `--drop-every N` adds deterministic loss on
@@ -40,7 +45,9 @@ const USAGE: &str = "--role sender-side|receiver-side \
                      [--bind-down A --peer-down A] [--threshold N] [--quack-ms N] \
                      [--subpath-rtt-ms N] [--auth-secret N --nonce N] \
                      [--drop-every N] [--seed N] [--max-secs S] \
-                     [--admin ADDR] [--sample-ms N]";
+                     [--admin ADDR] [--sample-ms N]\n\
+                     --threshold (default 64) must be the same on both proxies of a \
+                     chain, or the handshake is refused and the flow runs end to end";
 
 fn bound(args: &Args, bind_key: &str, peer_key: &str) -> (UdpSocket, SocketAddr) {
     let bind = args.require(bind_key).to_string();

@@ -42,17 +42,27 @@ struct RunOutcome {
     certify_err: Option<String>,
     timelines_with_proxy_retx: usize,
     decode_errors: u64,
+    handshakes_accepted: u64,
+    handshakes_rejected: u64,
+    malformed_quacks: u64,
 }
 
-/// Builds the four-node chain on one driver, runs it to completion (or a
-/// 20 s cap), and certifies the flight recorder.
-fn run_retx_chain(seed: u64, auth: Option<AuthConfig>) -> RunOutcome {
-    let sidecar_cfg = SidecarConfig {
+/// The chain's sidecar parameters: `t = 64`, a 3 ms adaptive interval.
+fn sidecar_cfg() -> SidecarConfig {
+    SidecarConfig {
         threshold: 64,
         frequency: QuackFrequency::Adaptive(SimDuration::from_millis(3)),
         reorder_grace: SimDuration::from_millis(2),
         ..SidecarConfig::paper_default()
-    };
+    }
+}
+
+/// Builds the four-node chain on one driver, runs it to completion (or a
+/// 20 s cap), and certifies the flight recorder. The sender-side proxy
+/// runs [`sidecar_cfg`]; the receiver-side proxy, the quACK producer, runs
+/// `producer`.
+fn run_retx_chain(seed: u64, auth: Option<AuthConfig>, producer: SidecarConfig) -> RunOutcome {
+    let sidecar_cfg = sidecar_cfg();
     let subpath_rtt = SimDuration::from_millis(4);
 
     let mut driver = LiveDriver::new(seed);
@@ -72,7 +82,7 @@ fn run_retx_chain(seed: u64, auth: Option<AuthConfig>) -> RunOutcome {
         4_096,
         SupervisionConfig::default(),
     );
-    let mut proxy_b_node = ReceiverSideProxy::new(sidecar_cfg);
+    let mut proxy_b_node = ReceiverSideProxy::new(producer);
     if let Some(auth) = auth {
         proxy_a_node = proxy_a_node.with_auth(auth.with_nonce(1));
         proxy_b_node = proxy_b_node.with_auth(auth.with_nonce(2));
@@ -112,6 +122,7 @@ fn run_retx_chain(seed: u64, auth: Option<AuthConfig>) -> RunOutcome {
     let proxy: &SenderSideProxy = d.node_as(proxy_a);
     let lifecycle = Lifecycle::from_trace(&driver.obs().trace);
     let certify = lifecycle.check_causal();
+    let count = |name| driver.obs().metrics.counter_value(name);
     RunOutcome {
         delivered_units: receiver.stats().unique_units,
         delivered_bytes: receiver.stats().unique_units * mtu,
@@ -123,6 +134,9 @@ fn run_retx_chain(seed: u64, auth: Option<AuthConfig>) -> RunOutcome {
             .filter(|t| t.proxy_retransmitted())
             .count(),
         decode_errors: driver.stats().decode_errors,
+        handshakes_accepted: count("sidecar.handshake.accepted"),
+        handshakes_rejected: count("sidecar.handshake.rejected"),
+        malformed_quacks: count("quack.err.malformed"),
     }
 }
 
@@ -165,14 +179,46 @@ fn assert_outcome(out: &RunOutcome, label: &str) {
 
 #[test]
 fn lossy_retx_chain_completes_and_certifies_over_loopback() {
-    let out = run_retx_chain(11, None);
+    let out = run_retx_chain(11, None, sidecar_cfg());
     assert_outcome(&out, "plain");
 }
 
 #[test]
 fn lossy_retx_chain_certifies_with_authenticated_control_channel() {
-    let out = run_retx_chain(13, Some(AuthConfig::from_secret(0x5EC7_0CA7, 1)));
+    let out = run_retx_chain(
+        13,
+        Some(AuthConfig::from_secret(0x5EC7_0CA7, 1)),
+        sidecar_cfg(),
+    );
     assert_outcome(&out, "auth");
+}
+
+/// Proxies started with different thresholds: the receiver-side proxy
+/// refuses the sender-side proxy's `t = 64` offer, so the flow runs end to
+/// end. Every unit still arrives, the run still certifies, and no quACK of
+/// the foreign shape is ever decoded.
+#[test]
+fn mismatched_thresholds_refuse_the_handshake_and_run_end_to_end() {
+    let producer = SidecarConfig {
+        threshold: 20,
+        ..sidecar_cfg()
+    };
+    let out = run_retx_chain(17, None, producer);
+    assert!(
+        out.certified,
+        "causal certification failed: {:?}",
+        out.certify_err
+    );
+    assert_eq!(
+        out.delivered_units, TOTAL_PACKETS,
+        "client missing data units"
+    );
+    assert!(out.handshakes_rejected >= 1, "no handshake was refused");
+    assert_eq!(
+        out.handshakes_accepted, 0,
+        "a mismatched handshake was accepted"
+    );
+    assert_eq!(out.malformed_quacks, 0, "a foreign-shape quACK was decoded");
 }
 
 /// The admin endpoint over a *real* transfer: attach an [`AdminServer`] to
@@ -186,12 +232,7 @@ fn admin_endpoint_serves_a_live_run() {
     use sidecar_live::admin::{AdminHandles, AdminServer};
     use std::io::{Read, Write};
 
-    let sidecar_cfg = SidecarConfig {
-        threshold: 64,
-        frequency: QuackFrequency::Adaptive(SimDuration::from_millis(3)),
-        reorder_grace: SimDuration::from_millis(2),
-        ..SidecarConfig::paper_default()
-    };
+    let sidecar_cfg = sidecar_cfg();
     let mut driver = LiveDriver::new(21);
     driver.obs_mut().resize_trace(1 << 17);
     let server = driver.install(Box::new(SenderNode::new(SenderConfig {
@@ -282,7 +323,9 @@ fn admin_endpoint_serves_a_live_run() {
 /// recovery happened.
 #[test]
 fn certification_and_delivery_are_stable_across_runs() {
-    let runs: Vec<RunOutcome> = (0..3).map(|i| run_retx_chain(100 + i, None)).collect();
+    let runs: Vec<RunOutcome> = (0..3)
+        .map(|i| run_retx_chain(100 + i, None, sidecar_cfg()))
+        .collect();
     for (i, out) in runs.iter().enumerate() {
         assert_outcome(out, &format!("run {i}"));
     }

@@ -24,7 +24,7 @@
 //! * `nonce` is the *sender's* session nonce, picked once per run per
 //!   direction; `(key_id, nonce)` identifies the receive session, so
 //!   decoding is stateless (IPsec-SPI style) and the very first sealed
-//!   message — the negotiation `Hello` of [`crate::negotiate`] — is what
+//!   message — the handshake `Hello` of [`crate::negotiate`] — is what
 //!   establishes the session at the responder. That is the "key-id/nonce
 //!   piggybacked on the Hello exchange": the negotiation wire body itself
 //!   is unchanged.

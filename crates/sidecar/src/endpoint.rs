@@ -81,6 +81,11 @@ impl<F: Field> QuackProducer<F> {
         }
     }
 
+    /// The configuration this producer was built with.
+    pub(crate) fn config(&self) -> &SidecarConfig {
+        &self.cfg
+    }
+
     /// The current epoch.
     pub fn epoch(&self) -> u32 {
         self.epoch

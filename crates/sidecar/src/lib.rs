@@ -13,8 +13,8 @@
 //!   in-flight truncation, epoch resets, dropped/stale quACK handling).
 //! * [`messages`] — the sidecar wire vocabulary (quACK, configure, reset,
 //!   hello).
-//! * [`negotiate`] — the offer/accept handshake turning a `Hello` into an
-//!   agreed parameter set (§3.2's `t`, `b`, `c` and the schedule).
+//! * [`negotiate`] — the `Hello` offer of §3.2's `t`, `b`, `c`; a producer
+//!   accepts only its own quACK shape, and a refused flow runs end to end.
 //! * [`auth`] — the HMAC-authenticated, replay-protected control channel
 //!   (sealed twin wire tags, per-session keys from a pre-shared secret,
 //!   RFC 4303-style sliding replay window).
@@ -51,5 +51,5 @@ pub use endpoint::{
 };
 pub use flows::{FlowTable, FlowTableConfig, FlowTableStats, FoldBuffer, FoldStats, SlotId};
 pub use messages::{MessageError, SidecarMessage};
-pub use negotiate::{accept_hello, offer, Capabilities, NegotiationError};
+pub use negotiate::offer;
 pub use supervise::{PollOutcome, Supervisor, SupervisorState, SupervisorStats};

@@ -97,10 +97,11 @@ pub enum SidecarMessage {
         /// The new epoch number.
         epoch: u32,
     },
-    /// A parameter offer: the quACK properties and emission schedule the
-    /// offering sidecar wants to use (§3.2's three parameters). The
-    /// responder either adopts it (within its capabilities, see
-    /// [`crate::negotiate::accept_hello`]) or the session does not start.
+    /// A parameter offer: the quACK shape and emission schedule the
+    /// offering sidecar uses (§3.2's three parameters). The responder
+    /// accepts only an offer of its own shape `(t, b, c)` (see
+    /// [`crate::negotiate`]); otherwise the session does not start and the
+    /// flow runs end to end.
     Hello {
         /// Proposed threshold `t`.
         threshold: u32,
@@ -108,7 +109,8 @@ pub enum SidecarMessage {
         id_bits: u8,
         /// Proposed count width `c` in bits.
         count_bits: u8,
-        /// Proposed emission interval (0 = per-packet schedule).
+        /// The offerer's emission interval (0 = per-packet schedule). It is
+        /// neither compared nor applied: only `Configure` sets the interval.
         interval: SimDuration,
     },
 }

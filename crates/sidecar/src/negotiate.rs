@@ -1,99 +1,14 @@
-//! Parameter negotiation: turning a [`SidecarMessage::Hello`] offer into an
-//! agreed [`SidecarConfig`].
+//! The handshake offer: one quACK shape per session.
 //!
-//! "Sidecars … can also configure sidecar protocol parameters with each
-//! other such as the communication frequency and properties of the quACK"
-//! (paper §2). PEP assistance is *opt-in* ("hosts would accept that
-//! assistance or not"), so the model is offer/accept: the quACK consumer
-//! offers the §3.2 parameter triple `(t, b, c)` plus a schedule; the
-//! producer accepts it if it falls within its advertised capabilities, or
-//! declines and no session forms. No renegotiation mid-epoch — a parameter
-//! change is a new epoch with fresh sums.
+//! The quACK consumer offers §3.2's `(t, b, c)` in a
+//! [`SidecarMessage::Hello`]. Both ends must agree on every quACK's
+//! `b·t + c` bits, so a producer accepts only its own [`SidecarConfig`]'s
+//! shape; on any other offer no session forms and the flow runs end to
+//! end. The offered interval is not compared: `Configure` alone sets it.
 
 use crate::config::{QuackFrequency, SidecarConfig};
 use crate::messages::SidecarMessage;
 use sidecar_netsim::time::SimDuration;
-
-/// What a sidecar is willing to do, advertised out of band (e.g. proxy
-/// discovery) or hard-configured.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Capabilities {
-    /// Largest threshold `t` this side will maintain (bounds per-packet
-    /// cost: `t` modular multiplications per packet).
-    pub max_threshold: usize,
-    /// Identifier widths this side implements.
-    pub id_bits: &'static [u32],
-    /// Fastest emission interval this side will sustain.
-    pub min_interval: SimDuration,
-    /// Slowest emission interval this side will accept. Without this bound
-    /// a forged (or merely absurd) `Hello` could offer an hours-long
-    /// interval and effectively disable quACK feedback while the session
-    /// looks healthy.
-    pub max_interval: SimDuration,
-    /// Grace period this side applies to missing verdicts.
-    pub reorder_grace: SimDuration,
-}
-
-impl Default for Capabilities {
-    fn default() -> Self {
-        Capabilities {
-            max_threshold: 256,
-            id_bits: &[16, 24, 32, 64],
-            min_interval: SimDuration::from_millis(1),
-            max_interval: SimDuration::from_secs(10),
-            reorder_grace: SimDuration::from_millis(10),
-        }
-    }
-}
-
-/// Why an offer was declined.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NegotiationError {
-    /// Offered threshold exceeds the responder's maximum.
-    ThresholdTooLarge {
-        /// Offered `t`.
-        offered: u32,
-        /// Responder's cap.
-        max: usize,
-    },
-    /// The responder does not implement the offered identifier width.
-    UnsupportedWidth(u8),
-    /// Offered count width cannot be represented (> 32 bits).
-    CountWidthTooLarge(u8),
-    /// Offered interval is faster than the responder will sustain.
-    IntervalTooFast,
-    /// Offered interval is slower than the responder will accept (a
-    /// too-slow cadence starves feedback — effectively disabling quACKs).
-    IntervalTooSlow,
-    /// A zero threshold cannot decode anything.
-    ZeroThreshold,
-    /// The message handed to [`accept_hello`] was not a `Hello` at all —
-    /// reachable from the wire (any sidecar datagram can arrive where a
-    /// handshake is expected), so it must be an error, not a panic.
-    NotHello,
-}
-
-impl core::fmt::Display for NegotiationError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            NegotiationError::ThresholdTooLarge { offered, max } => {
-                write!(f, "offered threshold {offered} exceeds capability {max}")
-            }
-            NegotiationError::UnsupportedWidth(b) => {
-                write!(f, "identifier width {b} not implemented")
-            }
-            NegotiationError::CountWidthTooLarge(c) => {
-                write!(f, "count width {c} exceeds 32 bits")
-            }
-            NegotiationError::IntervalTooFast => write!(f, "offered interval too fast"),
-            NegotiationError::IntervalTooSlow => write!(f, "offered interval too slow"),
-            NegotiationError::ZeroThreshold => write!(f, "threshold must be at least 1"),
-            NegotiationError::NotHello => write!(f, "accept_hello requires a Hello message"),
-        }
-    }
-}
-
-impl std::error::Error for NegotiationError {}
 
 /// Builds the `Hello` offer announcing `config`'s parameters.
 pub fn offer(config: &SidecarConfig) -> SidecarMessage {
@@ -109,59 +24,20 @@ pub fn offer(config: &SidecarConfig) -> SidecarMessage {
     }
 }
 
-/// Validates a received `Hello` against local capabilities; on success
-/// returns the [`SidecarConfig`] both sides now share.
-///
-/// A zero `interval` in the offer means a packet-count schedule; the
-/// accepted config records it as `EveryPackets(1)` and the actual cadence
-/// rides on when the producer's `observe` trips (offer/accept only pins the
-/// quACK *shape*, which is what the sums depend on).
-pub fn accept_hello(
-    capabilities: &Capabilities,
-    hello: &SidecarMessage,
-) -> Result<SidecarConfig, NegotiationError> {
-    let SidecarMessage::Hello {
+/// Whether `msg` is a `Hello` offering exactly `spec`'s quACK shape.
+pub(crate) fn offers_shape(spec: &SidecarConfig, msg: &SidecarMessage) -> bool {
+    let &SidecarMessage::Hello {
         threshold,
         id_bits,
         count_bits,
-        interval,
-    } = hello
+        ..
+    } = msg
     else {
-        return Err(NegotiationError::NotHello);
+        return false;
     };
-    if *threshold == 0 {
-        return Err(NegotiationError::ZeroThreshold);
-    }
-    if *threshold as usize > capabilities.max_threshold {
-        return Err(NegotiationError::ThresholdTooLarge {
-            offered: *threshold,
-            max: capabilities.max_threshold,
-        });
-    }
-    if !capabilities.id_bits.contains(&(*id_bits as u32)) {
-        return Err(NegotiationError::UnsupportedWidth(*id_bits));
-    }
-    if *count_bits > 32 {
-        return Err(NegotiationError::CountWidthTooLarge(*count_bits));
-    }
-    let frequency = if *interval == SimDuration::ZERO {
-        QuackFrequency::EveryPackets(1)
-    } else {
-        if *interval < capabilities.min_interval {
-            return Err(NegotiationError::IntervalTooFast);
-        }
-        if *interval > capabilities.max_interval {
-            return Err(NegotiationError::IntervalTooSlow);
-        }
-        QuackFrequency::Interval(*interval)
-    };
-    Ok(SidecarConfig {
-        threshold: *threshold as usize,
-        id_bits: *id_bits as u32,
-        count_bits: *count_bits as u32,
-        frequency,
-        reorder_grace: capabilities.reorder_grace,
-    })
+    let shape = spec.wire_format();
+    (threshold as usize, id_bits.into(), count_bits.into())
+        == (shape.threshold, shape.id_bits, shape.count_bits)
 }
 
 #[cfg(test)]
@@ -172,13 +48,12 @@ mod tests {
     fn offer_accept_roundtrip() {
         let config = SidecarConfig::paper_default();
         let hello = offer(&config);
-        let accepted = accept_hello(&Capabilities::default(), &hello).unwrap();
-        assert_eq!(accepted.threshold, config.threshold);
-        assert_eq!(accepted.id_bits, config.id_bits);
-        assert_eq!(accepted.count_bits, config.count_bits);
-        assert_eq!(accepted.frequency, config.frequency);
-        // The agreed wire shape is identical on both sides.
-        assert_eq!(accepted.wire_format(), config.wire_format());
+        assert!(offers_shape(&config, &hello));
+        // The offer survives the wire with its shape intact.
+        let (proto, body) = hello.encode_for_flow(7);
+        let (_, decoded) = SidecarMessage::decode_flow(proto, &body).unwrap();
+        assert_eq!(decoded, hello);
+        assert!(offers_shape(&config, &decoded));
     }
 
     #[test]
@@ -188,109 +63,76 @@ mod tests {
             ..SidecarConfig::paper_default()
         };
         let hello = offer(&config);
-        let accepted = accept_hello(&Capabilities::default(), &hello).unwrap();
         assert!(matches!(
-            accepted.frequency,
-            QuackFrequency::EveryPackets(_)
+            hello,
+            SidecarMessage::Hello { interval, .. } if interval == SimDuration::ZERO
         ));
+        let (proto, body) = hello.encode_for_flow(0);
+        let (_, decoded) = SidecarMessage::decode_flow(proto, &body).unwrap();
+        assert!(offers_shape(&config, &decoded));
     }
 
     #[test]
     fn rejections() {
-        let caps = Capabilities {
-            max_threshold: 20,
-            id_bits: &[32],
-            min_interval: SimDuration::from_millis(10),
-            max_interval: SimDuration::from_secs(2),
-            reorder_grace: SimDuration::from_millis(5),
-        };
         let base = SidecarConfig::paper_default();
-
-        let too_big = offer(&SidecarConfig {
-            threshold: 21,
-            ..base
-        });
-        assert_eq!(
-            accept_hello(&caps, &too_big).unwrap_err(),
-            NegotiationError::ThresholdTooLarge {
-                offered: 21,
-                max: 20
-            }
-        );
-
-        let wrong_width = offer(&SidecarConfig {
-            id_bits: 16,
-            ..base
-        });
-        assert_eq!(
-            accept_hello(&caps, &wrong_width).unwrap_err(),
-            NegotiationError::UnsupportedWidth(16)
-        );
-
-        let too_fast = offer(&SidecarConfig {
-            frequency: QuackFrequency::Interval(SimDuration::from_millis(1)),
-            ..base
-        });
-        assert_eq!(
-            accept_hello(&caps, &too_fast).unwrap_err(),
-            NegotiationError::IntervalTooFast
-        );
-
-        // A forged Hello offering an absurdly slow cadence would disable
-        // quACK feedback while the session looks healthy — decline it.
-        let too_slow = offer(&SidecarConfig {
-            frequency: QuackFrequency::Interval(SimDuration::from_secs(3600)),
-            ..base
-        });
-        assert_eq!(
-            accept_hello(&caps, &too_slow).unwrap_err(),
-            NegotiationError::IntervalTooSlow
-        );
-        assert!(NegotiationError::IntervalTooSlow
-            .to_string()
-            .contains("slow"));
-
-        let zero_t = SidecarMessage::Hello {
-            threshold: 0,
-            id_bits: 32,
-            count_bits: 16,
-            interval: SimDuration::from_millis(60),
-        };
-        assert_eq!(
-            accept_hello(&caps, &zero_t).unwrap_err(),
-            NegotiationError::ZeroThreshold
-        );
-
-        let wide_count = SidecarMessage::Hello {
-            threshold: 10,
-            id_bits: 32,
-            count_bits: 64,
-            interval: SimDuration::from_millis(60),
-        };
-        assert_eq!(
-            accept_hello(&caps, &wide_count).unwrap_err(),
-            NegotiationError::CountWidthTooLarge(64)
-        );
-        assert!(NegotiationError::CountWidthTooLarge(64)
-            .to_string()
-            .contains("64"));
+        let differ = [
+            SidecarConfig {
+                threshold: base.threshold + 1,
+                ..base
+            },
+            SidecarConfig {
+                threshold: base.threshold - 1,
+                ..base
+            },
+            SidecarConfig {
+                id_bits: 16,
+                ..base
+            },
+            SidecarConfig {
+                id_bits: 64,
+                ..base
+            },
+            SidecarConfig {
+                count_bits: 0,
+                ..base
+            },
+            SidecarConfig {
+                count_bits: 32,
+                ..base
+            },
+        ];
+        for other in differ {
+            assert!(!offers_shape(&base, &offer(&other)), "{other:?}");
+            assert!(!offers_shape(&other, &offer(&base)), "{other:?}");
+        }
+        // The interval is no part of the shape: `Configure` sets it.
+        for frequency in [
+            QuackFrequency::Interval(SimDuration::from_secs(3600)),
+            QuackFrequency::Adaptive(SimDuration::from_millis(1)),
+            QuackFrequency::EveryPackets(32),
+        ] {
+            let other = SidecarConfig { frequency, ..base };
+            assert!(offers_shape(&base, &offer(&other)), "{other:?}");
+        }
     }
 
     #[test]
     fn responder_grace_is_local_policy() {
-        // Grace never travels: each side applies its own reordering slack.
-        let caps = Capabilities {
+        // Grace never travels: an offer from a side with other reordering
+        // slack is the same offer.
+        let config = SidecarConfig::paper_default();
+        let other = SidecarConfig {
             reorder_grace: SimDuration::from_millis(42),
-            ..Capabilities::default()
+            ..config
         };
-        let accepted = accept_hello(&caps, &offer(&SidecarConfig::paper_default())).unwrap();
-        assert_eq!(accepted.reorder_grace, SimDuration::from_millis(42));
+        assert_eq!(offer(&other), offer(&config));
+        assert!(offers_shape(&config, &offer(&other)));
     }
 
     #[test]
     fn non_hello_is_a_typed_error() {
-        // Any sidecar datagram can land where a handshake is expected, so
-        // a mis-routed message must decline, never panic.
+        // Any sidecar datagram can land where a handshake is expected; a
+        // message that is not a `Hello` is not an offer.
         for msg in [
             SidecarMessage::Reset { epoch: 1 },
             SidecarMessage::Configure {
@@ -301,11 +143,7 @@ mod tests {
                 bytes: vec![0u8; 82],
             },
         ] {
-            assert_eq!(
-                accept_hello(&Capabilities::default(), &msg).unwrap_err(),
-                NegotiationError::NotHello
-            );
+            assert!(!offers_shape(&SidecarConfig::paper_default(), &msg));
         }
-        assert!(NegotiationError::NotHello.to_string().contains("Hello"));
     }
 }

@@ -22,7 +22,7 @@ use crate::config::{AuthConfig, SidecarConfig, SupervisionConfig};
 use crate::endpoint::QuackReport;
 use crate::flows::{FlowTable, FlowTableConfig, SlotId};
 use crate::messages::SidecarMessage;
-use crate::protocols::proxy::{Halves, ProxyCore};
+use crate::protocols::proxy::{ConsumerSpec, Halves, ProxyCore};
 use crate::protocols::server::{SidecarServer, WindowPolicy};
 use crate::protocols::session::{
     restart_epoch, ConsumerHalf, CtrlChannel, Feedback, Peer, ProducerHalf,
@@ -154,7 +154,7 @@ impl Node for CcdClient {
                     // control tagged for any other flow is not ours.
                     Ok((flow, _)) if flow != self.flow => obs::flow_mismatch(ctx),
                     Ok((_, msg @ (Reset { .. } | Hello { .. })))
-                        if ProducerHalf::accepts(&msg, ctx) =>
+                        if ProducerHalf::accepts(self.sidecar.producer.config(), &msg, ctx) =>
                     {
                         // A new or resynced session wants feedback at once.
                         self.quiet = 0;
@@ -280,8 +280,9 @@ struct CcdFlow {
 }
 
 impl Halves for CcdFlow {
-    /// `(sidecar, downstream in-transit window, supervision)`.
-    type Spec = (SidecarConfig, SimDuration, SupervisionConfig);
+    /// The downstream consumer's spec; the upstream producer needs only
+    /// its sidecar config.
+    type Spec = ConsumerSpec;
 
     /// A pristine upstream sketch and a connecting downstream mirror.
     fn build(spec: &Self::Spec, flow: FlowId, epoch: Option<u32>, now: SimTime) -> Self {

@@ -11,7 +11,7 @@
 //! decide: when to reap and emit, what a report means, and the fallback a
 //! degraded session takes (for CCD, unpacing).
 
-use crate::config::SidecarConfig;
+use crate::config::{SidecarConfig, SupervisionConfig};
 use crate::flows::{FlowTable, FlowTableConfig, FoldBuffer, SlotId};
 use crate::messages::SidecarMessage;
 use crate::protocols::session::{
@@ -21,7 +21,8 @@ use crate::protocols::{obs, GuardedTimer};
 use crate::supervise::PollOutcome;
 use sidecar_netsim::node::{Context, IfaceId};
 use sidecar_netsim::packet::FlowId;
-use sidecar_netsim::time::SimTime;
+use sidecar_netsim::time::{SimDuration, SimTime};
+use std::borrow::Borrow;
 
 /// The roles a per-flow session plays: *send quACKs*, *receive quACKs*, or
 /// both (CCD), and how the node builds one. This is all the core sees of a
@@ -29,8 +30,9 @@ use sidecar_netsim::time::SimTime;
 /// data's source; the producer its consumer listens to sits past
 /// interface 1.
 pub(crate) trait Halves {
-    /// What the node fixes for every session it builds.
-    type Spec;
+    /// What the node fixes for every session it builds. A `Hello` must
+    /// offer the quACK shape of the spec's [`SidecarConfig`].
+    type Spec: Borrow<SidecarConfig>;
 
     /// `flow`'s session as it starts at `now`. A producer starts in
     /// `restart_epoch` when a restart set one: the old sketch died with the
@@ -47,6 +49,16 @@ pub(crate) trait Halves {
 
     fn consumer_mut(&mut self) -> Option<&mut ConsumerHalf> {
         None
+    }
+}
+
+/// What a node fixes for its consumer sessions: `(sidecar, in-transit
+/// window, supervision)`.
+pub(crate) type ConsumerSpec = (SidecarConfig, SimDuration, SupervisionConfig);
+
+impl Borrow<SidecarConfig> for ConsumerSpec {
+    fn borrow(&self) -> &SidecarConfig {
+        &self.0
     }
 }
 
@@ -146,7 +158,8 @@ impl<S: Halves> ProxyCore<S> {
     }
 
     /// The producer's control path for one opened message: vet it, ensure
-    /// its session, apply it. Returns whether it created the session.
+    /// its session, apply it. Returns whether it created the session. A
+    /// refused `Hello` creates nothing and is not answered.
     pub(crate) fn producer_control(
         &mut self,
         flow: FlowId,
@@ -154,7 +167,7 @@ impl<S: Halves> ProxyCore<S> {
         announce: bool,
         ctx: &mut Context,
     ) -> bool {
-        if !ProducerHalf::accepts(&msg, ctx) {
+        if !ProducerHalf::accepts(self.spec.borrow(), &msg, ctx) {
             return false;
         }
         let (created, slot) = self.ensure(flow, announce, ctx);
@@ -297,16 +310,20 @@ pub(crate) mod tests {
     //! come back in the order the node made them.
 
     use super::*;
-    use crate::config::SupervisionConfig;
+    use crate::config::{QuackFrequency, SupervisionConfig};
+    use crate::endpoint::QuackProducer;
     use crate::messages::HEADER_OVERHEAD;
     use crate::negotiate::offer;
-    use crate::protocols::ack_reduction::AckRedProxy;
-    use crate::protocols::ccd::{CcdProxy, CcdScenario};
+    use crate::protocols::ack_reduction::{AckRedProxy, AckReductionScenario};
+    use crate::protocols::ccd::{CcdClient, CcdProxy, CcdScenario};
     use crate::protocols::retx::{ReceiverSideProxy, RetxScenario, SenderSideProxy};
+    use sidecar_galois::Fp32;
     use sidecar_netsim::node::{Action, Node, NodeId};
+    use sidecar_netsim::obs::WorldObs;
     use sidecar_netsim::packet::{Packet, Payload};
     use sidecar_netsim::rng::SimRng;
     use sidecar_netsim::time::SimDuration;
+    use sidecar_netsim::transport::ReceiverConfig;
     use SidecarMessage::Reset;
 
     /// One packet a callback sent: its interface, its flow, and its control
@@ -340,8 +357,19 @@ pub(crate) mod tests {
         packet: Packet,
         ms: u64,
     ) -> Vec<Sent> {
+        deliver_to(node, iface, packet, ms, None)
+    }
+
+    /// [`deliver`] through a context that counts into `obs`.
+    fn deliver_to<N: Node>(
+        node: &mut N,
+        iface: IfaceId,
+        packet: Packet,
+        ms: u64,
+        obs: Option<&mut WorldObs>,
+    ) -> Vec<Sent> {
         let (mut rng, mut actions) = (SimRng::new(1), Vec::new());
-        let mut ctx = Context::new(at(ms), NodeId(0), &mut rng, &mut actions);
+        let mut ctx = Context::with_obs(at(ms), NodeId(0), &mut rng, &mut actions, obs);
         node.on_packet(iface, packet, &mut ctx);
         sends(actions)
     }
@@ -442,5 +470,142 @@ pub(crate) mod tests {
         // The session exists now, so the next packet travels alone.
         let sent = deliver(&mut proxy, IfaceId(0), data(7, 1, 1), 1);
         assert_eq!(sent, [(IfaceId(1), FlowId(7), None)]);
+    }
+
+    /// Offers `hello` for flow 7 to `node` on interface 0; returns what the
+    /// node sent and its `(accepted, rejected)` handshake counters.
+    fn offer_to<N: Node>(node: &mut N, hello: &SidecarMessage) -> (Vec<Sent>, (u64, u64)) {
+        let mut obs = WorldObs::new();
+        let sent = deliver_to(node, IfaceId(0), control(7, hello, 20), 20, Some(&mut obs));
+        let count = |name| obs.metrics.counter_value(name);
+        let counts = (
+            count("sidecar.handshake.accepted"),
+            count("sidecar.handshake.rejected"),
+        );
+        (sent, counts)
+    }
+
+    /// Offers of another quACK shape than `cfg`'s: `t + 1`, and another `c`.
+    fn misshapen(cfg: &SidecarConfig) -> [SidecarMessage; 2] {
+        let t = cfg.threshold + 1;
+        let c = cfg.count_bits ^ 8;
+        [
+            offer(&SidecarConfig {
+                threshold: t,
+                ..*cfg
+            }),
+            offer(&SidecarConfig {
+                count_bits: c,
+                ..*cfg
+            }),
+        ]
+    }
+
+    /// `cfg`'s shape at another interval.
+    fn reclocked(cfg: &SidecarConfig) -> SidecarMessage {
+        let frequency = QuackFrequency::Interval(SimDuration::from_millis(7));
+        offer(&SidecarConfig { frequency, ..*cfg })
+    }
+
+    fn ccd_client(cfg: SidecarConfig) -> CcdClient {
+        let transport = ReceiverConfig {
+            flow: FlowId(7),
+            ..ReceiverConfig::default()
+        };
+        let ms = SimDuration::from_millis;
+        CcdClient::new(transport, cfg, ms(30), SupervisionConfig::default())
+    }
+
+    const REFUSED: (u64, u64) = (0, 1);
+    const ACCEPTED: (u64, u64) = (1, 0);
+
+    /// A `Hello` offering another shape than the retx receiver's is counted
+    /// and refused: no `Reset` answers it and no session is built. The
+    /// same shape at another interval is answered.
+    #[test]
+    fn retx_receiver_refuses_a_mismatched_hello() {
+        let cfg = RetxScenario::default().sidecar;
+        for hello in misshapen(&cfg) {
+            let mut node = ReceiverSideProxy::new(cfg);
+            assert_eq!(offer_to(&mut node, &hello), (vec![], REFUSED));
+            assert_eq!(node.live_flows(), 0);
+        }
+        let mut node = ReceiverSideProxy::new(cfg);
+        let answer = vec![(IfaceId(0), FlowId(7), reset(0))];
+        assert_eq!(offer_to(&mut node, &reclocked(&cfg)), (answer, ACCEPTED));
+        assert_eq!(node.live_flows(), 1);
+    }
+
+    /// The same refusal on the ACK-reduction proxy.
+    #[test]
+    fn ackred_refuses_a_mismatched_hello() {
+        let cfg = AckReductionScenario::default().sidecar;
+        for hello in misshapen(&cfg) {
+            let mut node = AckRedProxy::new(cfg);
+            assert_eq!(offer_to(&mut node, &hello), (vec![], REFUSED));
+            assert_eq!(node.live_flows(), 0);
+        }
+        let mut node = AckRedProxy::new(cfg);
+        let answer = vec![(IfaceId(0), FlowId(7), reset(0))];
+        assert_eq!(offer_to(&mut node, &reclocked(&cfg)), (answer, ACCEPTED));
+        assert_eq!(node.live_flows(), 1);
+    }
+
+    /// The same refusal on the CCD proxy's upstream producer. An accepted
+    /// offer builds the whole flow, so its downstream `Hello` leaves too.
+    #[test]
+    fn ccd_proxy_refuses_a_mismatched_hello() {
+        let cfg = CcdScenario::default().sidecar;
+        for hello in misshapen(&cfg) {
+            let mut node = ccd_proxy();
+            assert_eq!(offer_to(&mut node, &hello), (vec![], REFUSED));
+            assert_eq!(node.live_flows(), 0);
+        }
+        let mut node = ccd_proxy();
+        let answer = vec![
+            (IfaceId(1), FlowId(7), Some(offer(&cfg))),
+            (IfaceId(0), FlowId(7), reset(0)),
+        ];
+        assert_eq!(offer_to(&mut node, &reclocked(&cfg)), (answer, ACCEPTED));
+        assert_eq!(node.live_flows(), 1);
+    }
+
+    /// The CCD client checks offers against its own producer.
+    #[test]
+    fn ccd_client_refuses_a_mismatched_hello() {
+        let cfg = CcdScenario::default().sidecar;
+        for hello in misshapen(&cfg) {
+            let mut node = ccd_client(cfg);
+            assert_eq!(offer_to(&mut node, &hello), (vec![], REFUSED));
+        }
+        let mut node = ccd_client(cfg);
+        let answer = vec![(IfaceId(0), FlowId(7), reset(0))];
+        assert_eq!(offer_to(&mut node, &reclocked(&cfg)), (answer, ACCEPTED));
+    }
+
+    /// A consumer whose offer is refused still hears the quACKs of the
+    /// producer that data built. Until a producer answers, a quACK of
+    /// another size than the session's shape is neither decoded nor
+    /// charged: the session does not degrade one error at a time, and
+    /// liveness takes the flow end to end.
+    #[test]
+    fn connecting_consumer_skips_a_foreign_shape_quack() {
+        let s = RetxScenario::default();
+        let rtt = SimDuration::from_millis(12);
+        let mut proxy = SenderSideProxy::new(s.sidecar, rtt, s.buffer_cap, s.supervision);
+        deliver(&mut proxy, IfaceId(0), data(7, 0, 0), 0);
+        let foreign = SidecarConfig {
+            threshold: s.sidecar.threshold + 1,
+            ..s.sidecar
+        };
+        let mut obs = WorldObs::new();
+        for ms in 1..=5 {
+            let quack = QuackProducer::<Fp32>::new(foreign).emit();
+            let packet = control(7, &quack, ms);
+            let sent = deliver_to(&mut proxy, IfaceId(1), packet, ms, Some(&mut obs));
+            assert_eq!(sent, []);
+        }
+        assert_eq!(obs.metrics.counter_value("quack.err.malformed"), 0);
+        assert_eq!(proxy.degradations(), 0);
     }
 }

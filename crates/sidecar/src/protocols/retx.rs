@@ -15,7 +15,7 @@
 use crate::config::{AuthConfig, QuackFrequency, SidecarConfig, SupervisionConfig};
 use crate::flows::{FlowTable, FlowTableConfig};
 use crate::messages::SidecarMessage;
-use crate::protocols::proxy::{Halves, ProxyCore};
+use crate::protocols::proxy::{ConsumerSpec, Halves, ProxyCore};
 use crate::protocols::session::{ConsumerHalf, CtrlChannel, Feedback, Peer, ProducerHalf};
 use crate::protocols::{obs, FaultScript, GuardedTimer, Harness, ScenarioReport};
 use sidecar_netsim::link::LinkConfig;
@@ -65,8 +65,7 @@ struct ConsumerSession {
 }
 
 impl Halves for ConsumerSession {
-    /// `(sidecar, in-transit window, supervision)`.
-    type Spec = (SidecarConfig, SimDuration, SupervisionConfig);
+    type Spec = ConsumerSpec;
 
     /// A connecting mirror of what crosses the subpath, and an empty buffer.
     fn build(spec: &Self::Spec, flow: FlowId, _: Option<u32>, now: SimTime) -> Self {

@@ -21,9 +21,9 @@ use crate::auth::ChannelAuth;
 use crate::config::{AuthConfig, SidecarConfig, SupervisionConfig};
 use crate::endpoint::{LogEntry, ProcessError, QuackConsumer, QuackProducer, QuackReport};
 use crate::messages::{SidecarMessage, HEADER_OVERHEAD, MAX_BODY};
-use crate::negotiate::{accept_hello, offer, Capabilities};
+use crate::negotiate::{offer, offers_shape};
 use crate::protocols::{obs, GuardedTimer};
-use crate::supervise::{PollOutcome, Supervisor};
+use crate::supervise::{PollOutcome, Supervisor, SupervisorState};
 use sidecar_galois::Fp32;
 use sidecar_netsim::node::{Context, IfaceId};
 use sidecar_netsim::packet::{FlowId, Packet};
@@ -171,13 +171,14 @@ impl ProducerHalf {
         ctrl.send(SidecarMessage::Reset { epoch }, self.consumer, ctx);
     }
 
-    /// Whether `msg` is control a producer acts on: a `Reset`, a
-    /// `Configure`, or a `Hello` whose offer this build accepts (vetted and
-    /// recorded here). Only such a message may create or touch a session.
-    pub(crate) fn accepts(msg: &SidecarMessage, ctx: &mut Context) -> bool {
+    /// Whether `msg` is control a producer built from `cfg` acts on: a
+    /// `Reset`, a `Configure`, or a `Hello` offering `cfg`'s own quACK shape
+    /// (vetted and recorded here). Only such a message may create or touch
+    /// a session.
+    pub(crate) fn accepts(cfg: &SidecarConfig, msg: &SidecarMessage, ctx: &mut Context) -> bool {
         match msg {
             SidecarMessage::Hello { .. } => {
-                let accepted = accept_hello(&Capabilities::default(), msg).is_ok();
+                let accepted = offers_shape(cfg, msg);
                 obs::handshake(ctx, accepted);
                 accepted
             }
@@ -304,6 +305,11 @@ impl ConsumerHalf {
     /// resets both sides to a fresh epoch (§3.3; wrapping — epochs are
     /// compared by equality, so `u32::MAX -> 0` resyncs fine) before the
     /// error is charged to the session.
+    ///
+    /// A quACK of another size than this session's shape, before the
+    /// producer has answered, comes from a producer of another shape: one
+    /// that refuses the offer. It is not decoded or charged; liveness takes
+    /// the flow end to end.
     pub(crate) fn on_quack(
         &mut self,
         epoch: u32,
@@ -311,6 +317,14 @@ impl ConsumerHalf {
         ctrl: &mut CtrlChannel,
         ctx: &mut Context,
     ) -> Feedback {
+        let connecting = self.supervisor.state() == SupervisorState::Connecting;
+        if connecting && bytes.len() != self.consumer.config().quack_bytes() {
+            return Feedback::Supervise {
+                overflow: false,
+                leftovers: Vec::new(),
+                degraded: false,
+            };
+        }
         let now = ctx.now();
         let result = self.consumer.process_quack(now, epoch, bytes);
         obs::quack_outcome(ctx, self.producer.flow.0, &result);

@@ -3,9 +3,8 @@
 //! the Connecting → Active ⇄ Degraded diagram, and the transition log must
 //! agree with the observable state and counters at every step.
 //!
-//! The transition log is always on (it feeds the obs event trace when that
-//! feature is enabled, and is bounded otherwise), so this suite runs on both
-//! feature legs.
+//! The transition log is always on and bounded; the protocols drain it
+//! into the obs event trace.
 
 use proptest::prelude::*;
 use sidecar_netsim::time::{SimDuration, SimTime};
