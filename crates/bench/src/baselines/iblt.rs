@@ -19,7 +19,7 @@
 //!   peels: all of its cells hold count 2, so `decode` returns `None`
 //!   where the power-sum decoder reports the duplicate exactly.
 //!
-//! The `sketch_compare` bench bin quantifies the trade-off.
+//! The `paper` bench bin's §5 IBLT rows quantify the trade-off.
 
 /// One IBLT cell: signed count plus keyed sums that make singleton cells
 /// recognizable and invertible.

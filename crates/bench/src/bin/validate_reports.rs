@@ -12,9 +12,10 @@
 //! cells both `--quick` and full runs emit), and — whenever any 100k-flow
 //! sweep cell is present (a full run) — all three gated
 //! `manyflow_inserts_per_sec|flows=100000|proto=*` cells; `exp_simscale`
-//! must carry its calibration and its smallest sweep point. A refactor
-//! that silently stops emitting a gated cell fails here, not as a
-//! quietly-absent "baseline only" row in the perf gate.
+//! must carry its calibration and its smallest sweep point; `paper` must
+//! carry one cell per checked claim row. A refactor that silently stops
+//! emitting a gated cell or a claim fails here, not as a quietly-absent
+//! "baseline only" row in the perf gate or a claim nobody checks.
 //!
 //! Time-series artifacts (`BENCH_*_timeseries.txt`, emitted by benches
 //! accepting `--timeseries-out`) are validated alongside the JSON: the
@@ -136,6 +137,68 @@ fn required_cells(report: &str, present: &BTreeSet<String>) -> Vec<String> {
             "sampler_tick",
         ] {
             cells.push(name.into());
+        }
+    }
+    if report == "paper" {
+        // Every row of the `paper` bin that checks a claim or states a
+        // deviation from the paper.
+        let mut cell = |c: String| cells.push(c);
+        for scheme in ["strawman1", "strawman2", "power_sums"] {
+            cell(format!("table2.wire_size|scheme={scheme}"));
+        }
+        for scheme in ["strawman1", "strawman2"] {
+            cell(format!("table2.construction_time|scheme={scheme}"));
+        }
+        for b in [8, 16, 24, 32] {
+            cell(format!("table3.collision_probability|b={b}"));
+        }
+        for b in [8, 16] {
+            cell(format!("table3.collision_probability_mc|b={b}"));
+        }
+        for t in [4, 8, 16] {
+            cell(format!(
+                "freq_selection.ackred_bits_per_window|scheme=power_sums|t={t}"
+            ));
+        }
+        for loss in ["0.001", "0.005", "0.01", "0.02", "0.05"] {
+            cell(format!("freq_selection.retx_quack_interval|loss={loss}"));
+        }
+        for loss in ["0", "0.005", "0.01", "0.02"] {
+            cell(format!("exp_ccd.speedup|loss={loss}"));
+        }
+        for loss in ["0.005", "0.01", "0.02", "0.05"] {
+            cell(format!("exp_retx.e2e_retx|loss={loss}|variant=sidecar"));
+            cell(format!("exp_retx.in_net_retx|loss={loss}"));
+            cell(format!("exp_retx.speedup|loss={loss}"));
+        }
+        for d in [5, 10, 20, 40] {
+            cell(format!("sketch_compare.wire_size|d={d}|sketch=power_sums"));
+            cell(format!("sketch_compare.wire_size|d={d}|sketch=iblt"));
+            cell(format!("sketch_compare.decode_time|d={d}|sketch=iblt"));
+        }
+        for name in [
+            "table2.strawman2_search_found|m=2|n=16",
+            "table2.decode_time|scheme=strawman2",
+            "headline.quack_size",
+            "headline.indeterminate_chance",
+            "headline.decode_time",
+            "freq_selection.ccd_packets_per_rtt",
+            "freq_selection.ccd_missing_per_rtt",
+            "freq_selection.ackred_bits_per_window|scheme=strawman1",
+            "fig5.growth_t10_to_t50|b=32",
+            "fig5.b16_over_b32|t=50",
+            "fig6.m0_over_m20|b=32",
+            "fig6.m12_20_over_m2_10|b=32",
+            "exp_ackred.client_acks|variant=sidecar",
+            "exp_ackred.slowdown_vs_normal|variant=sidecar",
+            "exp_frequency.ccd_completion_time|interval_ms=480",
+            "exp_frequency.retx_completion_time|schedule=adaptive",
+            "exp_frequency.retx_quack_msgs|schedule=adaptive",
+            "exp_fairness.fairness_ratio|loss=0.01|variant=sidecar",
+            "exp_fairness.flow1_fct|loss=0.03|variant=sidecar",
+            "exp_fairness.flow2_fct|loss=0.03|variant=sidecar",
+        ] {
+            cell(name.into());
         }
     }
     if report == "exp_live" {

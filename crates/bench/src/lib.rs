@@ -1,10 +1,11 @@
 //! Harness utilities for regenerating the paper's tables and figures.
 //!
-//! The binaries in `src/bin/` print the rows/series of each table and
-//! figure in the Sidecar (HotNets '22) evaluation. This library holds the
-//! shared pieces: a trial runner matching the paper's methodology ("average
-//! of 100 trials with warmup"), workload generation, table formatting, and
-//! the [`baselines`] the paper compares the quACK against.
+//! The `paper` binary in `src/bin/` prints and checks every table and
+//! figure in the Sidecar (HotNets '22) evaluation; the other binaries
+//! measure the system beyond the paper. This library holds the shared
+//! pieces: a trial runner matching the paper's methodology ("average of 100
+//! trials with warmup"), workload generation, table formatting, and the
+//! [`baselines`] the paper compares the quACK against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,17 +40,12 @@ pub const TRIALS: usize = 100;
 /// Warmup iterations discarded before measuring.
 pub const WARMUP: usize = 10;
 
-/// Runs `f` with warmup and returns the mean wall-clock duration over
-/// [`TRIALS`] measured runs.
+/// Runs `f` `warmup` times, then returns the mean wall-clock duration over
+/// `trials` measured runs.
 ///
 /// `f` receives the trial index (warmup trials get indices too, so inputs
 /// can vary per trial if desired) and must return something observable to
 /// keep the optimizer honest — the return value is black-boxed.
-pub fn measure_mean<T>(mut f: impl FnMut(usize) -> T) -> Duration {
-    measure_mean_with(TRIALS, WARMUP, &mut f)
-}
-
-/// [`measure_mean`] with explicit trial counts.
 pub fn measure_mean_with<T>(
     trials: usize,
     warmup: usize,
@@ -221,16 +217,6 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Formats a float duration given in days (Strawman 2's decode estimate).
-pub fn fmt_days(days: f64) -> String {
-    if days >= 1.0 {
-        format!("≈{days:.1e} days")
-    } else {
-        let secs = days * 86_400.0;
-        fmt_duration(Duration::from_secs_f64(secs.max(1e-9)))
-    }
-}
-
 /// A simple fixed-width table printer for harness output.
 pub struct Table {
     headers: Vec<String>,
@@ -351,8 +337,5 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_nanos(387)), "387 ns");
         assert_eq!(fmt_duration(Duration::from_micros(106)), "106.0 us");
         assert_eq!(fmt_duration(Duration::from_millis(5)), "5.00 ms");
-        assert!(fmt_days(7e6).contains("days"));
-        // Half a second expressed in days falls back to duration units.
-        assert_eq!(fmt_days(0.5 / 86_400.0), "500.00 ms");
     }
 }

@@ -125,6 +125,10 @@ mod tests {
         assert_eq!(collision_probability(32, 0), 0.0);
         assert_eq!(collision_probability(32, 1), 0.0);
         assert!(collision_probability(1, 1000) > 0.999999);
+        // The exponent is n − 1, the other n − 1 packets: exact in f64 at
+        // small n, where n in its place would read 0.75 and 0.578.
+        assert_eq!(collision_probability(1, 2), 0.5);
+        assert_eq!(collision_probability(2, 3), 0.4375);
         // 64-bit: tiny but strictly positive (no underflow to zero).
         let p64 = collision_probability(64, 1000);
         assert!(p64 > 0.0 && p64 < 1e-15);
