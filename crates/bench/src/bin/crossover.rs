@@ -89,8 +89,6 @@ fn main() {
         report.push("crossover_n", &[], n as f64, "packets");
     }
     report.write_default().expect("write BENCH_crossover.json");
-    sidecar_bench::write_metrics_out("crossover");
-    sidecar_bench::write_trace_out("crossover");
     match crossover {
         Some(n) => println!(
             "\ncrossover at n ≈ {n}: below it plug candidates (the paper's \

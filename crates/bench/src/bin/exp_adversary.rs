@@ -20,7 +20,7 @@
 //!
 //! Regenerate: `cargo run -p sidecar-bench --release --bin exp_adversary`
 
-use sidecar_bench::{measure_best_of, per_item_nanos, BenchReport, Table};
+use sidecar_bench::{measure_best_of, per_item_nanos, BenchReport, RunObs, Table};
 use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_proto::protocols::ack_reduction::AckReductionScenario;
 use sidecar_proto::protocols::ccd::CcdScenario;
@@ -99,7 +99,8 @@ struct Cell {
     degradations: f64,
 }
 
-fn average(runs: impl Fn(u64) -> (ScenarioReport, ScenarioReport)) -> Cell {
+/// Averages one attack row over the seeds, adding every run to `obs`.
+fn average(obs: &mut RunObs, runs: impl Fn(u64) -> (ScenarioReport, ScenarioReport)) -> Cell {
     let mut cell = Cell {
         side_bps: 0.0,
         base_bps: 0.0,
@@ -109,6 +110,8 @@ fn average(runs: impl Fn(u64) -> (ScenarioReport, ScenarioReport)) -> Cell {
     };
     for &seed in &SEEDS {
         let (side, base) = runs(seed);
+        obs.add(&side.metrics, &side.trace);
+        obs.add(&base.metrics, &base.trace);
         assert!(
             side.completion.is_some() && base.completion.is_some(),
             "attacked run did not complete (seed {seed}): {side:?} / {base:?}"
@@ -190,6 +193,7 @@ fn main() {
          {SEEDS:?})\n"
     );
     let mut report = BenchReport::new("exp_adversary");
+    let mut obs = RunObs::default();
     let mut table = Table::new(&[
         "protocol",
         "attack",
@@ -207,7 +211,7 @@ fn main() {
         ..RetxScenario::default()
     };
     for (name, script) in attacks() {
-        let cell = average(|seed| {
+        let cell = average(&mut obs, |seed| {
             (
                 retx.run_sidecar_faulted(seed, &script),
                 retx.run_baseline_faulted(seed, &script),
@@ -222,7 +226,7 @@ fn main() {
         ..AckReductionScenario::default()
     };
     for (name, script) in attacks() {
-        let cell = average(|seed| {
+        let cell = average(&mut obs, |seed| {
             (
                 ackred.run_sidecar_faulted(seed, &script),
                 ackred.run_baseline_faulted(seed, ackred.reduced_ack_every, &script),
@@ -237,7 +241,7 @@ fn main() {
         ..CcdScenario::default()
     };
     for (name, script) in attacks() {
-        let cell = average(|seed| {
+        let cell = average(&mut obs, |seed| {
             (
                 ccd.run_sidecar_faulted(seed, &script),
                 ccd.run_baseline_faulted(seed, &script),
@@ -251,8 +255,7 @@ fn main() {
     report
         .write_default()
         .expect("write BENCH_exp_adversary.json");
-    sidecar_bench::write_metrics_out("exp_adversary");
-    sidecar_bench::write_trace_out("exp_adversary");
+    obs.write_out("exp_adversary");
     println!(
         "\nexpected shape: the ratio stays at or above ~1.0 in every row —\n\
          forged and replayed datagrams die at the envelope (rejected/run\n\

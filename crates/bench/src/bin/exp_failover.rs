@@ -16,7 +16,7 @@
 //!
 //! Regenerate: `cargo run -p sidecar-bench --release --bin exp_failover`
 
-use sidecar_bench::{BenchReport, Table};
+use sidecar_bench::{BenchReport, RunObs, Table};
 use sidecar_netsim::time::{SimDuration, SimTime};
 use sidecar_proto::protocols::ack_reduction::AckReductionScenario;
 use sidecar_proto::protocols::ccd::CcdScenario;
@@ -60,14 +60,19 @@ fn faults() -> Vec<(&'static str, FaultScript)> {
 const SEEDS: [u64; 3] = [11, 22, 33];
 
 /// Averages (sidecar goodput, baseline goodput, degradations, recoveries)
-/// over the seeds.
-fn average(runs: impl Fn(u64) -> (ScenarioReport, ScenarioReport)) -> (f64, f64, f64, f64) {
+/// over the seeds, adding every run to `obs`.
+fn average(
+    obs: &mut RunObs,
+    runs: impl Fn(u64) -> (ScenarioReport, ScenarioReport),
+) -> (f64, f64, f64, f64) {
     let mut side_bps = 0.0;
     let mut base_bps = 0.0;
     let mut degr = 0u64;
     let mut recov = 0u64;
     for &seed in &SEEDS {
         let (side, base) = runs(seed);
+        obs.add(&side.metrics, &side.trace);
+        obs.add(&base.metrics, &base.trace);
         assert!(
             side.completion.is_some() && base.completion.is_some(),
             "faulted run did not complete (seed {seed}): {side:?} / {base:?}"
@@ -119,6 +124,7 @@ fn main() {
          averaged over seeds {SEEDS:?})\n"
     );
     let mut report = BenchReport::new("exp_failover");
+    let mut obs = RunObs::default();
     let mut table = Table::new(&[
         "protocol",
         "fault",
@@ -134,7 +140,7 @@ fn main() {
         ..RetxScenario::default()
     };
     for (name, script) in faults() {
-        let avg = average(|seed| {
+        let avg = average(&mut obs, |seed| {
             (
                 retx.run_sidecar_faulted(seed, &script),
                 retx.run_baseline_faulted(seed, &script),
@@ -151,7 +157,7 @@ fn main() {
         // Degradation swaps the server back to e2e control but cannot
         // reconfigure the remote client's ACK cadence, so the honest twin
         // keeps the reduced cadence.
-        let avg = average(|seed| {
+        let avg = average(&mut obs, |seed| {
             (
                 ackred.run_sidecar_faulted(seed, &script),
                 ackred.run_baseline_faulted(seed, ackred.reduced_ack_every, &script),
@@ -165,7 +171,7 @@ fn main() {
         ..CcdScenario::default()
     };
     for (name, script) in faults() {
-        let avg = average(|seed| {
+        let avg = average(&mut obs, |seed| {
             (
                 ccd.run_sidecar_faulted(seed, &script),
                 ccd.run_baseline_faulted(seed, &script),
@@ -178,8 +184,7 @@ fn main() {
     report
         .write_default()
         .expect("write BENCH_exp_failover.json");
-    sidecar_bench::write_metrics_out("exp_failover");
-    sidecar_bench::write_trace_out("exp_failover");
+    obs.write_out("exp_failover");
     // `--timeseries-out [path]`: re-run the clean retx scenario at the
     // first seed with a 500 ms simulator-clock sampler attached and
     // archive the windowed series (deterministic, so the artifact is

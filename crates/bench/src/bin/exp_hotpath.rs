@@ -381,6 +381,4 @@ fn main() {
     );
 
     report.write_default().expect("write BENCH_quack.json");
-    sidecar_bench::write_metrics_out("quack");
-    sidecar_bench::write_trace_out("quack");
 }

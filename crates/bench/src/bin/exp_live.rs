@@ -28,8 +28,10 @@
 //!
 //! Regenerate: `cargo run -p sidecar-bench --release --bin exp_live`
 //! (`--quick` shrinks the transfer and skips repetitions for CI smoke).
+//! `--metrics-out` and `--trace-out` dump the registries and flight
+//! recorders of every run, live reps then netsim reps.
 
-use sidecar_bench::{calibration_ops_per_sec, BenchReport, Table};
+use sidecar_bench::{calibration_ops_per_sec, BenchReport, RunObs, Table};
 use sidecar_live::{loopback_pair, LiveDriver};
 use sidecar_netsim::link::{LinkConfig, LossModel};
 use sidecar_netsim::node::{IfaceId, NodeId};
@@ -88,8 +90,8 @@ struct LiveRun {
 }
 
 /// The loopback chain from `crates/live/tests/loopback.rs`, instrumented
-/// for per-packet dispatch cost instead of pass/fail.
-fn run_live(seed: u64, total: u64) -> LiveRun {
+/// for per-packet dispatch cost instead of pass/fail; adds the run to `obs`.
+fn run_live(seed: u64, total: u64, obs: &mut RunObs) -> LiveRun {
     let mut driver = LiveDriver::new(seed);
     driver.obs_mut().resize_trace(1 << 18);
 
@@ -125,6 +127,7 @@ fn run_live(seed: u64, total: u64) -> LiveRun {
     let delivered = receiver.stats().unique_units;
     let proxy_retx = proxy.retransmitted;
     let certify = Lifecycle::from_trace(&driver.obs().trace).check_causal();
+    obs.add(&driver.obs().metrics.snapshot(), &driver.obs().trace);
     let stats = driver.stats();
     LiveRun {
         ns_per_packet: stats.dispatch_ns as f64 / stats.packets_in.max(1) as f64,
@@ -156,8 +159,9 @@ struct SimRun {
 }
 
 /// The same four-node chain on the simulator: fast edges, a lossy subpath
-/// at the live run's drop rate, and wall-clock timing of `run_until`.
-fn run_netsim(seed: u64, total: u64) -> SimRun {
+/// at the live run's drop rate, and wall-clock timing of `run_until`; adds
+/// the run to `obs`.
+fn run_netsim(seed: u64, total: u64, obs: &mut RunObs) -> SimRun {
     let mut w = World::new(seed);
     w.obs_mut().resize_trace(1 << 21);
 
@@ -201,6 +205,7 @@ fn run_netsim(seed: u64, total: u64) -> SimRun {
     }
 
     let delivers = w.obs().trace.count_kind("hop_deliver");
+    obs.add(&w.obs().metrics.snapshot(), &w.obs().trace);
     SimRun {
         ns_per_packet: elapsed_ns as f64 / delivers.max(1) as f64,
         delivers,
@@ -229,8 +234,9 @@ fn main() {
     ]);
     let mut live_best = f64::INFINITY;
     let mut all_certified = true;
+    let mut obs = RunObs::default();
     for rep in 0..reps {
-        let run = run_live(11 + rep, total);
+        let run = run_live(11 + rep, total, &mut obs);
         assert_eq!(
             run.delivered, total,
             "live rep {rep} lost data units (certify: {:?})",
@@ -251,7 +257,7 @@ fn main() {
 
     let mut sim_best = f64::INFINITY;
     for rep in 0..reps {
-        let run = run_netsim(11 + rep, total);
+        let run = run_netsim(11 + rep, total, &mut obs);
         assert_eq!(run.delivered, total, "netsim rep {rep} lost data units");
         sim_best = sim_best.min(run.ns_per_packet);
         table.row(&[
@@ -283,6 +289,5 @@ fn main() {
         "bool",
     );
     report.write_default().expect("write BENCH_exp_live.json");
-    sidecar_bench::write_metrics_out("exp_live");
-    sidecar_bench::write_trace_out("exp_live");
+    obs.write_out("exp_live");
 }

@@ -26,7 +26,7 @@
 //! headline cell is produced by the full run in the perf job; add
 //! `--metrics-out` to also dump the flowtable.* counters).
 
-use sidecar_bench::{calibration_ops_per_sec, per_item_nanos, BenchReport, Table};
+use sidecar_bench::{calibration_ops_per_sec, per_item_nanos, BenchReport, RunObs, Table};
 use sidecar_galois::Fp32;
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::packet::FlowId;
@@ -135,7 +135,7 @@ fn sweep_point<S>(flows: usize, mk: impl Fn() -> S) -> SweepPoint {
 /// ACK-reduction run with the flight recorder on. Every flow must
 /// complete, the table must shed nothing, and the whole packet population
 /// must causally certify. Returns false (and prints why) on violation.
-fn certified_1k_leg(report: &mut BenchReport) -> bool {
+fn certified_1k_leg(report: &mut BenchReport, obs: &mut RunObs) -> bool {
     const FLOWS: u32 = 1_000;
     let mut s = ManyFlowScenario::new(ManyFlowProtocol::AckReduction, FLOWS);
     s.packets_per_flow = 8;
@@ -156,6 +156,7 @@ fn certified_1k_leg(report: &mut BenchReport) -> bool {
     };
     s.trace_capacity = Some(TRACE_CAP);
     let r = s.run();
+    obs.add(&r.metrics, &r.trace);
     let lifecycle = Lifecycle::from_trace(&r.trace);
     let mut ok = true;
     if r.completed != FLOWS {
@@ -262,6 +263,7 @@ fn main() -> ExitCode {
         if quick { " [--quick]" } else { "" }
     );
     let mut report = BenchReport::new("exp_manyflow");
+    let mut obs = RunObs::default();
     let mut table = Table::new(&[
         "protocol",
         "flows",
@@ -279,6 +281,7 @@ fn main() -> ExitCode {
     ] {
         for flows in FLOW_COUNTS {
             let r = scenario(protocol, flows).run();
+            obs.add(&r.metrics, &r.trace);
             let evictions = r.evictions();
             let fs = flows.to_string();
             let params = [("protocol", protocol.label()), ("flows", fs.as_str())];
@@ -317,7 +320,7 @@ fn main() -> ExitCode {
     table.print();
 
     println!("\ncertified 1k-flow leg (quick variant of the nightly 100k soak):");
-    let certified = certified_1k_leg(&mut report);
+    let certified = certified_1k_leg(&mut report, &mut obs);
 
     println!("\nflow-engine sweep: per-protocol session shapes, sized_for(N) tables:");
     let cfg = SidecarConfig::paper_default();
@@ -399,8 +402,7 @@ fn main() -> ExitCode {
     report
         .write_default()
         .expect("write BENCH_exp_manyflow.json");
-    sidecar_bench::write_metrics_out("exp_manyflow");
-    sidecar_bench::write_trace_out("exp_manyflow");
+    obs.write_out("exp_manyflow");
     println!(
         "\nreading: goodput should scale with N until the trunk saturates \
          while the proxy's resident sessions stay capped at the table \

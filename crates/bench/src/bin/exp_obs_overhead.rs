@@ -26,7 +26,7 @@
 
 use sidecar_bench::{ops_per_sec, BenchReport, Table};
 use sidecar_netsim::time::SimDuration;
-use sidecar_obs::{FlowScoreboard, HealthDim, MetricsRegistry, Sampler};
+use sidecar_obs::{FlowScoreboard, HealthDim, MetricsRegistry, MetricsSnapshot, Sampler};
 use sidecar_proto::protocols::retx::RetxScenario;
 use std::time::{Duration, Instant};
 
@@ -45,11 +45,14 @@ fn scenario(packets: u64, sampled: bool) -> RetxScenario {
     }
 }
 
-/// Wall-clock of one full sidecar run.
-fn run_once(s: &RetxScenario) -> Duration {
+/// Wall-clock of one full sidecar run, whose registry is then merged into
+/// `metrics`.
+fn run_once(s: &RetxScenario, metrics: &mut MetricsSnapshot) -> Duration {
     let start = Instant::now();
-    std::hint::black_box(s.run_sidecar(SEED));
-    start.elapsed()
+    let run = std::hint::black_box(s.run_sidecar(SEED));
+    let elapsed = start.elapsed();
+    metrics.merge(&run.metrics);
+    elapsed
 }
 
 fn main() {
@@ -74,11 +77,12 @@ fn main() {
     let mut best_plain = Duration::MAX;
     let mut best_sampled = Duration::MAX;
     let mut pair_max = 0.0f64;
-    run_once(&plain); // warmup
-    run_once(&sampled);
+    let mut metrics = MetricsSnapshot::default();
+    run_once(&plain, &mut metrics); // warmup
+    run_once(&sampled, &mut metrics);
     for _ in 0..reps {
-        let p = run_once(&plain);
-        let s = run_once(&sampled);
+        let p = run_once(&plain, &mut metrics);
+        let s = run_once(&sampled, &mut metrics);
         best_plain = best_plain.min(p);
         best_sampled = best_sampled.min(s);
         pair_max = pair_max.max(p.as_secs_f64() / s.as_secs_f64());
@@ -164,7 +168,7 @@ fn main() {
     report
         .write_default()
         .expect("write BENCH_exp_obs_overhead.json");
-    sidecar_bench::write_metrics_out("exp_obs_overhead");
+    sidecar_bench::write_metrics_out("exp_obs_overhead", &metrics);
     if std::env::args().any(|a| a == "--timeseries-out") {
         let run = sampled.run_sidecar(SEED);
         sidecar_bench::write_timeseries_out("exp_obs_overhead", &run.timeseries);

@@ -19,12 +19,13 @@
 //! `--proto retx|ccd|ackred` selects which scenario to reconstruct
 //! (default retx). Control datagrams use `ctrl:<flow>:<seq>`.
 
-use sidecar_bench::{BenchReport, Table};
+use sidecar_bench::{BenchReport, RunObs, Table};
 use sidecar_netsim::link::LossModel;
 use sidecar_obs::{Lifecycle, MetricsRegistry, TraceId};
 use sidecar_proto::protocols::ack_reduction::AckReductionScenario;
 use sidecar_proto::protocols::ccd::CcdScenario;
 use sidecar_proto::protocols::retx::RetxScenario;
+use sidecar_proto::protocols::ScenarioReport;
 
 const SEED: u64 = 42;
 /// Ring capacity for analysis runs: a full 2 000-packet scenario emits
@@ -43,6 +44,7 @@ struct ProtoRun {
     mechanism: &'static str,
     lifecycle: Lifecycle,
     latencies: Vec<u64>,
+    report: ScenarioReport,
 }
 
 fn run_retx() -> ProtoRun {
@@ -60,6 +62,7 @@ fn run_retx() -> ProtoRun {
         mechanism: "in-network (proxy retx)",
         lifecycle,
         latencies,
+        report,
     }
 }
 
@@ -81,6 +84,7 @@ fn run_ccd() -> ProtoRun {
         mechanism: "e2e (quACK-informed)",
         lifecycle,
         latencies,
+        report,
     }
 }
 
@@ -99,6 +103,7 @@ fn run_ackred() -> ProtoRun {
         mechanism: "e2e (quACK-informed)",
         lifecycle,
         latencies,
+        report,
     }
 }
 
@@ -299,6 +304,9 @@ fn main() {
     );
 
     report.write_default().expect("write bench report");
-    sidecar_bench::write_metrics_out("exp_reaction");
-    sidecar_bench::write_trace_out("exp_reaction");
+    let mut obs = RunObs::default();
+    for run in &runs {
+        obs.add(&run.report.metrics, &run.report.trace);
+    }
+    obs.write_out("exp_reaction");
 }

@@ -31,9 +31,10 @@
 //!
 //! Regenerate: `cargo run -p sidecar-bench --release --bin exp_simscale`
 //! (`--quick` caps the sweep at 10k flows with smaller windows — the CI
-//! smoke leg; `--metrics-out` dumps the obs registry as usual).
+//! smoke leg; `--metrics-out` dumps the worlds' merged registries, the
+//! `netsim.*` counters of every rep).
 
-use sidecar_bench::{calibration_ops_per_sec, BenchReport, Table};
+use sidecar_bench::{calibration_ops_per_sec, BenchReport, RunObs, Table};
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::node::{Context, IfaceId, Node};
 use sidecar_netsim::packet::{FlowId, Packet};
@@ -134,9 +135,10 @@ struct Cell {
 }
 
 /// Builds the F-flow two-hop world, warms it past the capacity plateau and
-/// a full in-flight population, then measures `measure_events` dispatches.
-/// Returns (events/sec, wall-per-sim, pending).
-fn run_once(flows: u64, measure_events: u64) -> (f64, f64, usize) {
+/// a full in-flight population, then measures `measure_events` dispatches
+/// and adds the world's registry to `obs`. Returns (events/sec,
+/// wall-per-sim, pending).
+fn run_once(flows: u64, measure_events: u64, obs: &mut RunObs) -> (f64, f64, usize) {
     let mut w = World::new(0x51D3_CA1E ^ flows);
     // Throughput configuration: the diagnostics ring off. Hot counters stay
     // on — they are part of the engine.
@@ -189,6 +191,7 @@ fn run_once(flows: u64, measure_events: u64) -> (f64, f64, usize) {
     let events = w.events_processed() - warm_events;
     let sim = (w.now() - warm_now).as_nanos() as f64 / 1e9;
     assert!(events >= measure_events, "workload ran dry");
+    obs.add(&w.obs().metrics.snapshot(), &w.obs().trace);
     (
         events as f64 / wall.max(1e-12),
         wall / sim.max(1e-12),
@@ -197,10 +200,10 @@ fn run_once(flows: u64, measure_events: u64) -> (f64, f64, usize) {
 }
 
 /// Best-of-[`REPS`] wrapper around [`run_once`].
-fn run_cell(flows: u64, measure_events: u64) -> Cell {
+fn run_cell(flows: u64, measure_events: u64, obs: &mut RunObs) -> Cell {
     let mut best: Option<(f64, f64, usize)> = None;
     for _ in 0..REPS {
-        let r = run_once(flows, measure_events);
+        let r = run_once(flows, measure_events, obs);
         if best.is_none_or(|b| r.0 > b.0) {
             best = Some(r);
         }
@@ -234,6 +237,7 @@ fn main() {
     );
 
     let mut report = BenchReport::new("exp_simscale");
+    let mut obs = RunObs::default();
     report.push("calibration", &[], calibration_ops_per_sec(), "ops/s");
 
     let mut table = Table::new(&["flows", "pending", "events/sec", "wall s / sim s"]);
@@ -242,7 +246,7 @@ fn main() {
         // timer + two arrival hops), with a floor so small sweeps stay
         // measurable.
         let floor = if quick { 200_000 } else { 1_000_000 };
-        let cell = run_cell(flows, (6 * flows).max(floor));
+        let cell = run_cell(flows, (6 * flows).max(floor), &mut obs);
         table.row(&[
             cell.flows.to_string(),
             cell.pending.to_string(),
@@ -268,6 +272,5 @@ fn main() {
     report
         .write_default()
         .expect("write BENCH_exp_simscale.json");
-    sidecar_bench::write_metrics_out("exp_simscale");
-    sidecar_bench::write_trace_out("exp_simscale");
+    obs.write_out("exp_simscale");
 }

@@ -24,7 +24,7 @@
 
 use sidecar_bench::baselines::iblt::Iblt;
 use sidecar_bench::baselines::strawman::{estimated_decode_days, EchoQuack, HashQuack};
-use sidecar_bench::{measure_best_of, workload, BenchReport, Table, TRIALS, WARMUP};
+use sidecar_bench::{measure_best_of, workload, BenchReport, RunObs, Table, TRIALS, WARMUP};
 use sidecar_galois::{Field, Fp16, Fp24, Fp32};
 use sidecar_netsim::link::{LinkConfig, LossModel};
 use sidecar_netsim::node::IfaceId;
@@ -109,12 +109,14 @@ struct Row {
     check: Check,
 }
 
-/// The rows gathered so far, and the section new rows belong to.
+/// The rows gathered so far, the section new rows belong to, and what the
+/// scenario runs behind them recorded.
 #[derive(Default)]
 struct Claims {
     section: &'static str,
     report: &'static str,
     rows: Vec<Row>,
+    obs: RunObs,
 }
 
 impl Claims {
@@ -455,8 +457,11 @@ struct Mean {
     quack_bytes: f64,
 }
 
-fn mean(seeds: &[u64], run: impl Fn(u64) -> ScenarioReport) -> Mean {
+fn mean(obs: &mut RunObs, seeds: &[u64], run: impl Fn(u64) -> ScenarioReport) -> Mean {
     let runs: Vec<_> = seeds.iter().map(|&s| run(s)).collect();
+    for r in &runs {
+        obs.add(&r.metrics, &r.trace);
+    }
     let avg = |f: fn(&ScenarioReport) -> f64| runs.iter().map(f).sum::<f64>() / runs.len() as f64;
     Mean {
         secs: avg(ScenarioReport::completion_secs),
@@ -489,9 +494,9 @@ fn ccd(c: &mut Claims) {
             ..side.clone()
         };
         let seeds = [5, 6, 7];
-        let newreno = mean(&seeds, |s| side.run_baseline(s));
-        let bbr = mean(&seeds, |s| bbr.run_baseline(s));
-        let divided = mean(&seeds, |s| side.run_sidecar(s));
+        let newreno = mean(&mut c.obs, &seeds, |s| side.run_baseline(s));
+        let bbr = mean(&mut c.obs, &seeds, |s| bbr.run_baseline(s));
+        let divided = mean(&mut c.obs, &seeds, |s| side.run_sidecar(s));
         for (variant, m) in [("bbr", &bbr), ("newreno", &newreno), ("sidecar", &divided)] {
             let k = |name| format!("{name}|loss={loss}|variant={variant}");
             c.info(k("completion_time"), m.secs, "s");
@@ -514,9 +519,9 @@ fn ackred(c: &mut Claims) {
     c.section("§2.2", "exp_ackred");
     let s = AckReductionScenario::default();
     let seeds = [101, 102, 103];
-    let normal = mean(&seeds, |x| s.run_baseline_normal(x));
-    let naive = mean(&seeds, |x| s.run_baseline_reduced(x));
-    let sidecar = mean(&seeds, |x| s.run_sidecar(x));
+    let normal = mean(&mut c.obs, &seeds, |x| s.run_baseline_normal(x));
+    let naive = mean(&mut c.obs, &seeds, |x| s.run_baseline_reduced(x));
+    let sidecar = mean(&mut c.obs, &seeds, |x| s.run_sidecar(x));
     for (variant, m) in [
         ("normal", &normal),
         ("naive", &naive),
@@ -561,8 +566,8 @@ fn retx(c: &mut Claims) {
             ..RetxScenario::default()
         };
         let seeds = [11, 22, 33];
-        let plain = mean(&seeds, |x| s.run_baseline(x));
-        let side = mean(&seeds, |x| s.run_sidecar(x));
+        let plain = mean(&mut c.obs, &seeds, |x| s.run_baseline(x));
+        let side = mean(&mut c.obs, &seeds, |x| s.run_sidecar(x));
         let k = |name| format!("{name}|loss={loss}");
         let kv = |name, variant| format!("{name}|loss={loss}|variant={variant}");
         c.info(kv("completion_time", "baseline"), plain.secs, "s");
@@ -601,7 +606,7 @@ fn frequency(c: &mut Claims) {
             quack_interval,
             ..CcdScenario::default()
         };
-        mean(&[1, 2, 3], |x| s.run_sidecar(x))
+        mean(&mut c.obs, &[1, 2, 3], |x| s.run_sidecar(x))
     });
     for (ms, m) in intervals.into_iter().zip(&ccd) {
         let (paper, check) = match ms {
@@ -634,7 +639,7 @@ fn frequency(c: &mut Claims) {
             sidecar,
             ..base
         };
-        mean(&[11, 22, 33], |x| s.run_sidecar(x))
+        mean(&mut c.obs, &[11, 22, 33], |x| s.run_sidecar(x))
     });
     for ((schedule, _), m) in schedules.into_iter().zip(&retx) {
         let ((time_paper, time), (quacks_paper, quacks)) = match schedule {
@@ -849,8 +854,7 @@ fn main() -> ExitCode {
     }
     table.print();
     report.write_default().expect("write BENCH_paper.json");
-    sidecar_bench::write_metrics_out("paper");
-    sidecar_bench::write_trace_out("paper");
+    c.obs.write_out("paper");
     let failed = c.failed().count();
     if failed > 0 {
         println!("paper: {failed} of {} checks failed", c.rows.len());

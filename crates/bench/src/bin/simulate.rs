@@ -10,7 +10,8 @@
 //!   --interval MS      quACK interval, CCD only       (default 30)
 //!   --ack-every N      client ACK thinning, ackred    (default 32)
 //!   --baseline         also run the no-sidecar baseline
-//!   --metrics-out      dump the observability registry as a bench report
+//!   --metrics-out      dump the runs' merged metrics as a bench report
+//!   --trace-out [PATH] dump the runs' merged flight-recorder trace
 //! ```
 //!
 //! Examples:
@@ -20,7 +21,7 @@
 //! cargo run -p sidecar-bench --release --bin simulate -- ccd --packets 5000 --seeds 5
 //! ```
 
-use sidecar_bench::BenchReport;
+use sidecar_bench::{BenchReport, RunObs};
 use sidecar_netsim::link::LossModel;
 use sidecar_netsim::time::SimDuration;
 use sidecar_proto::protocols::ack_reduction::AckReductionScenario;
@@ -44,13 +45,14 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: simulate <ccd|ackred|retx> [--packets N] [--loss PCT] \
-         [--seed S] [--seeds K] [--interval MS] [--ack-every N] [--baseline]"
+         [--seed S] [--seeds K] [--interval MS] [--ack-every N] [--baseline] \
+         [--metrics-out] [--trace-out [PATH]]"
     );
     exit(2)
 }
 
 fn parse_args() -> Options {
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args().skip(1).peekable();
     let protocol = match args.next() {
         Some(p) if ["ccd", "ackred", "retx"].contains(&p.as_str()) => p,
         _ => usage(),
@@ -84,8 +86,12 @@ fn parse_args() -> Options {
                 opts.ack_every = value("--ack-every").parse().unwrap_or_else(|_| usage())
             }
             "--baseline" => opts.baseline = true,
-            // Handled by sidecar_bench::write_metrics_out at exit.
+            // Both are written by `RunObs::write_out` at exit, which reads
+            // the optional trace path from the arguments itself.
             "--metrics-out" => {}
+            "--trace-out" => {
+                args.next_if(|path| !path.starts_with("--"));
+            }
             other => {
                 eprintln!("unknown flag {other}");
                 usage()
@@ -164,10 +170,7 @@ fn average(reports: Vec<ScenarioReport>) -> ScenarioReport {
         recoveries: reports.iter().map(|r| r.recoveries).sum(),
         // An averaged report has no single world's registry, event ring,
         // sampler, or scoreboard behind it.
-        metrics: Default::default(),
-        trace: Default::default(),
-        timeseries: Default::default(),
-        scoreboard: Default::default(),
+        ..ScenarioReport::default()
     }
 }
 
@@ -245,6 +248,10 @@ fn main() {
         _ => usage(),
     };
 
+    let mut obs = RunObs::default();
+    for r in side.iter().chain(&base) {
+        obs.add(&r.metrics, &r.trace);
+    }
     let mut report = BenchReport::new("simulate");
     let ls = format!("{}", opts.loss);
     let ps = opts.packets.to_string();
@@ -280,6 +287,5 @@ fn main() {
         }
     }
     report.write_default().expect("write BENCH_simulate.json");
-    sidecar_bench::write_metrics_out("simulate");
-    sidecar_bench::write_trace_out("simulate");
+    obs.write_out("simulate");
 }

@@ -48,7 +48,7 @@
 use sidecar_bench::{BenchReport, Table};
 use sidecar_netsim::link::LinkConfig;
 use sidecar_netsim::time::{SimDuration, SimTime};
-use sidecar_obs::Lifecycle;
+use sidecar_obs::{Lifecycle, MetricsSnapshot};
 use sidecar_proto::protocols::ack_reduction::AckReductionScenario;
 use sidecar_proto::protocols::ccd::CcdScenario;
 use sidecar_proto::protocols::manyflow::{ManyFlowProtocol, ManyFlowScenario};
@@ -207,6 +207,8 @@ fn main() -> ExitCode {
     );
 
     let mut violations: Vec<String> = Vec::new();
+    // Every run's registry, merged in run order for `--metrics-out`.
+    let mut metrics = MetricsSnapshot::default();
     let mut fam_clean = Family::new("retx/clean");
     let mut fam_blackout = Family::new("retx/blackout");
     let mut fam_crash = Family::new("ccd/crash");
@@ -253,6 +255,8 @@ fn main() -> ExitCode {
         if timeseries_out {
             sidecar_bench::write_timeseries_out(&format!("soak_seed{seed}"), &side.timeseries);
         }
+        metrics.merge(&side.metrics);
+        metrics.merge(&base.metrics);
         check_pair(&mut violations, &mut fam_clean, seed, &side, &base);
         if side.proxy_retransmissions == 0 {
             violations.push(format!(
@@ -278,6 +282,8 @@ fn main() -> ExitCode {
         let script = blackout();
         let side = retx.run_sidecar_faulted(seed, &script);
         let base = retx.run_baseline_faulted(seed, &script);
+        metrics.merge(&side.metrics);
+        metrics.merge(&base.metrics);
         check_pair(&mut violations, &mut fam_blackout, seed, &side, &base);
         if side.degradations == 0 {
             violations.push(format!(
@@ -293,8 +299,11 @@ fn main() -> ExitCode {
         let script = crash();
         let side = ccd.run_sidecar_faulted(seed, &script);
         let base = ccd.run_baseline_faulted(seed, &script);
+        metrics.merge(&side.metrics);
+        metrics.merge(&base.metrics);
         check_pair(&mut violations, &mut fam_crash, seed, &side, &base);
         let clean = ccd.run_sidecar(seed);
+        metrics.merge(&clean.metrics);
         let lifecycle = Lifecycle::from_trace(&clean.trace);
         if !lifecycle.is_complete() {
             violations.push(format!(
@@ -310,15 +319,21 @@ fn main() -> ExitCode {
         // Adversary rows: the strongest intensity of each attack class.
         let side = retx.run_sidecar_faulted(seed, &replay);
         let base = retx.run_baseline_faulted(seed, &replay);
+        metrics.merge(&side.metrics);
+        metrics.merge(&base.metrics);
         check_pair(&mut violations, &mut fam_replay, seed, &side, &base);
 
         let side = ccd.run_sidecar_faulted(seed, &tamper);
         let base = ccd.run_baseline_faulted(seed, &tamper);
+        metrics.merge(&side.metrics);
+        metrics.merge(&base.metrics);
         check_pair(&mut violations, &mut fam_tamper, seed, &side, &base);
 
         let ackred = AckReductionScenario::default();
         let side = ackred.run_sidecar_faulted(seed, &forge);
         let base = ackred.run_baseline_faulted(seed, ackred.reduced_ack_every, &forge);
+        metrics.merge(&side.metrics);
+        metrics.merge(&base.metrics);
         check_pair(&mut violations, &mut fam_forge, seed, &side, &base);
 
         // Certified 1k-flow vantage point: a lossless sized-for run must
@@ -326,6 +341,7 @@ fn main() -> ExitCode {
         let mut s = provisioned_manyflow(1_000, seed, 16_384);
         s.trace_capacity = Some(MANYFLOW_TRACE_CAP);
         let report = s.run();
+        metrics.merge(&report.metrics);
         let tag = format!("manyflow/certified-1k seed={seed}");
         if report.completed != 1_000 {
             violations.push(format!(
@@ -364,6 +380,7 @@ fn main() -> ExitCode {
             s.seed = seed;
             let capacity = s.table.shards * s.table.per_shard;
             let report = s.run();
+            metrics.merge(&report.metrics);
             manyflow_runs += 1;
             let tag = format!("manyflow/retx flows={flows} seed={seed}");
             if report.completed != flows {
@@ -402,6 +419,7 @@ fn main() -> ExitCode {
         for seed in [211u64, 211 + 7919] {
             let s = provisioned_manyflow(100_000, seed, 1 << 20);
             let report = s.run();
+            metrics.merge(&report.metrics);
             manyflow_100k += 1;
             let tag = format!("manyflow/100k seed={seed}");
             if report.completed != 100_000 {
@@ -476,7 +494,7 @@ fn main() -> ExitCode {
     report.push("manyflow_100k_runs", &[], manyflow_100k as f64, "count");
     report.push("violations", &[], violations.len() as f64, "count");
     report.write_default().expect("write BENCH_soak.json");
-    sidecar_bench::write_metrics_out("soak");
+    sidecar_bench::write_metrics_out("soak", &metrics);
 
     if violations.is_empty() {
         println!("soak: PASS — {seeds} seeds, no invariant violations");

@@ -15,7 +15,10 @@
 //! must carry its calibration and its smallest sweep point; `paper` must
 //! carry one cell per checked claim row. A refactor that silently stops
 //! emitting a gated cell or a claim fails here, not as a quietly-absent
-//! "baseline only" row in the perf gate or a claim nobody checks.
+//! "baseline only" row in the perf gate or a claim nobody checks. A
+//! `--metrics-out` report (`BENCH_<bin>_metrics.json`) must hold at least
+//! one cell: every bin that writes one runs a host, and an empty dump
+//! means its runs' registries never reached the report.
 //!
 //! Time-series artifacts (`BENCH_*_timeseries.txt`, emitted by benches
 //! accepting `--timeseries-out`) are validated alongside the JSON: the
@@ -73,6 +76,9 @@ fn validate(path: &Path, report: &BenchReport) -> Vec<String> {
         if !seen.insert(key.clone()) {
             errors.push(format!("{key}: duplicate metric key"));
         }
+    }
+    if report.name.ends_with("_metrics") && report.metrics.is_empty() {
+        errors.push("metrics report holds no cells".into());
     }
     for cell in required_cells(&report.name, &seen) {
         if !seen.contains(cell.as_str()) {
@@ -332,4 +338,21 @@ fn main() -> ExitCode {
         files.len()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn empty_metrics_report_is_rejected() {
+        let path = Path::new("BENCH_demo_metrics.json");
+        let mut report = BenchReport::new("demo_metrics");
+        assert_eq!(
+            validate(path, &report),
+            vec!["metrics report holds no cells".to_string()]
+        );
+        report.push("netsim.delivered", &[], 3.0, "count");
+        assert!(validate(path, &report).is_empty());
+    }
 }

@@ -29,9 +29,11 @@ pub mod baselines {
     pub use crate::{iblt, strawman};
 }
 
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 pub use report::{BenchReport, Metric};
+use sidecar_obs::{EventTrace, MetricsSnapshot};
 pub use sidecar_quack::id::IdentifierGenerator;
 
 /// Measurement defaults from the paper (§4.1: "Average of 100 trials with
@@ -112,22 +114,63 @@ pub fn calibration_ops_per_sec() -> f64 {
     ops_per_sec(d, CHAIN)
 }
 
-/// Handles the `--metrics-out` flag every bench binary accepts: when the
-/// flag is present in the process arguments, dumps the process-global
-/// observability registry (accumulated across every simulated world and
-/// decode call of the run) as a `BENCH_<name>_metrics.json` report next to
-/// the bench's own `BENCH_<name>.json` (both honor `$BENCH_OUT_DIR`).
-///
-/// Counters land with unit `count`, gauges with `value`, and histograms as
-/// one metric per bucket with an `le` param (`inf` for the overflow bucket)
-/// plus `<name>.count` / `<name>.sum` totals — all informational; the perf
-/// gate never reads them. Call it after the bench report is written; it is
-/// a no-op without the flag.
-pub fn write_metrics_out(name: &str) {
-    if !std::env::args().any(|a| a == "--metrics-out") {
-        return;
+/// The metrics and flight-recorder traces a bin's runs returned (each run's
+/// counts and events live in its own host), merged in run order: what
+/// `--metrics-out` and `--trace-out` write.
+#[derive(Clone, Debug)]
+pub struct RunObs {
+    /// Counters and histograms summed over the runs; gauges as the last
+    /// run left them.
+    pub metrics: MetricsSnapshot,
+    /// The runs' traces, one after another, in a ring of 2^18 records:
+    /// enough for the lifecycle trace of a full scenario sweep.
+    pub trace: EventTrace,
+}
+
+impl Default for RunObs {
+    fn default() -> Self {
+        RunObs {
+            metrics: MetricsSnapshot::default(),
+            trace: EventTrace::with_capacity(1 << 18),
+        }
     }
-    let snap = sidecar_obs::global().snapshot();
+}
+
+impl RunObs {
+    /// Merges one run's registry snapshot and trace.
+    pub fn add(&mut self, metrics: &MetricsSnapshot, trace: &EventTrace) {
+        self.metrics.merge(metrics);
+        self.trace.absorb(trace);
+    }
+
+    /// [`write_metrics_out`] and [`write_trace_out`] of what was merged.
+    pub fn write_out(&self, name: &str) {
+        write_metrics_out(name, &self.metrics);
+        write_trace_out(name, &self.trace);
+    }
+}
+
+/// Handles the `--metrics-out` flag: when the flag is present in the
+/// process arguments, writes `snap` (what the bin's runs recorded, see
+/// [`RunObs`]) as a `BENCH_<name>_metrics.json` report next to the bench's
+/// own `BENCH_<name>.json` (both honor `$BENCH_OUT_DIR`).
+///
+/// Counters land with unit `count`, finite gauges with `value`, and
+/// histograms as one metric per bucket with an `le` param (`inf` for the
+/// overflow bucket) plus `<name>.count` / `<name>.sum` totals — all
+/// informational; the perf gate never reads them. Call it after the bench
+/// report is written; it is a no-op without the flag.
+pub fn write_metrics_out(name: &str, snap: &MetricsSnapshot) {
+    if std::env::args().any(|a| a == "--metrics-out") {
+        let report = metrics_report(name, snap);
+        report
+            .write_default()
+            .expect("write metrics-out bench report");
+    }
+}
+
+/// The `<name>_metrics` report [`write_metrics_out`] writes.
+fn metrics_report(name: &str, snap: &MetricsSnapshot) -> BenchReport {
     let mut report = BenchReport::new(format!("{name}_metrics"));
     for (counter, value) in &snap.counters {
         report.push(counter, &[], *value as f64, "count");
@@ -146,35 +189,22 @@ pub fn write_metrics_out(name: &str) {
         report.push(&format!("{}.sum", h.name), &[], h.sum as f64, "count");
     }
     report
-        .write_default()
-        .expect("write metrics-out bench report");
 }
 
-/// Handles the `--trace-out [path]` flag every bench binary accepts: when
-/// the flag is present, renders the process-global flight-recorder trace
-/// (lifecycle events absorbed from every simulated world of the run) to
-/// `path`, or to `BENCH_<name>_trace.txt` next to the bench's JSON when the
-/// flag carries no path (honoring `$BENCH_OUT_DIR`).
+/// Handles the `--trace-out [path]` flag: when the flag is present, renders
+/// `trace` (what the bin's runs recorded, see [`RunObs`]) to `path`, or to
+/// `BENCH_<name>_trace.txt` next to the bench's JSON when the flag carries
+/// no path (honoring `$BENCH_OUT_DIR`).
 ///
 /// The rendering is the canonical `EventTrace` text format: one
 /// `t=<ns> <event>` line per record, preceded by a `# truncated dropped=N`
 /// header when the ring evicted records — consumers must treat a truncated
 /// trace as incomplete. No-op without the flag.
-pub fn write_trace_out(name: &str) {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(pos) = args.iter().position(|a| a == "--trace-out") else {
-        return;
-    };
-    let path = match args.get(pos + 1) {
-        Some(p) if !p.starts_with("--") => std::path::PathBuf::from(p),
-        _ => {
-            let dir = std::env::var_os("BENCH_OUT_DIR").unwrap_or_else(|| ".".into());
-            std::path::PathBuf::from(dir).join(format!("BENCH_{name}_trace.txt"))
-        }
-    };
-    let trace = sidecar_obs::global_trace_snapshot();
-    std::fs::write(&path, trace.render()).expect("write trace-out file");
-    println!("[bench-trace] wrote {}", path.display());
+pub fn write_trace_out(name: &str, trace: &EventTrace) {
+    if let Some(path) = out_path(name, "trace") {
+        std::fs::write(&path, trace.render()).expect("write trace-out file");
+        println!("[bench-trace] wrote {}", path.display());
+    }
 }
 
 /// Handles the `--timeseries-out [path]` flag for benches that run a
@@ -188,19 +218,26 @@ pub fn write_trace_out(name: &str) {
 /// (parse roundtrip, finite values, monotone timestamps). No-op without
 /// the flag.
 pub fn write_timeseries_out(name: &str, series: &sidecar_obs::TimeSeries) {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(pos) = args.iter().position(|a| a == "--timeseries-out") else {
-        return;
-    };
-    let path = match args.get(pos + 1) {
-        Some(p) if !p.starts_with("--") => std::path::PathBuf::from(p),
+    if let Some(path) = out_path(name, "timeseries") {
+        std::fs::write(&path, series.render()).expect("write timeseries-out file");
+        println!("[bench-timeseries] wrote {}", path.display());
+    }
+}
+
+/// Where an `--<kind>-out [path]` flag sends its artifact: the path after
+/// the flag, else `BENCH_<name>_<kind>.txt` in `$BENCH_OUT_DIR` (or `.`).
+/// `None` without the flag.
+fn out_path(name: &str, kind: &str) -> Option<PathBuf> {
+    let flag = format!("--{kind}-out");
+    let mut rest = std::env::args().skip_while(|a| *a != flag);
+    rest.next()?;
+    Some(match rest.next() {
+        Some(p) if !p.starts_with("--") => p.into(),
         _ => {
             let dir = std::env::var_os("BENCH_OUT_DIR").unwrap_or_else(|| ".".into());
-            std::path::PathBuf::from(dir).join(format!("BENCH_{name}_timeseries.txt"))
+            PathBuf::from(dir).join(format!("BENCH_{name}_{kind}.txt"))
         }
-    };
-    std::fs::write(&path, series.render()).expect("write timeseries-out file");
-    println!("[bench-timeseries] wrote {}", path.display());
+    })
 }
 
 /// Formats a duration the way the paper's tables do (ns/us/ms autoscale).
@@ -330,6 +367,37 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines.iter().all(|l| l.len() == lines[0].len()));
         assert!(s.contains("longer"));
+    }
+
+    #[test]
+    fn metrics_report_cells() {
+        use sidecar_obs::HistogramSnapshot;
+        let snap = MetricsSnapshot {
+            counters: vec![("quack.sent".into(), 7)],
+            gauges: vec![("rtt".into(), 2.5), ("undefined".into(), f64::NAN)],
+            histograms: vec![HistogramSnapshot {
+                name: "fill".into(),
+                bounds: vec![1, 4],
+                buckets: vec![2, 0, 3],
+                count: 5,
+                sum: 40,
+            }],
+        };
+        let report = metrics_report("demo", &snap);
+        assert_eq!(report.name, "demo_metrics");
+        let cell = |key: &str| {
+            let m = report.get(key).unwrap_or_else(|| panic!("no cell {key}"));
+            (m.value, m.unit.as_str())
+        };
+        assert_eq!(cell("quack.sent"), (7.0, "count"));
+        assert_eq!(cell("rtt"), (2.5, "value"));
+        assert!(report.get("undefined").is_none(), "NaN gauge skipped");
+        assert_eq!(cell("fill|le=1"), (2.0, "count"));
+        assert_eq!(cell("fill|le=4"), (0.0, "count"));
+        assert_eq!(cell("fill|le=inf"), (3.0, "count"));
+        assert_eq!(cell("fill.count"), (5.0, "count"));
+        assert_eq!(cell("fill.sum"), (40.0, "count"));
+        assert_eq!(report.metrics.len(), 7);
     }
 
     #[test]

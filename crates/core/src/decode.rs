@@ -162,51 +162,6 @@ impl DecodedQuack {
     }
 }
 
-/// Observability hooks for the decode paths.
-///
-/// Decoding has no world context in reach (it runs inside
-/// `QuackConsumer::process_quack`), so it records into
-/// [`sidecar_obs::global`]. Counters are monotone; tests on the global
-/// registry must assert `>=` deltas because the test harness runs decodes
-/// concurrently.
-mod hooks {
-    use super::DecodeError;
-
-    pub(super) fn attempt() {
-        sidecar_obs::global().inc("decode.attempts");
-    }
-
-    pub(super) fn outcome<T>(result: &Result<T, DecodeError>) {
-        sidecar_obs::global().inc(match result {
-            Ok(_) => "decode.ok",
-            Err(DecodeError::ThresholdExceeded { .. }) => "decode.err.threshold",
-            Err(DecodeError::CountInconsistent) => "decode.err.count_inconsistent",
-        });
-    }
-
-    /// The `O(m² log p)` factoring decoder was chosen over candidate
-    /// plug-in.
-    pub(super) fn factor_fallback() {
-        sidecar_obs::global().inc("decode.factor_fallback");
-    }
-}
-
-/// Core decode routine shared by [`crate::PowerSumQuack::decode_with_log`].
-///
-/// `power_sums` and `count` describe the *difference* quACK; `log` is the
-/// sender's candidate list.
-pub(crate) fn decode_difference<F: Field>(
-    power_sums: &[F],
-    count: u32,
-    log: &[u64],
-    workspace: &NewtonWorkspace<F>,
-) -> Result<DecodedQuack, DecodeError> {
-    hooks::attempt();
-    let result = decode_difference_inner(power_sums, count, log, workspace);
-    hooks::outcome(&result);
-    result
-}
-
 /// The locator degree `m` a difference asks for: its count, once checked
 /// against the threshold and, when nothing is missing, against the sums.
 pub(crate) fn locator_degree<F: Field>(power_sums: &[F], count: u32) -> Result<usize, DecodeError> {
@@ -229,7 +184,11 @@ pub(crate) fn locator_degree<F: Field>(power_sums: &[F], count: u32) -> Result<u
 /// Log entries the plugging decoder evaluates the locator at per chunk.
 const EVAL_LANES: usize = 16;
 
-fn decode_difference_inner<F: Field>(
+/// Core decode routine shared by [`crate::PowerSumQuack::decode_with_log`].
+///
+/// `power_sums` and `count` describe the *difference* quACK; `log` is the
+/// sender's candidate list.
+pub(crate) fn decode_difference<F: Field>(
     power_sums: &[F],
     count: u32,
     log: &[u64],
@@ -343,19 +302,6 @@ fn finish(mut decoded: DecodedQuack) -> DecodedQuack {
 /// (paper §4.3: "for large n, we can use the decoding algorithm that
 /// depends only on t").
 pub(crate) fn decode_difference_by_roots<F: Field>(
-    power_sums: &[F],
-    count: u32,
-    log: &[u64],
-    workspace: &NewtonWorkspace<F>,
-) -> Result<DecodedQuack, DecodeError> {
-    hooks::attempt();
-    hooks::factor_fallback();
-    let result = decode_by_roots_inner(power_sums, count, log, workspace);
-    hooks::outcome(&result);
-    result
-}
-
-fn decode_by_roots_inner<F: Field>(
     power_sums: &[F],
     count: u32,
     log: &[u64],

@@ -5,7 +5,8 @@
 //! error-locator coefficients and the `missing` list (sized to `m` up
 //! front), and nothing per log entry. A counting global allocator wraps the
 //! system allocator and counts the allocations of one
-//! `decode_with_log_and_workspace` call at two log lengths.
+//! `decode_with_log_and_workspace` call at two log lengths, the first of
+//! them the first decode the process runs.
 //!
 //! This file holds exactly one test: the harness runs test files in one
 //! process per file but multiple tests per process on worker threads, and a
@@ -77,10 +78,8 @@ fn decode_allocations(n: usize, workspace: &NewtonWorkspace<Fp32>) -> u64 {
 #[test]
 fn decode_allocations_do_not_grow_with_the_log() {
     let workspace = NewtonWorkspace::<Fp32>::new(T);
-    // The first decode registers its counters in the global metrics
-    // registry; only later decodes show the steady state.
-    decode_allocations(1_000, &workspace);
-
+    // The first decode in the process already shows the steady state: the
+    // decoder touches no process-wide state that a first call would set up.
     let at_1000 = decode_allocations(1_000, &workspace);
     let at_5000 = decode_allocations(5_000, &workspace);
     assert_eq!(at_1000, at_5000, "allocations grew with the log");

@@ -2,10 +2,11 @@
 //!
 //! Every [`World`](crate::World) — and every live-socket host — owns one
 //! [`WorldObs`]: a *fresh* metrics registry, the flight-recorder ring and
-//! the per-flow scoreboard, scoped to that host rather than to
-//! `sidecar_obs::global()`. That keeps metric-asserting tests reproducible
-//! on the test harness's concurrent threads, and a scenario's snapshot
-//! holds only that scenario's events.
+//! the per-flow scoreboard. There is no process-wide registry or trace
+//! beside it: every count and event lives in the host that made it. That
+//! keeps metric-asserting tests reproducible on the test harness's
+//! concurrent threads, and a scenario's snapshot holds only that
+//! scenario's events.
 //!
 //! This module is the one place that knows how a host event becomes
 //! telemetry. A host owes the recorder one call per traceable packet per

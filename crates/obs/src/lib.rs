@@ -24,6 +24,11 @@
 //! deterministic simulation therefore produce identical snapshots and
 //! identical trace renderings.
 //!
+//! The crate holds no process-wide state. Every registry and trace belongs
+//! to the host (a simulated `World` or a `LiveDriver`) that records into
+//! it, and callers combine finished runs as plain data
+//! ([`MetricsSnapshot::merge`], [`EventTrace::absorb`]).
+//!
 //! The crate is intentionally zero-dependency (std only) and sits *below*
 //! `sidecar-netsim` in the dependency graph: the simulator depends on obs,
 //! never the reverse.
@@ -52,65 +57,3 @@ pub use timeseries::{
     counter_delta, diff_point, PercentileTrack, SamplePoint, Sampler, TimeSeries, WRAP_GUARD,
 };
 pub use trace::EventTrace;
-
-use std::sync::{Mutex, OnceLock};
-
-static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-
-/// The process-wide registry.
-///
-/// Library code with no access to a per-world registry (e.g. the decoder in
-/// `sidecar-quack`) records here; scenario runners also fold their per-world
-/// snapshots in so bench binaries can dump one cumulative snapshot via
-/// `--metrics-out`. Because it is shared across threads (Rust runs `#[test]`
-/// functions concurrently), tests asserting on it must use monotone `>=`
-/// deltas, or prefer a per-world registry for exact equality.
-pub fn global() -> &'static MetricsRegistry {
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
-/// Ring capacity of the process-global trace: generous enough to hold the
-/// merged lifecycle trace of a full bench scenario sweep without evicting.
-pub const GLOBAL_TRACE_CAPACITY: usize = 1 << 18;
-
-static GLOBAL_TRACE: OnceLock<Mutex<EventTrace>> = OnceLock::new();
-
-fn global_trace() -> &'static Mutex<EventTrace> {
-    GLOBAL_TRACE.get_or_init(|| Mutex::new(EventTrace::with_capacity(GLOBAL_TRACE_CAPACITY)))
-}
-
-/// Folds a per-world trace into the process-global trace, the twin of
-/// [`global`] for events: scenario runners call this after a run so bench
-/// binaries can dump one merged lifecycle trace via `--trace-out`. Eviction
-/// debt carries over, so a truncated world ring keeps the merged trace
-/// honest about incompleteness.
-pub fn global_trace_absorb(trace: &EventTrace) {
-    global_trace()
-        .lock()
-        .expect("global trace poisoned")
-        .absorb(trace);
-}
-
-/// A copy of the process-global trace (see [`global_trace_absorb`]). Like
-/// [`global`], the sink is shared across concurrently-running tests, so
-/// assertions on it must be monotone.
-pub fn global_trace_snapshot() -> EventTrace {
-    global_trace()
-        .lock()
-        .expect("global trace poisoned")
-        .clone()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_is_shared_and_monotone() {
-        let before = global().snapshot().counter("obs.test.global");
-        global().inc("obs.test.global");
-        global().add("obs.test.global", 2);
-        let after = global().snapshot().counter("obs.test.global");
-        assert!(after >= before + 3);
-    }
-}

@@ -68,19 +68,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
-
-    fn add_snapshot(&self, snap: &HistogramSnapshot) {
-        assert_eq!(
-            self.bounds, snap.bounds,
-            "absorbing histogram {:?} with mismatched bounds",
-            snap.name
-        );
-        for (cell, &n) in self.buckets.iter().zip(&snap.buckets) {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
-        self.count.fetch_add(snap.count, Ordering::Relaxed);
-        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
-    }
 }
 
 #[derive(Debug, Default)]
@@ -97,10 +84,11 @@ struct Inner {
 /// a short mutex, but recording through a held [`Counter`] is lock-free. All
 /// names are `&'static str` so the registry never allocates per event.
 ///
-/// Each simulated [`World`](../sidecar_netsim) owns a *fresh* registry, which
-/// keeps metric-asserting tests isolated from each other even though the test
-/// harness runs them on concurrent threads; [`crate::global`] is the shared
-/// fallback for code with no world in reach.
+/// Each host (a simulated `World` or a `LiveDriver`) owns a *fresh*
+/// registry, which keeps metric-asserting tests isolated from each other
+/// even though the test harness runs them on concurrent threads. There is
+/// no process-wide registry: code that wants the counts of several runs
+/// merges their snapshots ([`MetricsSnapshot::merge`]).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Inner>,
@@ -209,47 +197,6 @@ impl MetricsRegistry {
             histograms,
         }
     }
-
-    /// Folds a snapshot into this registry: counters and histograms add,
-    /// gauges overwrite. Used by scenario runners to merge per-world
-    /// registries into [`crate::global`].
-    ///
-    /// Snapshot names are interned by leaking; absorb is a cold path called
-    /// once per scenario with a bounded set of metric names.
-    pub fn absorb(&self, snap: &MetricsSnapshot) {
-        for (name, value) in &snap.counters {
-            self.add(intern(name), *value);
-        }
-        for (name, value) in &snap.gauges {
-            self.gauge_set(intern(name), *value);
-        }
-        for h in &snap.histograms {
-            let hist = {
-                let mut map = self
-                    .inner
-                    .histograms
-                    .lock()
-                    .expect("histogram map poisoned");
-                map.entry(intern(&h.name))
-                    .or_insert_with(|| Arc::new(Histogram::new(&h.bounds)))
-                    .clone()
-            };
-            hist.add_snapshot(h);
-        }
-    }
-}
-
-/// Interns a runtime string as `&'static str`, deduplicating so repeated
-/// absorbs of the same metric names never grow memory.
-fn intern(name: &str) -> &'static str {
-    static INTERNED: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::new());
-    let mut map = INTERNED.lock().expect("intern map poisoned");
-    if let Some(&s) = map.get(name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    map.insert(name.to_string(), leaked);
-    leaked
 }
 
 #[cfg(test)]
@@ -320,32 +267,5 @@ mod tests {
         assert_eq!(s1, s2);
         assert_eq!(s1.counters[0].0, "a");
         assert_eq!(s1.counters[1].0, "z");
-    }
-
-    #[test]
-    fn absorb_adds_counters_and_merges_histograms() {
-        let a = MetricsRegistry::new();
-        a.add("c", 3);
-        a.observe("h", &[2], 1);
-        a.gauge_set("g", 1.0);
-        let b = MetricsRegistry::new();
-        b.add("c", 2);
-        b.observe("h", &[2], 5);
-        b.gauge_set("g", 9.0);
-        a.absorb(&b.snapshot());
-        let merged = a.snapshot();
-        assert_eq!(merged.counter("c"), 5);
-        assert_eq!(merged.gauge("g"), Some(9.0));
-        let h = merged.histogram("h").unwrap();
-        assert_eq!(h.buckets, vec![1, 1]);
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 6);
-    }
-
-    #[test]
-    fn intern_deduplicates() {
-        let a = intern("obs.test.intern");
-        let b = intern("obs.test.intern");
-        assert!(std::ptr::eq(a, b));
     }
 }

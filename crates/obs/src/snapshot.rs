@@ -125,6 +125,43 @@ impl MetricsSnapshot {
             .sum()
     }
 
+    /// Folds `other` into this snapshot, as if one registry had recorded
+    /// both: counters and histograms add (wrapping, like the registry's
+    /// atomics) and gauges take `other`'s value. Names stay sorted.
+    ///
+    /// # Panics
+    ///
+    /// If a histogram present in both has different bounds.
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        for (name, value) in &other.counters {
+            match self.counters.binary_search_by(|(n, _)| n.cmp(name)) {
+                Ok(i) => self.counters[i].1 = self.counters[i].1.wrapping_add(*value),
+                Err(i) => self.counters.insert(i, (name.clone(), *value)),
+            }
+        }
+        for (name, value) in &other.gauges {
+            match self.gauges.binary_search_by(|(n, _)| n.cmp(name)) {
+                Ok(i) => self.gauges[i].1 = *value,
+                Err(i) => self.gauges.insert(i, (name.clone(), *value)),
+            }
+        }
+        for h in &other.histograms {
+            match self.histograms.binary_search_by(|m| m.name.cmp(&h.name)) {
+                Err(i) => self.histograms.insert(i, h.clone()),
+                Ok(i) => {
+                    let mine = &mut self.histograms[i];
+                    let name = &h.name;
+                    assert_eq!(mine.bounds, h.bounds, "merging {name:?}: mismatched bounds");
+                    for (cell, n) in mine.buckets.iter_mut().zip(&h.buckets) {
+                        *cell = cell.wrapping_add(*n);
+                    }
+                    mine.count = mine.count.wrapping_add(h.count);
+                    mine.sum = mine.sum.wrapping_add(h.sum);
+                }
+            }
+        }
+    }
+
     /// Renders the stable text encoding (one metric per line, trailing
     /// newline when non-empty).
     pub fn encode(&self) -> String {
@@ -359,5 +396,60 @@ mod tests {
             ..MetricsSnapshot::default()
         };
         assert_eq!(MetricsSnapshot::parse(&s.encode()).unwrap(), s);
+    }
+
+    #[test]
+    fn merge_adds_counters_and_merges_histograms() {
+        let mut a = MetricsSnapshot {
+            counters: vec![("c".into(), 3)],
+            gauges: vec![("g".into(), 1.0)],
+            histograms: vec![HistogramSnapshot {
+                name: "h".into(),
+                bounds: vec![2],
+                buckets: vec![1, 0],
+                count: 1,
+                sum: 1,
+            }],
+        };
+        let b = MetricsSnapshot {
+            counters: vec![("b".into(), 7), ("c".into(), 2)],
+            gauges: vec![("g".into(), 9.0)],
+            histograms: vec![HistogramSnapshot {
+                name: "h".into(),
+                bounds: vec![2],
+                buckets: vec![0, 1],
+                count: 1,
+                sum: 5,
+            }],
+        };
+        a.merge(&b);
+        assert_eq!(a.counter("c"), 5);
+        assert_eq!(a.gauge("g"), Some(9.0));
+        let h = a.histogram("h").unwrap();
+        assert_eq!(h.buckets, vec![1, 1]);
+        assert_eq!(h.count, 2);
+        assert_eq!(h.sum, 6);
+        // A name new to `a` lands in sorted position.
+        assert_eq!(a.counters, vec![("b".into(), 7), ("c".into(), 5)]);
+        // Merging into an empty snapshot copies.
+        let mut empty = MetricsSnapshot::default();
+        empty.merge(&b);
+        assert_eq!(empty, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched bounds")]
+    fn merge_rejects_mismatched_histogram_bounds() {
+        let hist = |bounds: Vec<u64>| MetricsSnapshot {
+            histograms: vec![HistogramSnapshot {
+                name: "h".into(),
+                buckets: vec![0; bounds.len() + 1],
+                bounds,
+                count: 0,
+                sum: 0,
+            }],
+            ..MetricsSnapshot::default()
+        };
+        hist(vec![2]).merge(&hist(vec![4]));
     }
 }

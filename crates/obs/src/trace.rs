@@ -118,9 +118,9 @@ impl EventTrace {
     }
 
     /// Appends every record of `other` (and its eviction debt) into this
-    /// ring, subject to this ring's own capacity. Scenario runners use this
-    /// to fold per-world traces into the process-global trace that bench
-    /// binaries dump via `--trace-out`.
+    /// ring, subject to this ring's own capacity. Bench binaries use this
+    /// to merge the traces of their runs, in run order, into the one trace
+    /// they dump via `--trace-out`.
     pub fn absorb(&mut self, other: &EventTrace) {
         self.dropped += other.dropped;
         for &(at, event) in &other.events {

@@ -359,15 +359,9 @@ pub(crate) mod obs {
         ctx.obs_flow_health(0, HealthDim::AuthReject);
     }
 
-    /// Snapshots the world registry and flight recorder at quiescence,
-    /// mirroring both into the process-global ones for bench
-    /// `--metrics-out` / `--trace-out` dumps.
+    /// Snapshots the world registry and flight recorder at quiescence.
     fn snapshot(w: &World) -> (sidecar_obs::MetricsSnapshot, sidecar_obs::EventTrace) {
-        let metrics = w.obs().metrics.snapshot();
-        sidecar_obs::global().absorb(&metrics);
-        let trace = w.obs().trace.clone();
-        sidecar_obs::global_trace_absorb(&trace);
-        (metrics, trace)
+        (w.obs().metrics.snapshot(), w.obs().trace.clone())
     }
 
     /// Fills a scenario report's obs fields from the finished world.
