@@ -117,14 +117,12 @@ pub fn calibration_ops_per_sec() -> f64 {
 /// The metrics and flight-recorder traces a bin's runs returned (each run's
 /// counts and events live in its own host), merged in run order: what
 /// `--metrics-out` and `--trace-out` write.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RunObs {
-    /// Counters and histograms summed over the runs; gauges as the last
-    /// run left them.
-    pub metrics: MetricsSnapshot,
+    metrics: MetricsSnapshot,
     /// The runs' traces, one after another, in a ring of 2^18 records:
     /// enough for the lifecycle trace of a full scenario sweep.
-    pub trace: EventTrace,
+    trace: EventTrace,
 }
 
 impl Default for RunObs {
